@@ -43,7 +43,8 @@ def _cmd_run(args) -> int:
         apply_override(cfg, assignment)
     result = run_experiment(cfg, base_dir=args.out)
     for name, ok in sorted(result.verdicts.items()):
-        value = result.metrics.get(name)
+        # a blown-up run's only verdict, ``finite``, shows the blow-up time
+        value = result.metrics.get(name, result.metrics.get("blowup_time"))
         shown = "" if value is None else f"  ({value:.6g})"
         print(f"{'PASS' if ok else 'FAIL'}  {result.name}.{name}{shown}")
     for w in result.warnings:

@@ -24,7 +24,8 @@ from .flows import FlowKind, linearized_tbo_rhs, adjoint_linearized_rhs, tbo_rhs
 from .invariants import l2_norm
 from .spectral import RealField, make_grid, sobolev_norm
 from .spectral import envelope as spectral_envelope
-from .stepper import SolverConfig, integrate, integrate_linearized_pair, convergence_order
+from .stepper import (BlowUpError, SolverConfig, integrate, integrate_linearized_pair,
+                      convergence_order)
 
 __all__ = [
     "ConfigError",
@@ -299,10 +300,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid.length must be positive and finite, got {length!r}")
     if cfg.data.profile not in profiles.PROFILES:
         raise ConfigError(f"unknown profile {cfg.data.profile!r}")
-    if cfg.solver.dt <= 0 or cfg.solver.t_end < 0:
-        raise ConfigError("solver.dt must be positive and solver.t_end nonnegative")
-    if cfg.solver.snapshot_stride < 1:
-        raise ConfigError("solver.snapshot_stride must be >= 1")
+    try:
+        cfg.solver.build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad 'solver' section: {exc}") from None
     ana = cfg.analysis
     if len(ana.amplitudes) >= 1 and any(
         b <= a for a, b in zip(ana.amplitudes, ana.amplitudes[1:])
@@ -737,19 +738,21 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None) -> ExperimentResult:
 
     Artifacts land in ``<base>/<experiment>/``; ``base`` is, in order of
     precedence, the ``base_dir`` argument, the BO3_OUT environment variable,
-    or ``cfg.output_dir``.
+    or ``cfg.output_dir``.  A run whose solution loses finiteness ends with
+    the single failed verdict ``finite`` and its ``blowup_time``.
     """
     validate_config(cfg)
     base = Path(base_dir or os.environ.get("BO3_OUT") or cfg.output_dir)
     out_dir = base / cfg.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        verdicts, metrics, outputs = EXPERIMENTS[cfg.experiment](cfg, out_dir)
-        for w in caught:
-            collected.append(f"{w.category.__name__}: {w.message}")
+        try:
+            verdicts, metrics, outputs = EXPERIMENTS[cfg.experiment](cfg, out_dir)
+        except BlowUpError as exc:
+            verdicts, metrics, outputs = {"finite": False}, {"blowup_time": exc.time}, []
+        collected = [f"{w.category.__name__}: {w.message}" for w in caught]
 
     verdicts = {k: bool(v) for k, v in verdicts.items()}
     manifest = {

@@ -17,7 +17,6 @@ conservative form of the third-order flow is kept as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,32 +41,23 @@ __all__ = [
     "spectral_tail_fraction",
 ]
 
-FLOW_TAGS = (
-    "airy",
-    "benjamin_ono",
-    "third_order_bo",
-    "linearized_tbo",
-    "adjoint_linearized_tbo",
-)
+FLOW_TAGS = ("airy", "benjamin_ono", "third_order_bo")
 
 
 @dataclass(frozen=True)
 class FlowKind:
-    """Selects one of the evolution equations.
+    """Selects one of the flows that ``stepper.integrate`` marches.
 
-    The two linearized kinds need a background trajectory whose time range
-    covers the integration window; the background supplies the state the
-    linearization rides on.
+    The linearized flow and its backward adjoint ride on a background state
+    and are marched together with it by ``stepper.integrate_linearized_pair``
+    and ``stepper.integrate_adjoint_pair``.
     """
 
     tag: str
-    background: Optional[object] = None
 
     def __post_init__(self):
         if self.tag not in FLOW_TAGS:
             raise ValueError(f"unknown flow tag {self.tag!r}")
-        if self.tag in ("linearized_tbo", "adjoint_linearized_tbo") and self.background is None:
-            raise ValueError(f"flow {self.tag!r} requires a background trajectory")
 
 
 # ---------------------------------------------------------------------------
@@ -153,41 +143,36 @@ def _bo_nl(ws: _Workspace, s):
     return ws.from_phys(p * px)
 
 
-def _tbo_nl(ws: _Workspace, s):
+def product_fields(ws: _Workspace, s):
+    """phi, phi_x, H phi_x, phi_xx and H phi_xx of the spectrum s on the product grid."""
+    # The derivative spectra are rebuilt, not held: keeping them alive across
+    # the transforms raised the minor page faults of a march that retains
+    # its frames several-fold (the heap top is trimmed and refaulted).
+    return (ws.to_phys(s), ws.to_phys(ws.dx(s)), ws.to_phys(ws.hil(ws.dx(s))),
+            ws.to_phys(ws.dx(s, 2)), ws.to_phys(ws.hil(ws.dx(s, 2))))
+
+
+def _tbo_nl(ws: _Workspace, fields):
     # -(3/4) phi^2 phi_x + (3/4)[phi_x H phi_x + phi H phi_xx + H(phi_xx phi + phi_x^2)]
-    p = ws.to_phys(s)
-    px = ws.to_phys(ws.dx(s))
-    hx = ws.to_phys(ws.hil(ws.dx(s)))
-    pxx = ws.to_phys(ws.dx(s, 2))
-    hxx = ws.to_phys(ws.hil(ws.dx(s, 2)))
+    p, px, hx, pxx, hxx = fields
     direct = px * hx + p * hxx - p * p * px
     inner = pxx * p + px * px
     return 0.75 * ws.from_phys_pair(direct, inner)
 
 
-def _lin_nl(ws: _Workspace, s_phi, s_v):
-    # Gateaux derivative of _tbo_nl at phi in direction v.
-    p = ws.to_phys(s_phi)
-    px = ws.to_phys(ws.dx(s_phi))
-    hx = ws.to_phys(ws.hil(ws.dx(s_phi)))
-    hxx = ws.to_phys(ws.hil(ws.dx(s_phi, 2)))
-    pxx = ws.to_phys(ws.dx(s_phi, 2))
-    v = ws.to_phys(s_v)
-    vx = ws.to_phys(ws.dx(s_v))
-    vh = ws.to_phys(ws.hil(ws.dx(s_v)))
-    vhxx = ws.to_phys(ws.hil(ws.dx(s_v, 2)))
-    vxx = ws.to_phys(ws.dx(s_v, 2))
+def _lin_nl(ws: _Workspace, fields, s_v):
+    # Gateaux derivative of _tbo_nl at phi (given by its fields) in direction v.
+    p, px, hx, pxx, hxx = fields
+    v, vx, vh, vxx, vhxx = product_fields(ws, s_v)
     direct = vx * hx + px * vh + v * hxx + p * vhxx - 2.0 * p * px * v - p * p * vx
     inner = vxx * p + pxx * v + 2.0 * vx * px
     return 0.75 * ws.from_phys_pair(direct, inner)
 
 
-def _adj_nl(ws: _Workspace, s_phi, s_w):
+def _adj_nl(ws: _Workspace, fields, s_w):
     # w_t - w_xxx = (3/2) phi phi_x w - (3/4)(phi^2 w)_x
     #               + (3/4)[w_x H phi_x + H(w_x phi)_x + phi H w_xx]
-    p = ws.to_phys(s_phi)
-    px = ws.to_phys(ws.dx(s_phi))
-    hx = ws.to_phys(ws.hil(ws.dx(s_phi)))
+    p, px, hx = fields[:3]
     w = ws.to_phys(s_w)
     wx = ws.to_phys(ws.dx(s_w))
     whxx = ws.to_phys(ws.hil(ws.dx(s_w, 2)))
@@ -198,21 +183,23 @@ def _adj_nl(ws: _Workspace, s_phi, s_w):
     return s_direct - 0.75 * ws.dx(s_sq) + 0.75 * ws.dx(ws.hil(s_wxp))
 
 
-_NL_BY_TAG = {
-    "benjamin_ono": _bo_nl,
-    "third_order_bo": _tbo_nl,
-}
+def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
+    """Nonlinear part of a flow at spectrum level.
 
-
-def nonlinear_spectrum(tag: str, ws: _Workspace, s, s_background=None):
-    """Dispatch the nonlinear part of a flow at spectrum level."""
-    if tag == "airy":
-        return np.zeros_like(s)
+    ``fields`` are the ``product_fields`` of the state that the third-order
+    terms are built on: ``s`` itself for ``third_order_bo`` (computed here
+    when omitted), and the background for ``linearized_tbo`` and
+    ``adjoint_linearized_tbo``, which need them.
+    """
+    if tag == "benjamin_ono":
+        return _bo_nl(ws, s)
+    if tag == "third_order_bo":
+        return _tbo_nl(ws, product_fields(ws, s) if fields is None else fields)
     if tag == "linearized_tbo":
-        return _lin_nl(ws, s_background, s)
+        return _lin_nl(ws, fields, s)
     if tag == "adjoint_linearized_tbo":
-        return _adj_nl(ws, s_background, s)
-    return _NL_BY_TAG[tag](ws, s)
+        return _adj_nl(ws, fields, s)
+    raise ValueError(f"no nonlinear part for flow {tag!r}")
 
 
 def linear_symbol(tag: str, grid: SpectralGrid) -> np.ndarray:
@@ -268,7 +255,7 @@ def tbo_rhs(phi: RealField) -> RealField:
     """Third-order Benjamin-Ono right-hand side, expanded form (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    out = ws.dx(phi.spectrum, 3) + _tbo_nl(ws, phi.spectrum)
+    out = ws.dx(phi.spectrum, 3) + _tbo_nl(ws, product_fields(ws, phi.spectrum))
     return RealField.from_spectrum(phi.grid, out)
 
 
@@ -290,7 +277,7 @@ def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
     """Linearization of the third-order flow around ``phi`` in direction ``v``."""
     grid = _check_same_grid(v, phi)
     ws = _workspace(grid)
-    out = ws.dx(v.spectrum, 3) + _lin_nl(ws, phi.spectrum, v.spectrum)
+    out = ws.dx(v.spectrum, 3) + _lin_nl(ws, product_fields(ws, phi.spectrum), v.spectrum)
     return RealField.from_spectrum(grid, out)
 
 
@@ -298,7 +285,7 @@ def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
     grid = _check_same_grid(w, phi)
     ws = _workspace(grid)
-    out = ws.dx(w.spectrum, 3) + _adj_nl(ws, phi.spectrum, w.spectrum)
+    out = ws.dx(w.spectrum, 3) + _adj_nl(ws, product_fields(ws, phi.spectrum), w.spectrum)
     return RealField.from_spectrum(grid, out)
 
 

@@ -2,8 +2,10 @@
 
 The scheme is integrating-factor RK4: the state is advanced in the frame of
 the exact linear propagator (a pure phase multiplier), and classical RK4 is
-applied to the transformed nonlinearity.  Linear flows are propagated exactly
-in one multiplier application per snapshot.
+applied to the transformed nonlinearity.  One march serves a single spectrum
+``(m,)`` and the stacked ``(2, m)`` states of the linearized and adjoint
+pairs, forward and backward in time.  The Airy flow is propagated exactly,
+in one multiplier application per frame.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "BlowUpError",
     "integrate",
     "integrate_linearized_pair",
+    "integrate_adjoint_pair",
     "convergence_order",
     "ConvergenceResult",
 ]
@@ -45,6 +48,8 @@ class SolverConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ValueError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0.0:
@@ -91,7 +96,7 @@ class Trajectory:
 
 
 def _rk4_step(s, h, efull, ehalf, nl):
-    """One integrating-factor RK4 step of width h on the spectrum s."""
+    """One integrating-factor RK4 step of width h on the spectrum (or stack) s."""
     n1 = nl(s)
     n2 = nl(ehalf * (s + 0.5 * h * n1))
     n3 = nl(ehalf * s + 0.5 * h * n2)
@@ -106,167 +111,114 @@ def _snapshot_plan(t_end: float, dt: float):
     return n_steps, t_end / n_steps
 
 
-def _march(grid, s0, t0, t_span, config, nl, record):
-    """March a spectrum from t0 over t_span (signed), recording snapshots."""
-    n_steps, h_abs = _snapshot_plan(abs(t_span), config.dt)
-    h = math.copysign(h_abs, t_span) if t_span != 0.0 else 0.0
-    lam = flows.linear_symbol(record["lin_tag"], grid)
+def _frame_steps(n_steps: int, stride) -> list:
+    """Steps after which a march emits a frame: every stride-th and the last."""
+    return [j for j in range(1, n_steps + 1) if j % stride == 0 or j == n_steps]
+
+
+def _march(s0, t0, t_span, config, lam, nl, emit):
+    """March a state from t0 over t_span (signed), emitting frames.
+
+    The state is one spectrum ``(m,)`` or a stack ``(2, m)``; the ``(m,)``
+    multipliers built from the linear symbol ``lam`` broadcast over the rows.
+    """
     s = np.array(s0, dtype=complex)
-    record["emit"](t0, s)
+    emit(t0, s)
     if t_span == 0.0:
         return
+    n_steps, h_abs = _snapshot_plan(abs(t_span), config.dt)
+    h = math.copysign(h_abs, t_span)
     efull = np.exp(lam * h)
     ehalf = np.exp(lam * (h / 2.0))
+    frame_steps = set(_frame_steps(n_steps, config.snapshot_stride))
     for j in range(1, n_steps + 1):
         s = _rk4_step(s, h, efull, ehalf, nl)
         t = t0 + j * h
         if not np.all(np.isfinite(s)):
             raise BlowUpError(t)
-        if j % config.snapshot_stride == 0 or j == n_steps:
-            record["emit"](t, s)
+        if j in frame_steps:
+            emit(t, s)
+
+
+def _recorded_march(grid, s0, t0, t_span, config, lam_tag, nl):
+    """Run ``_march`` keeping one frame list per row of the state.
+
+    Resolution warnings watch row 0, the nonlinear state.
+    """
+    rows, warns = [[] for _ in range(np.size(s0) // grid.n)], []
+
+    def emit(t, s):
+        fields = [RealField.from_spectrum(grid, r) for r in s.reshape(-1, grid.n)]
+        if flows.spectral_tail_fraction(fields[0]) > config.tail_tol:
+            warns.append((t, "resolution"))
+        for frames, fld in zip(rows, fields):
+            frames.append((t, fld))
+
+    _march(s0, t0, t_span, config, flows.linear_symbol(lam_tag, grid), nl, emit)
+    return rows, warns
 
 
 def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Trajectory:
     """Integrate one flow from initial data ``f0``.
 
-    Linear flows use the exact propagator per snapshot.  Nonlinear flows
+    The Airy flow is propagated exactly to each frame time.  Nonlinear flows
     require mean-free data.  Non-finite values abort with the blow-up time;
     under-resolution only accumulates warnings on the trajectory.
     """
     grid = f0.grid
     tag = kind.tag
     if tag == "airy":
-        if config.t_end == 0.0:
-            return Trajectory([(0.0, f0)], config, tag)
-        n_snaps = max(1, int(round(config.t_end / (config.dt * config.snapshot_stride))))
-        times = np.linspace(0.0, config.t_end, n_snaps + 1)
-        frames = [(float(t), flows.airy_propagate(f0, float(t))) for t in times]
-        return Trajectory(frames, config, tag)
+        steps, h = [0], 0.0
+        if config.t_end > 0.0:
+            n_steps, h = _snapshot_plan(config.t_end, config.dt)
+            steps += _frame_steps(n_steps, config.snapshot_stride)
+        return Trajectory([(j * h, flows.airy_propagate(f0, j * h)) for j in steps], config, tag)
 
     require_mean_free(f0)
     ws = flows._workspace(grid, config.dealias)
-
-    if tag in ("benjamin_ono", "third_order_bo"):
-        frames, warns = [], []
-
-        def emit(t, s):
-            fld = RealField.from_spectrum(grid, s)
-            if flows.spectral_tail_fraction(fld) > config.tail_tol:
-                warns.append((t, "resolution"))
-            frames.append((t, fld))
-
-        nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
-        _march(grid, f0.spectrum, 0.0, config.t_end, config,
-               nl, {"emit": emit, "lin_tag": tag})
-        return Trajectory(frames, config, tag, warns)
-
-    # linearized kinds co-evolve the background state with the same stages so
-    # there is no interpolation error between the two solutions
-    background = kind.background
-    if background.grid != grid:
-        raise ValueError("background trajectory lives on a different grid")
-    t_lo, t_hi = background.times[0], background.times[-1]
-    if t_lo > 0.0 or t_hi < config.t_end - 1e-12:
-        raise ValueError("background trajectory does not cover the window")
-
-    if tag == "linearized_tbo":
-        phi_traj, v_traj = integrate_linearized_pair(
-            background.frames[0][1], f0, config
-        )
-        return v_traj
-
-    # adjoint runs backward from the final background state
-    if abs(t_hi - config.t_end) > 1e-9:
-        raise ValueError("adjoint integration needs a background frame at t_end")
-    phi_T = background.at(float(background.times[-1]))
-    pair = _coupled_march(
-        grid, phi_T.spectrum, f0.spectrum, config, ws,
-        t0=config.t_end, t_span=-config.t_end, second_tag="adjoint_linearized_tbo",
-    )
-    frames = [(t, w) for (t, _phi, w) in pair["frames"]]
-    frames.reverse()
-    return Trajectory(frames, config, tag, pair["warnings"])
+    nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
+    (frames,), warns = _recorded_march(grid, f0.spectrum, 0.0, config.t_end, config, tag, nl)
+    return Trajectory(frames, config, tag, warns)
 
 
-def _coupled_march(grid, s_phi0, s_sec0, config, ws, t0, t_span, second_tag):
-    """March (phi, secondary) with shared RK4 stages; returns recorded frames."""
-    n_steps, h_abs = _snapshot_plan(abs(t_span), config.dt)
-    h = math.copysign(h_abs, t_span)
-    lam = flows.linear_symbol("third_order_bo", grid)
-    efull = np.exp(lam * h)
-    ehalf = np.exp(lam * (h / 2.0))
+def _pair_march(phi, sec, sec_tag, t0, t_span, config):
+    """March the stacked state (phi, sec); the flow of sec rides on phi.
 
-    def nl_block(block):
-        s_p, s_s = block
-        return (
-            flows.nonlinear_spectrum("third_order_bo", ws, s_p),
-            flows.nonlinear_spectrum(second_tag, ws, s_s, s_background=s_p),
-        )
+    The product-grid fields of phi are computed once per stage and serve
+    both right-hand sides.
+    """
+    if phi.grid != sec.grid:
+        raise ValueError("fields live on different grids")
+    require_mean_free(phi)
+    ws = flows._workspace(phi.grid, config.dealias)
 
-    def axpy(block, scale, incr):
-        return (block[0] + scale * incr[0], block[1] + scale * incr[1])
+    def nl(s):
+        fields = flows.product_fields(ws, s[0])
+        return np.stack((flows.nonlinear_spectrum("third_order_bo", ws, s[0], fields),
+                         flows.nonlinear_spectrum(sec_tag, ws, s[1], fields)))
 
-    def apply(mult, block):
-        return (mult * block[0], mult * block[1])
-
-    frames, warns = [], []
-
-    def emit(t, block):
-        phi = RealField.from_spectrum(grid, block[0])
-        sec = RealField.from_spectrum(grid, block[1])
-        if flows.spectral_tail_fraction(phi) > config.tail_tol:
-            warns.append((t, "resolution"))
-        frames.append((t, phi, sec))
-
-    block = (np.array(s_phi0, dtype=complex), np.array(s_sec0, dtype=complex))
-    emit(t0, block)
-    for j in range(1, n_steps + 1):
-        n1 = nl_block(block)
-        n2 = nl_block(apply(ehalf, axpy(block, 0.5 * h, n1)))
-        n3 = nl_block(axpy(apply(ehalf, block), 0.5 * h, n2))
-        n4 = nl_block(axpy(apply(efull, block), h, apply(ehalf, n3)))
-        block = (
-            efull * block[0] + (h / 6.0) * (efull * n1[0] + 2.0 * ehalf * (n2[0] + n3[0]) + n4[0]),
-            efull * block[1] + (h / 6.0) * (efull * n1[1] + 2.0 * ehalf * (n2[1] + n3[1]) + n4[1]),
-        )
-        t = t0 + j * h
-        if not (np.all(np.isfinite(block[0])) and np.all(np.isfinite(block[1]))):
-            raise BlowUpError(t)
-        if j % config.snapshot_stride == 0 or j == n_steps:
-            emit(t, block)
-    return {"frames": frames, "warnings": warns}
+    s0 = np.stack((phi.spectrum, sec.spectrum))
+    return _recorded_march(phi.grid, s0, t0, t_span, config, "third_order_bo", nl)
 
 
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):
     """Co-evolve the nonlinear state and its linearization with shared stages."""
-    if phi0.grid != v0.grid:
-        raise ValueError("fields live on different grids")
-    require_mean_free(phi0)
-    ws = flows._workspace(phi0.grid, config.dealias)
-    out = _coupled_march(
-        phi0.grid, phi0.spectrum, v0.spectrum, config, ws,
-        t0=0.0, t_span=config.t_end, second_tag="linearized_tbo",
-    )
-    phi_frames = [(t, p) for (t, p, _v) in out["frames"]]
-    v_frames = [(t, v) for (t, _p, v) in out["frames"]]
-    phi_traj = Trajectory(phi_frames, config, "third_order_bo", list(out["warnings"]))
-    v_traj = Trajectory(v_frames, config, "linearized_tbo", list(out["warnings"]))
-    return phi_traj, v_traj
+    (phi, v), warns = _pair_march(phi0, v0, "linearized_tbo", 0.0, config.t_end, config)
+    return (Trajectory(phi, config, "third_order_bo", list(warns)),
+            Trajectory(v, config, "linearized_tbo", list(warns)))
 
 
-def integrate_backward(kind: flows.FlowKind, fT: RealField, t_end: float, config: SolverConfig) -> RealField:
-    """March a plain flow backward from t_end to 0; used by reversal checks."""
-    grid = fT.grid
-    ws = flows._workspace(grid, config.dealias)
-    store = {}
+def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfig):
+    """March the nonlinear state and the backward adjoint from t_end down to 0.
 
-    def emit(t, s):
-        store["last"] = (t, s)
-
-    nl = lambda s: flows.nonlinear_spectrum(kind.tag, ws, s)
-    _march(grid, fT.spectrum, t_end, -t_end, config, nl,
-           {"emit": emit, "lin_tag": kind.tag})
-    return RealField.from_spectrum(grid, store["last"][1])
+    phi follows the third-order flow backward from ``phi_T``; w solves the
+    adjoint of the flow linearized around it, from ``w_T``.  Both
+    trajectories are returned in increasing time.
+    """
+    (phi, w), warns = _pair_march(phi_T, w_T, "adjoint_linearized_tbo",
+                                  config.t_end, -config.t_end, config)
+    return (Trajectory(phi[::-1], config, "third_order_bo", warns[::-1]),
+            Trajectory(w[::-1], config, "adjoint_linearized_tbo", warns[::-1]))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,25 @@ def test_cli_run_with_set_override(tmp_path, capsys):
     assert manifest["config"]["solver"]["t_end"] == 0.02
 
 
+def test_cli_non_finite_solver_input_is_a_config_error(tmp_path, capsys):
+    path = write_fast_config(tmp_path, "conserve")
+    for assignment in ("solver.t_end=Infinity", "solver.dt=NaN"):
+        code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_blowup_is_a_failed_verdict(tmp_path, capsys):
+    path = write_fast_config(tmp_path, "conserve")
+    code = main(["run", str(path), "--set", "data.amplitude=2000",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "FAIL  conserve.finite  (" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out" / "conserve" / "manifest.json").read_text())
+    assert manifest["verdicts"] == {"finite": False}
+    assert 0.0 < manifest["metrics"]["blowup_time"] <= 0.05
+
+
 def test_cli_validate(tmp_path, capsys):
     path = write_fast_config(tmp_path, "conserve")
     assert main(["validate", str(path)]) == 0

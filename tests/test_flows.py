@@ -31,7 +31,7 @@ def test_flow_kind_validation():
     with pytest.raises(ValueError):
         FlowKind("kdv")
     with pytest.raises(ValueError):
-        FlowKind("linearized_tbo")  # background required
+        FlowKind("linearized_tbo")  # marched only as a pair with its background
 
 
 # ---------------------------------------------------------------------------

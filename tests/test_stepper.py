@@ -11,7 +11,7 @@ from bo3.stepper import (
     Trajectory,
     convergence_order,
     integrate,
-    integrate_backward,
+    integrate_adjoint_pair,
     integrate_linearized_pair,
 )
 
@@ -48,6 +48,11 @@ def test_solver_config_validation():
         SolverConfig(snapshot_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(scheme="euler")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(dt=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(t_end=bad)
 
 
 def test_trajectory_requires_increasing_times(grid):
@@ -62,12 +67,18 @@ def test_trajectory_requires_increasing_times(grid):
 
 
 def test_airy_integration_is_exact(grid):
+    # frames sit at the times the nonlinear march emits, also when the
+    # stride does not divide the number of steps
     f = small_state(grid, eps=1.0)
-    cfg = SolverConfig(dt=1e-2, t_end=0.5, snapshot_stride=10)
-    traj = integrate(FlowKind("airy"), f, cfg)
-    for t, fld in traj.frames:
-        ref = airy_propagate(f, t)
-        assert np.max(np.abs(fld.values - ref.values)) <= 1e-12
+    zero = RealField(grid, np.zeros(grid.n))
+    for cfg in (SolverConfig(dt=1e-2, t_end=0.5, snapshot_stride=10),
+                SolverConfig(dt=0.1, t_end=1.0, snapshot_stride=3)):
+        traj = integrate(FlowKind("airy"), f, cfg)
+        marched = integrate(FlowKind("third_order_bo"), zero, cfg)
+        assert np.array_equal(traj.times, marched.times)
+        for t, fld in traj.frames:
+            ref = airy_propagate(f, t)
+            assert np.max(np.abs(fld.values - ref.values)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,10 @@ def test_time_reversal(wide):
     t_end = 0.2
     cfg = SolverConfig(dt=1e-3, t_end=t_end, snapshot_stride=10**9)
     fwd = integrate(FlowKind("third_order_bo"), data, cfg)
-    back = integrate_backward(FlowKind("third_order_bo"), fwd.final(), t_end, cfg)
+    # with a zero adjoint row the phi row is the plain backward march
+    zero = RealField(wide, np.zeros(wide.n))
+    phi_back, _ = integrate_adjoint_pair(fwd.final(), zero, cfg)
+    back = phi_back.at(0.0)
     roundtrip = np.max(np.abs(back.values - data.values))
 
     fine = SolverConfig(dt=5e-4, t_end=t_end, snapshot_stride=10**9)
@@ -234,29 +248,25 @@ def test_pair_approximates_difference_quotient(wide):
     assert rel <= 10.0 * h / 1e-4 * 1e-3  # O(h) with a generous constant
 
 
-def test_integrate_linearized_kind_matches_pair(wide):
+def test_pair_phi_row_is_the_single_march(wide):
     phi0 = small_state(wide, seed=20, eps=0.15)
     v0 = small_state(wide, seed=21, eps=0.5)
     cfg = SolverConfig(dt=1e-3, t_end=0.1, snapshot_stride=25)
-    phi_traj, v_ref = integrate_linearized_pair(phi0, v0, cfg)
-    v_traj = integrate(FlowKind("linearized_tbo", background=phi_traj), v0, cfg)
-    for (t1, a), (t2, b) in zip(v_ref.frames, v_traj.frames):
-        assert t1 == pytest.approx(t2, abs=1e-12)
+    phi_traj, _ = integrate_linearized_pair(phi0, v0, cfg)
+    single = integrate(FlowKind("third_order_bo"), phi0, cfg)
+    assert np.array_equal(phi_traj.times, single.times)
+    for (_, a), (_, b) in zip(phi_traj.frames, single.frames):
         assert np.array_equal(a.values, b.values)
 
 
 def test_linearized_background_validation(wide):
     phi0 = small_state(wide, seed=22, eps=0.1)
-    v0 = small_state(wide, seed=23, eps=0.1)
-    short = SolverConfig(dt=1e-3, t_end=0.05, snapshot_stride=25)
-    phi_traj, _ = integrate_linearized_pair(phi0, v0, short)
-    longer = SolverConfig(dt=1e-3, t_end=0.2, snapshot_stride=25)
-    with pytest.raises(ValueError):
-        integrate(FlowKind("linearized_tbo", background=phi_traj), v0, longer)
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, snapshot_stride=25)
     other = make_grid(128, 16.0 * np.pi)
     v_other = RealField(other, np.zeros(other.n))
-    with pytest.raises(ValueError):
-        integrate(FlowKind("adjoint_linearized_tbo", background=phi_traj), v_other, short)
+    for pair in (integrate_linearized_pair, integrate_adjoint_pair):
+        with pytest.raises(ValueError):
+            pair(phi0, v_other, cfg)
 
 
 def test_adjoint_pairing_constant_along_flow(wide):
@@ -267,9 +277,7 @@ def test_adjoint_pairing_constant_along_flow(wide):
     t_end = 0.3
     cfg = SolverConfig(dt=2.5e-4, t_end=t_end, snapshot_stride=200)
     phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg)
-    w_traj = integrate(
-        FlowKind("adjoint_linearized_tbo", background=phi_traj), w_T, cfg
-    )
+    _, w_traj = integrate_adjoint_pair(phi_traj.final(), w_T, cfg)
     pairings = []
     for (t, v), (t2, w) in zip(v_traj.frames, w_traj.frames):
         assert t == pytest.approx(t2, abs=1e-9)
