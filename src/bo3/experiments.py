@@ -289,6 +289,13 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
     setattr(obj, leaf, value)
 
 
+def _is_number(x, kind) -> bool:
+    """True for a finite number (an integer when kind is int); bools are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, (int, float) if kind is float else int):
+        return False
+    return math.isfinite(x)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check every precondition that is knowable before any compute starts."""
     if cfg.experiment not in EXPERIMENTS:
@@ -305,6 +312,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'solver' section: {exc}") from None
     ana = cfg.analysis
+    for key, kind in (("bands", int), ("k_bands", int), ("amplitudes", float), ("conv_dts", float)):
+        seq = getattr(ana, key)
+        if not (isinstance(seq, (tuple, list)) and all(_is_number(x, kind) for x in seq)):
+            what = "integers" if kind is int else "finite numbers"
+            raise ConfigError(f"analysis.{key} must be a list of {what}, got {seq!r}")
     if len(ana.amplitudes) >= 1 and any(
         b <= a for a, b in zip(ana.amplitudes, ana.amplitudes[1:])
     ):

@@ -9,9 +9,13 @@ invariants:
 
 together with the Benjamin-Ono equation ``phi_t = -H phi_xx + phi phi_x``,
 its linearization around a background, and the backward adjoint of that
-linearization.  All quadratic and cubic products are dealiased by 2x
-zero-padding; every right-hand side evaluates the expanded form, while the
-conservative form of the third-order flow is kept as a cross-check.
+linearization.  Every evolved field is real, so the kernels work on its half
+spectrum, the n/2+1 nonnegative wavenumbers: one batched ``irfft`` takes the
+rows phi, phi_x, H phi_x, phi_xx, H phi_xx (multipliers cached once per
+grid) to a product grid, and one batched ``rfft`` brings the products back.
+All quadratic and cubic products are dealiased by 2x zero-padding; every
+right-hand side evaluates the expanded form, while the conservative form of
+the third-order flow is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    RealField,
-    SpectralGrid,
-    pad_spectrum,
-    require_mean_free,
-    truncate_spectrum,
-)
+from .spectral import RealField, SpectralGrid, require_mean_free
 
 __all__ = [
     "FlowKind",
@@ -61,61 +59,58 @@ class FlowKind:
 
 
 # ---------------------------------------------------------------------------
-# Spectrum-level workspace.  The integrator spends essentially all of its time
-# here, so the padded transforms are hand-rolled on raw arrays.
+# Half-spectrum workspace.  The integrator spends essentially all of its time
+# here.  A real field is carried by its n/2+1 nonnegative wavenumbers; products
+# are formed on a product grid of factor*n points (factor 2 dealiases).
 
 
 class _Workspace:
-    __slots__ = ("grid", "n", "xi", "xi2", "xi3", "sgn", "xi_pad", "sgn_pad", "dealias")
+    """Cached symbols and one padding buffer for one grid (not for concurrent use)."""
+
+    __slots__ = ("grid", "n", "half", "factor", "big", "table", "ik", "absk", "hil", "pad")
 
     def __init__(self, grid: SpectralGrid, dealias: bool = True):
-        self.grid = grid
-        self.n = grid.n
-        self.xi = grid.xi
-        self.xi2 = grid.xi**2
-        self.xi3 = grid.xi**3
-        self.sgn = np.sign(grid.xi)
-        self.dealias = dealias
-        if dealias:
-            fine = 2.0 * np.pi * np.fft.fftfreq(2 * grid.n, d=grid.spacing / 2.0)
-            self.xi_pad = fine
-            self.sgn_pad = np.sign(fine)
-        else:
-            self.xi_pad = grid.xi
-            self.sgn_pad = self.sgn
+        n = grid.n
+        half = n // 2
+        self.grid, self.n, self.half = grid, n, half
+        self.factor = 2 if dealias else 1
+        self.big = self.factor * n
+        k = np.abs(grid.xi[: half + 1])
+        odd = np.ones(half + 1)  # odd symbols zero the Nyquist mode
+        odd[half] = 0.0
+        self.ik = 1j * k * odd
+        self.absk = k * odd
+        self.hil = -1j * np.sign(k) * odd
+        # table rows: phi = s, phi_x = ik s, H phi_x = |k| s, phi_xx = -k^2 s and
+        # H phi_xx = i k|k| s; the padding keeps the modes below the Nyquist,
+        # and the factor undoes the 1/big of the longer irfft
+        table = np.stack((np.ones(half + 1), self.ik, self.absk, -k * k, 1j * k * k))
+        self.table = self.factor * table[:, :half]
+        self.pad = np.zeros((5, self.big // 2 + 1), dtype=complex)
 
-    # physical samples on the product grid (2n points when dealiasing)
-    def to_phys(self, spec):
-        if self.dealias:
-            return np.fft.ifft(pad_spectrum(spec, self.n, 2)).real
-        return np.fft.ifft(spec).real
+    def to_phys(self, spec, rows=None):
+        """Product-grid samples of the table rows applied to a spectrum.
+
+        ``rows`` lists the rows to transform, all five by default.  Only the
+        first n/2 coefficients of ``spec`` are read, so a full Hermitian
+        spectrum serves as well as a half one.
+        """
+        table = self.table if rows is None else self.table[rows]
+        buf = self.pad[: len(table)]
+        np.multiply(table, spec[: self.half], out=buf[:, : self.half])
+        return np.fft.irfft(buf, self.big, axis=-1)
 
     def from_phys(self, vals):
-        big = np.fft.fft(vals)
-        if self.dealias:
-            return truncate_spectrum(big, self.n, 2)
-        half = self.n // 2
-        big[half] = 0.0
-        return big
-
-    def from_phys_pair(self, direct, hilberted):
-        """Spectrum of ``direct + H(hilberted)`` from product-grid samples."""
-        big = np.fft.fft(direct) + (-1j * self.sgn_pad) * np.fft.fft(hilberted)
-        if self.dealias:
-            return truncate_spectrum(big, self.n, 2)
-        half = self.n // 2
-        big[half] = 0.0
-        return big
-
-    def dx(self, spec, order=1):
-        out = (1j * self.xi) ** order * spec
-        if order % 2 == 1:
-            out[self.n // 2] = 0.0
+        """Half spectra of product-grid samples, truncated to the grid's band."""
+        out = np.fft.rfft(vals, axis=-1)[..., : self.half + 1] / self.factor
+        out[..., self.half] = 0.0
         return out
 
-    def hil(self, spec):
-        out = (-1j * self.sgn) * spec
-        out[self.n // 2] = 0.0
+    def full(self, h):
+        """Full Hermitian spectrum (last axis n) of a half spectrum (last axis n/2+1)."""
+        out = np.empty(h.shape[:-1] + (self.n,), dtype=complex)
+        out[..., : self.half + 1] = h
+        out[..., self.half + 1:] = np.conj(h[..., self.half - 1: 0: -1])
         return out
 
 
@@ -132,64 +127,57 @@ def _workspace(grid: SpectralGrid, dealias: bool = True) -> _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear parts (spectrum in, spectrum out).  The linear term phi_xxx is kept
-# separate so the integrating-factor stepper can treat it exactly.
+# Nonlinear parts (half spectrum in, half spectrum out).  The linear term
+# phi_xxx is kept separate so the integrating-factor stepper can treat it
+# exactly.  Each evaluation is one batched irfft and one batched rfft.
 
 
 def _bo_nl(ws: _Workspace, s):
     # phi phi_x
-    p = ws.to_phys(s)
-    px = ws.to_phys(ws.dx(s))
+    p, px = ws.to_phys(s, [0, 1])
     return ws.from_phys(p * px)
 
 
 def product_fields(ws: _Workspace, s):
     """phi, phi_x, H phi_x, phi_xx and H phi_xx of the spectrum s on the product grid."""
-    # The derivative spectra are rebuilt, not held: keeping them alive across
-    # the transforms raised the minor page faults of a march that retains
-    # its frames several-fold (the heap top is trimmed and refaulted).
-    return (ws.to_phys(s), ws.to_phys(ws.dx(s)), ws.to_phys(ws.hil(ws.dx(s))),
-            ws.to_phys(ws.dx(s, 2)), ws.to_phys(ws.hil(ws.dx(s, 2))))
+    return ws.to_phys(s)
 
 
 def _tbo_nl(ws: _Workspace, fields):
     # -(3/4) phi^2 phi_x + (3/4)[phi_x H phi_x + phi H phi_xx + H(phi_xx phi + phi_x^2)]
     p, px, hx, pxx, hxx = fields
-    direct = px * hx + p * hxx - p * p * px
-    inner = pxx * p + px * px
-    return 0.75 * ws.from_phys_pair(direct, inner)
+    direct, inner = ws.from_phys(np.stack((px * hx + p * hxx - p * p * px, pxx * p + px * px)))
+    return 0.75 * (direct + ws.hil * inner)
 
 
 def _lin_nl(ws: _Workspace, fields, s_v):
     # Gateaux derivative of _tbo_nl at phi (given by its fields) in direction v.
     p, px, hx, pxx, hxx = fields
-    v, vx, vh, vxx, vhxx = product_fields(ws, s_v)
+    v, vx, vh, vxx, vhxx = ws.to_phys(s_v)
     direct = vx * hx + px * vh + v * hxx + p * vhxx - 2.0 * p * px * v - p * p * vx
     inner = vxx * p + pxx * v + 2.0 * vx * px
-    return 0.75 * ws.from_phys_pair(direct, inner)
+    direct, inner = ws.from_phys(np.stack((direct, inner)))
+    return 0.75 * (direct + ws.hil * inner)
 
 
 def _adj_nl(ws: _Workspace, fields, s_w):
     # w_t - w_xxx = (3/2) phi phi_x w - (3/4)(phi^2 w)_x
-    #               + (3/4)[w_x H phi_x + H(w_x phi)_x + phi H w_xx]
+    #               + (3/4)[w_x H phi_x + H(w_x phi)_x + phi H w_xx],  d_x H = |xi|
     p, px, hx = fields[:3]
-    w = ws.to_phys(s_w)
-    wx = ws.to_phys(ws.dx(s_w))
-    whxx = ws.to_phys(ws.hil(ws.dx(s_w, 2)))
+    w, wx, whxx = ws.to_phys(s_w, [0, 1, 4])
     direct = 1.5 * p * px * w + 0.75 * (wx * hx + p * whxx)
-    s_direct = ws.from_phys(direct)
-    s_sq = ws.from_phys(p * p * w)
-    s_wxp = ws.from_phys(wx * p)
-    return s_direct - 0.75 * ws.dx(s_sq) + 0.75 * ws.dx(ws.hil(s_wxp))
+    direct, sq, wxp = ws.from_phys(np.stack((direct, p * p * w, wx * p)))
+    return direct - 0.75 * ws.ik * sq + 0.75 * ws.absk * wxp
 
 
 def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
-    """Nonlinear part of a flow at spectrum level.
+    """Nonlinear part of a flow on the half spectrum.
 
     ``fields`` are the ``product_fields`` of the state that the third-order
     terms are built on: ``s`` itself for ``third_order_bo`` (computed here
     when omitted), and the background for ``linearized_tbo`` and
-    ``adjoint_linearized_tbo``, which need them.
+    ``adjoint_linearized_tbo``, which need them (the adjoint reads only the
+    first three rows).
     """
     if tag == "benjamin_ono":
         return _bo_nl(ws, s)
@@ -242,51 +230,53 @@ def _check_same_grid(*fields):
     return g
 
 
+def _with_linear(tag: str, f, ws: _Workspace, nl) -> RealField:
+    """Field of the flow's linear part applied to f plus the half spectrum nl.
+
+    The linear part stays on the full spectrum, formed as
+    ``spectral.derivative`` forms it.
+    """
+    out = linear_symbol(tag, f.grid) * f.spectrum + ws.full(nl)
+    return RealField.from_spectrum(f.grid, out)
+
+
 def bo_rhs(phi: RealField) -> RealField:
     """Benjamin-Ono right-hand side ``-H phi_xx + phi phi_x`` (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    s = phi.spectrum
-    out = -ws.hil(ws.dx(s, 2)) + _bo_nl(ws, s)
-    return RealField.from_spectrum(phi.grid, out)
+    return _with_linear("benjamin_ono", phi, ws, _bo_nl(ws, phi.spectrum))
 
 
 def tbo_rhs(phi: RealField) -> RealField:
     """Third-order Benjamin-Ono right-hand side, expanded form (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    out = ws.dx(phi.spectrum, 3) + _tbo_nl(ws, product_fields(ws, phi.spectrum))
-    return RealField.from_spectrum(phi.grid, out)
+    return _with_linear("third_order_bo", phi, ws, _tbo_nl(ws, product_fields(ws, phi.spectrum)))
 
 
 def tbo_rhs_conservative(phi: RealField) -> RealField:
     """Cross-check form ``phi_xxx - (1/4)(phi^3)_x + (3/4) d_x[phi H phi_x + H(phi phi_x)]``."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    s = phi.spectrum
-    p = ws.to_phys(s)
-    px = ws.to_phys(ws.dx(s))
-    hx = ws.to_phys(ws.hil(ws.dx(s)))
-    cubic = ws.from_phys(p * p * p)
-    g = ws.from_phys_pair(p * hx, p * px)
-    out = ws.dx(s, 3) - 0.25 * ws.dx(cubic) + 0.75 * ws.dx(g)
-    return RealField.from_spectrum(phi.grid, out)
+    p, px, hx = ws.to_phys(phi.spectrum, [0, 1, 2])
+    cubic, direct, inner = ws.from_phys(np.stack((p * p * p, p * hx, p * px)))
+    nl = ws.ik * (0.75 * (direct + ws.hil * inner) - 0.25 * cubic)
+    return _with_linear("third_order_bo", phi, ws, nl)
 
 
 def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
     """Linearization of the third-order flow around ``phi`` in direction ``v``."""
-    grid = _check_same_grid(v, phi)
-    ws = _workspace(grid)
-    out = ws.dx(v.spectrum, 3) + _lin_nl(ws, product_fields(ws, phi.spectrum), v.spectrum)
-    return RealField.from_spectrum(grid, out)
+    ws = _workspace(_check_same_grid(v, phi))
+    nl = _lin_nl(ws, product_fields(ws, phi.spectrum), v.spectrum)
+    return _with_linear("third_order_bo", v, ws, nl)
 
 
 def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
-    grid = _check_same_grid(w, phi)
-    ws = _workspace(grid)
-    out = ws.dx(w.spectrum, 3) + _adj_nl(ws, product_fields(ws, phi.spectrum), w.spectrum)
-    return RealField.from_spectrum(grid, out)
+    ws = _workspace(_check_same_grid(w, phi))
+    # the adjoint reads only phi, phi_x and H phi_x of the background
+    nl = _adj_nl(ws, ws.to_phys(phi.spectrum, [0, 1, 2]), w.spectrum)
+    return _with_linear("third_order_bo", w, ws, nl)
 
 
 def spectral_tail_fraction(f) -> float:

@@ -2,10 +2,11 @@
 
 The scheme is integrating-factor RK4: the state is advanced in the frame of
 the exact linear propagator (a pure phase multiplier), and classical RK4 is
-applied to the transformed nonlinearity.  One march serves a single spectrum
-``(m,)`` and the stacked ``(2, m)`` states of the linearized and adjoint
-pairs, forward and backward in time.  The Airy flow is propagated exactly,
-in one multiplier application per frame.
+applied to the transformed nonlinearity.  The state is the half spectrum of a
+real field (its m = n/2+1 nonnegative wavenumbers); one march serves a single
+state ``(m,)`` and the stacked ``(2, m)`` states of the linearized and
+adjoint pairs, forward and backward in time.  The Airy flow is propagated
+exactly, in one multiplier application per frame.
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ def _frame_steps(n_steps: int, stride) -> list:
 def _march(s0, t0, t_span, config, lam, nl, emit):
     """March a state from t0 over t_span (signed), emitting frames.
 
-    The state is one spectrum ``(m,)`` or a stack ``(2, m)``; the ``(m,)``
-    multipliers built from the linear symbol ``lam`` broadcast over the rows.
+    The state is one half spectrum ``(m,)`` or a stack ``(2, m)``; the
+    ``(m,)`` multipliers built from the linear symbol ``lam`` broadcast over
+    the rows.
     """
     s = np.array(s0, dtype=complex)
     emit(t0, s)
@@ -131,30 +133,36 @@ def _march(s0, t0, t_span, config, lam, nl, emit):
     efull = np.exp(lam * h)
     ehalf = np.exp(lam * (h / 2.0))
     frame_steps = set(_frame_steps(n_steps, config.snapshot_stride))
-    for j in range(1, n_steps + 1):
-        s = _rk4_step(s, h, efull, ehalf, nl)
-        t = t0 + j * h
-        if not np.all(np.isfinite(s)):
-            raise BlowUpError(t)
-        if j in frame_steps:
-            emit(t, s)
+    # a blowing-up state overflows before the finiteness check sees it; that
+    # check, not NumPy's warnings, reports the blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n_steps + 1):
+            s = _rk4_step(s, h, efull, ehalf, nl)
+            t = t0 + j * h
+            if not np.all(np.isfinite(s)):
+                raise BlowUpError(t)
+            if j in frame_steps:
+                emit(t, s)
 
 
-def _recorded_march(grid, s0, t0, t_span, config, lam_tag, nl):
-    """Run ``_march`` keeping one frame list per row of the state.
+def _recorded_march(ws, s0, t0, t_span, config, lam_tag, nl):
+    """Run ``_march`` on the half spectra of s0, keeping one frame list per row.
 
-    Resolution warnings watch row 0, the nonlinear state.
+    Frames are built from the full Hermitian spectrum.  Resolution warnings
+    watch row 0, the nonlinear state.
     """
-    rows, warns = [[] for _ in range(np.size(s0) // grid.n)], []
+    grid, m = ws.grid, ws.half + 1
+    s0 = np.asarray(s0)[..., :m]
+    rows, warns = [[] for _ in range(s0.size // m)], []
 
     def emit(t, s):
-        fields = [RealField.from_spectrum(grid, r) for r in s.reshape(-1, grid.n)]
+        fields = [RealField.from_spectrum(grid, r) for r in ws.full(s.reshape(-1, m))]
         if flows.spectral_tail_fraction(fields[0]) > config.tail_tol:
             warns.append((t, "resolution"))
         for frames, fld in zip(rows, fields):
             frames.append((t, fld))
 
-    _march(s0, t0, t_span, config, flows.linear_symbol(lam_tag, grid), nl, emit)
+    _march(s0, t0, t_span, config, flows.linear_symbol(lam_tag, grid)[:m], nl, emit)
     return rows, warns
 
 
@@ -177,7 +185,7 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
     require_mean_free(f0)
     ws = flows._workspace(grid, config.dealias)
     nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
-    (frames,), warns = _recorded_march(grid, f0.spectrum, 0.0, config.t_end, config, tag, nl)
+    (frames,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, tag, nl)
     return Trajectory(frames, config, tag, warns)
 
 
@@ -198,7 +206,7 @@ def _pair_march(phi, sec, sec_tag, t0, t_span, config):
                          flows.nonlinear_spectrum(sec_tag, ws, s[1], fields)))
 
     s0 = np.stack((phi.spectrum, sec.spectrum))
-    return _recorded_march(phi.grid, s0, t0, t_span, config, "third_order_bo", nl)
+    return _recorded_march(ws, s0, t0, t_span, config, "third_order_bo", nl)
 
 
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):

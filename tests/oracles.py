@@ -1,11 +1,17 @@
 """Independent slow oracles used to freeze expected values.
 
-Everything here avoids the package's FFT/padding code paths: direct O(n^2)
-DFT sums and explicit mode-pair convolutions, so agreement with the fast
-implementations is a real check rather than a tautology.
+Most of what is here avoids the package's FFT/padding code paths: direct
+O(n^2) DFT sums and explicit mode-pair convolutions, so agreement with the
+fast implementations is a real check rather than a tautology.  The flow
+right-hand sides at the end are the complex full-spectrum formulas, written
+with ``spectral.dealiased_product``, ``hilbert`` and ``derivative``; they pin
+the half-spectrum kernels of ``flows``.  Their nested products equal the
+kernels' single-pass cubic products when the data is band-limited below n/6.
 """
 
 import numpy as np
+
+from bo3.spectral import RealField, dealiased_product, derivative, hilbert
 
 
 def slow_dft(values):
@@ -64,3 +70,53 @@ def hilbert_spectrum(grid, spec):
 
 def quad(grid, values):
     return grid.spacing * np.sum(values)
+
+
+# ---------------------------------------------------------------------------
+# flow right-hand sides on the full spectrum
+
+
+def _combine(*terms):
+    """RealField of sum(c * f) over (c, f) pairs on one grid."""
+    return RealField(terms[0][1].grid, sum(c * f.values for c, f in terms))
+
+
+def bo_rhs_oracle(phi):
+    return _combine((-1.0, hilbert(derivative(phi, 2))),
+                    (1.0, dealiased_product(phi, derivative(phi))))
+
+
+def tbo_rhs_oracle(phi):
+    dp = dealiased_product
+    px, pxx = derivative(phi), derivative(phi, 2)
+    inner = _combine((1.0, dp(pxx, phi)), (1.0, dp(px, px)))
+    return _combine((1.0, derivative(phi, 3)), (0.75, dp(px, hilbert(px))),
+                    (0.75, dp(phi, hilbert(pxx))), (-0.75, dp(dp(phi, phi), px)),
+                    (0.75, hilbert(inner)))
+
+
+def tbo_rhs_conservative_oracle(phi):
+    dp = dealiased_product
+    px = derivative(phi)
+    g = _combine((1.0, dp(phi, hilbert(px))), (1.0, hilbert(dp(phi, px))))
+    return _combine((1.0, derivative(phi, 3)), (-0.25, derivative(dp(dp(phi, phi), phi))),
+                    (0.75, derivative(g)))
+
+
+def linearized_tbo_rhs_oracle(v, phi):
+    dp = dealiased_product
+    px, pxx, vx, vxx = derivative(phi), derivative(phi, 2), derivative(v), derivative(v, 2)
+    inner = _combine((1.0, dp(vxx, phi)), (1.0, dp(pxx, v)), (2.0, dp(vx, px)))
+    return _combine((1.0, derivative(v, 3)), (0.75, dp(vx, hilbert(px))),
+                    (0.75, dp(px, hilbert(vx))), (0.75, dp(v, hilbert(pxx))),
+                    (0.75, dp(phi, hilbert(vxx))), (-1.5, dp(dp(phi, px), v)),
+                    (-0.75, dp(dp(phi, phi), vx)), (0.75, hilbert(inner)))
+
+
+def adjoint_linearized_rhs_oracle(w, phi):
+    dp = dealiased_product
+    px, wx = derivative(phi), derivative(w)
+    return _combine((1.0, derivative(w, 3)), (1.5, dp(dp(phi, px), w)),
+                    (-0.75, derivative(dp(dp(phi, phi), w))), (0.75, dp(wx, hilbert(px))),
+                    (0.75, derivative(hilbert(dp(wx, phi)))),
+                    (0.75, dp(phi, hilbert(derivative(w, 2)))))

@@ -209,6 +209,17 @@ def test_cli_blowup_is_a_failed_verdict(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out" / "conserve" / "manifest.json").read_text())
     assert manifest["verdicts"] == {"finite": False}
     assert 0.0 < manifest["metrics"]["blowup_time"] <= 0.05
+    assert not [w for w in manifest["warnings"] if w.startswith("RuntimeWarning")]
+
+
+def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
+    path = write_fast_config(tmp_path, "conserve")
+    for assignment in ("analysis.bands=3", "analysis.conv_dts=abc",
+                       'analysis.amplitudes=[0.01, "x"]', "analysis.k_bands=[5.5, 6]"):
+        code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "config error: analysis." in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate(tmp_path, capsys):

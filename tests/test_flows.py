@@ -13,6 +13,7 @@ from bo3.flows import (
 )
 from bo3.spectral import MeanError, RealField, derivative, l2_norm, make_grid, sobolev_norm
 
+import oracles
 from conftest import random_bandlimited_field
 from oracles import quad
 
@@ -224,6 +225,33 @@ def test_derivative_intertwines_adjoint_and_linearized(grid):
     lhs = linearized_tbo_rhs(derivative(w), phi).values
     rhs = derivative(adjoint_linearized_rhs(w, phi)).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (np.max(np.abs(lhs)) + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum kernels against the full-spectrum formulas
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_rhs_kernels_match_full_spectrum_oracles(n):
+    # data below n/6 keeps every cubic product inside the band, where the
+    # oracles' nested dealiased products are exact; the quadratic
+    # Benjamin-Ono product is exact for full-band data, whose products
+    # reach the dropped Nyquist mode
+    g = make_grid(n, 32.0 * np.pi)
+    phi = random_bandlimited_field(g, seed=40)
+    v = random_bandlimited_field(g, seed=41)
+    full_band = random_bandlimited_field(g, seed=42, bandlimit=g.xi_max)
+    cases = [
+        (bo_rhs(phi), oracles.bo_rhs_oracle(phi)),
+        (bo_rhs(full_band), oracles.bo_rhs_oracle(full_band)),
+        (tbo_rhs(phi), oracles.tbo_rhs_oracle(phi)),
+        (tbo_rhs_conservative(phi), oracles.tbo_rhs_conservative_oracle(phi)),
+        (linearized_tbo_rhs(v, phi), oracles.linearized_tbo_rhs_oracle(v, phi)),
+        (adjoint_linearized_rhs(v, phi), oracles.adjoint_linearized_rhs_oracle(v, phi)),
+    ]
+    for got, want in cases:
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
