@@ -5,7 +5,8 @@
     bo3 validate <config.json>
 
 Exit codes: 0 pass, 1 fail, 2 degraded (pass with warnings), 3 usage or
-configuration error.  BO3_OUT overrides the output directory.
+configuration error, 4 crash (any other exception; its traceback goes to
+stderr).  BO3_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .experiments import (
@@ -25,6 +27,7 @@ from .experiments import (
 from .plotting import plot_csv
 
 USAGE_ERROR = 3
+CRASH = 4
 
 
 def _load_config(path: str):
@@ -103,6 +106,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        traceback.print_exc()
+        return CRASH
 
 
 if __name__ == "__main__":

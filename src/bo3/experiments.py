@@ -13,6 +13,7 @@ import json
 import math
 import os
 import subprocess
+import typing
 import warnings as _warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,8 +105,8 @@ class SolverParams:
 class AnalysisParams:
     delta: float = 0.05
     c_region: float = 1.0
-    bands: tuple = (1, 2)
-    amplitudes: tuple = (0.01, 0.02, 0.04, 0.08)
+    bands: tuple[int, ...] = (1, 2)
+    amplitudes: tuple[float, ...] = (0.01, 0.02, 0.04, 0.08)
     t_probe: float = 0.1
     residual_dt: float = 1e-3
     fit_t_lo: float = 1.0
@@ -114,11 +115,11 @@ class AnalysisParams:
     vf_t_hi: float = 20.0
     vf_points: int = 9
     j_band: int = 2
-    k_bands: tuple = (5, 6, 7, 8, 9, 10)
+    k_bands: tuple[int, ...] = (5, 6, 7, 8, 9, 10)
     time_samples: int = 64
     window_factor: float = 0.125
     scale_factor: float = 2.0
-    conv_dts: tuple = (4e-3, 2e-3, 1e-3)
+    conv_dts: tuple[float, ...] = (4e-3, 2e-3, 1e-3)
     conv_t_end: float = 0.5
     conv_n: int = 128
     conv_length: float = 16.0 * math.pi
@@ -260,8 +261,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         data=data,
         solver=solver,
         analysis=analysis,
-        seed=int(d.get("seed", 0)),
-        output_dir=str(d.get("output_dir", "out")),
+        seed=d.get("seed", 0),
+        output_dir=d.get("output_dir", "out"),
     )
 
 
@@ -289,11 +290,35 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
     setattr(obj, leaf, value)
 
 
-def _is_number(x, kind) -> bool:
-    """True for a finite number (an integer when kind is int); bools are not numbers."""
+_KINDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          str: ("a string", "strings")}
+
+
+def _fits(x, kind) -> bool:
+    """True for a string, an integer or a finite number as kind asks; bools are not numbers."""
+    if kind is str:
+        return isinstance(x, str)
     if isinstance(x, bool) or not isinstance(x, (int, float) if kind is float else int):
         return False
     return math.isfinite(x)
+
+
+def _check_fields(prefix: str, obj, names=None) -> None:
+    """Raise ConfigError unless each named field of a dataclass fits its annotation.
+
+    A ``tuple[kind, ...]`` field takes a list of such values.
+    """
+    hints = typing.get_type_hints(type(obj))
+    for name in names or [f.name for f in dataclasses.fields(obj)]:
+        hint, value = hints[name], getattr(obj, name)
+        if typing.get_origin(hint) is tuple:
+            kind = typing.get_args(hint)[0]
+            ok = isinstance(value, (tuple, list)) and all(_fits(x, kind) for x in value)
+            what = "a list of " + _KINDS[kind][1]
+        else:
+            ok, what = _fits(value, hint), _KINDS[hint][0]
+        if not ok:
+            raise ConfigError(f"{prefix}{name} must be {what}, got {value!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -305,6 +330,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid.n must be a power of two >= 8, got {n!r}")
     if not (isinstance(length, (int, float)) and length > 0 and math.isfinite(length)):
         raise ConfigError(f"grid.length must be positive and finite, got {length!r}")
+    _check_fields("", cfg, ["seed", "output_dir"])
+    _check_fields("data.", cfg.data)
+    _check_fields("analysis.", cfg.analysis)
     if cfg.data.profile not in profiles.PROFILES:
         raise ConfigError(f"unknown profile {cfg.data.profile!r}")
     try:
@@ -312,11 +340,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'solver' section: {exc}") from None
     ana = cfg.analysis
-    for key, kind in (("bands", int), ("k_bands", int), ("amplitudes", float), ("conv_dts", float)):
-        seq = getattr(ana, key)
-        if not (isinstance(seq, (tuple, list)) and all(_is_number(x, kind) for x in seq)):
-            what = "integers" if kind is int else "finite numbers"
-            raise ConfigError(f"analysis.{key} must be a list of {what}, got {seq!r}")
     if len(ana.amplitudes) >= 1 and any(
         b <= a for a, b in zip(ana.amplitudes, ana.amplitudes[1:])
     ):

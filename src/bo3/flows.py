@@ -2,20 +2,20 @@
 
 The nonlinear flow implemented here is the third-order Benjamin-Ono equation
 in the convention that makes the classical energies of the hierarchy exact
-invariants:
+invariants, written as the derivative of a flux:
 
-    phi_t = phi_xxx - (3/4) phi^2 phi_x
-            + (3/4) [phi_x H phi_x + phi H phi_xx + H(phi_xx phi + phi_x^2)]
+    phi_t = phi_xxx + d_x [(3/4)(phi H phi_x + H(phi phi_x)) - (1/4) phi^3]
 
 together with the Benjamin-Ono equation ``phi_t = -H phi_xx + phi phi_x``,
 its linearization around a background, and the backward adjoint of that
 linearization.  Every evolved field is real, so the kernels work on its half
-spectrum, the n/2+1 nonnegative wavenumbers: one batched ``irfft`` takes the
-rows phi, phi_x, H phi_x, phi_xx, H phi_xx (multipliers cached once per
-grid) to a product grid, and one batched ``rfft`` brings the products back.
-All quadratic and cubic products are dealiased by 2x zero-padding; every
-right-hand side evaluates the expanded form, while the conservative form of
-the third-order flow is kept as a cross-check.
+spectrum, the n/2+1 nonnegative wavenumbers: one batched ``irfft`` takes two
+rows (phi and H phi_x of a state, or their derivative pair for the adjoint;
+multipliers cached once per grid) to a product grid, and one batched
+``rfft`` brings two products back.  All quadratic and cubic products are
+dealiased by 2x zero-padding, under which the flux form equals the expanded
+one up to round-off: the aliases of a cubic product land outside the kept
+band.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "airy_symbol",
     "bo_rhs",
     "tbo_rhs",
-    "tbo_rhs_conservative",
     "linearized_tbo_rhs",
     "adjoint_linearized_rhs",
     "spectral_tail_fraction",
@@ -67,7 +66,7 @@ class FlowKind:
 class _Workspace:
     """Cached symbols and one padding buffer for one grid (not for concurrent use)."""
 
-    __slots__ = ("grid", "n", "half", "factor", "big", "table", "ik", "absk", "hil", "pad")
+    __slots__ = ("grid", "n", "half", "factor", "big", "table", "ik", "absk", "pad")
 
     def __init__(self, grid: SpectralGrid, dealias: bool = True):
         n = grid.n
@@ -80,30 +79,28 @@ class _Workspace:
         odd[half] = 0.0
         self.ik = 1j * k * odd
         self.absk = k * odd
-        self.hil = -1j * np.sign(k) * odd
-        # table rows: phi = s, phi_x = ik s, H phi_x = |k| s, phi_xx = -k^2 s and
-        # H phi_xx = i k|k| s; the padding keeps the modes below the Nyquist,
-        # and the factor undoes the 1/big of the longer irfft
-        table = np.stack((np.ones(half + 1), self.ik, self.absk, -k * k, 1j * k * k))
+        # table rows (see _FIELDS and _DERIVS): phi = s, H phi_x = |k| s,
+        # phi_x = ik s and H phi_xx = i k|k| s; the padding keeps the modes
+        # below the Nyquist, and the factor undoes the 1/big of the longer irfft
+        table = np.stack((np.ones(half + 1), self.absk, self.ik, 1j * k * k))
         self.table = self.factor * table[:, :half]
-        self.pad = np.zeros((5, self.big // 2 + 1), dtype=complex)
+        self.pad = np.zeros((2, self.big // 2 + 1), dtype=complex)
 
-    def to_phys(self, spec, rows=None):
-        """Product-grid samples of the table rows applied to a spectrum.
+    def to_phys(self, spec, rows):
+        """Product-grid samples of the table rows ``rows`` (a slice) applied to a spectrum.
 
-        ``rows`` lists the rows to transform, all five by default.  Only the
-        first n/2 coefficients of ``spec`` are read, so a full Hermitian
-        spectrum serves as well as a half one.
+        Only the first n/2 coefficients of ``spec`` are read, so a full
+        Hermitian spectrum serves as well as a half one.
         """
-        table = self.table if rows is None else self.table[rows]
+        table = self.table[rows]
         buf = self.pad[: len(table)]
         np.multiply(table, spec[: self.half], out=buf[:, : self.half])
         return np.fft.irfft(buf, self.big, axis=-1)
 
-    def from_phys(self, vals):
+    def from_phys(self, *vals):
         """Half spectra of product-grid samples, truncated to the grid's band."""
-        out = np.fft.rfft(vals, axis=-1)[..., : self.half + 1] / self.factor
-        out[..., self.half] = 0.0
+        out = np.fft.rfft(np.array(vals), axis=-1)[:, : self.half + 1] * (1.0 / self.factor)
+        out[:, self.half] = 0.0
         return out
 
     def full(self, h):
@@ -129,45 +126,49 @@ def _workspace(grid: SpectralGrid, dealias: bool = True) -> _Workspace:
 # ---------------------------------------------------------------------------
 # Nonlinear parts (half spectrum in, half spectrum out).  The linear term
 # phi_xxx is kept separate so the integrating-factor stepper can treat it
-# exactly.  Each evaluation is one batched irfft and one batched rfft.
+# exactly.  Each evaluation is one batched irfft of at most two rows and one
+# batched rfft of at most two products; H d_x has the symbol |k|.
+
+_FIELDS = slice(0, 2)  # table rows phi, H phi_x
+_DERIVS = slice(2, 4)  # table rows phi_x, H phi_xx
 
 
 def _bo_nl(ws: _Workspace, s):
-    # phi phi_x
-    p, px = ws.to_phys(s, [0, 1])
-    return ws.from_phys(p * px)
+    # phi phi_x = (1/2) (phi^2)_x
+    (p,) = ws.to_phys(s, slice(0, 1))
+    return 0.5 * ws.ik * ws.from_phys(p * p)[0]
 
 
 def product_fields(ws: _Workspace, s):
-    """phi, phi_x, H phi_x, phi_xx and H phi_xx of the spectrum s on the product grid."""
-    return ws.to_phys(s)
+    """phi and H phi_x of the spectrum s on the product grid."""
+    return ws.to_phys(s, _FIELDS)
 
 
 def _tbo_nl(ws: _Workspace, fields):
-    # -(3/4) phi^2 phi_x + (3/4)[phi_x H phi_x + phi H phi_xx + H(phi_xx phi + phi_x^2)]
-    p, px, hx, pxx, hxx = fields
-    direct, inner = ws.from_phys(np.stack((px * hx + p * hxx - p * p * px, pxx * p + px * px)))
-    return 0.75 * (direct + ws.hil * inner)
+    # d_x [phi ((3/4) H phi_x - (1/4) phi^2) + (3/8) H d_x (phi^2)]
+    p, hx = fields
+    sq = p * p
+    flux, sq = ws.from_phys(p * (0.75 * hx - 0.25 * sq), sq)
+    return ws.ik * (flux + 0.375 * ws.absk * sq)
 
 
 def _lin_nl(ws: _Workspace, fields, s_v):
-    # Gateaux derivative of _tbo_nl at phi (given by its fields) in direction v.
-    p, px, hx, pxx, hxx = fields
-    v, vx, vh, vxx, vhxx = ws.to_phys(s_v)
-    direct = vx * hx + px * vh + v * hxx + p * vhxx - 2.0 * p * px * v - p * p * vx
-    inner = vxx * p + pxx * v + 2.0 * vx * px
-    direct, inner = ws.from_phys(np.stack((direct, inner)))
-    return 0.75 * (direct + ws.hil * inner)
+    # Gateaux derivative of _tbo_nl at phi (given by its fields) in direction v:
+    # (3/4) d_x [v H phi_x + phi H v_x - phi^2 v + H d_x (phi v)]
+    p, hx = fields
+    v, vh = ws.to_phys(s_v, _FIELDS)
+    flux, pv = ws.from_phys(v * hx + p * (vh - p * v), p * v)
+    return 0.75 * ws.ik * (flux + ws.absk * pv)
 
 
 def _adj_nl(ws: _Workspace, fields, s_w):
     # w_t - w_xxx = (3/2) phi phi_x w - (3/4)(phi^2 w)_x
-    #               + (3/4)[w_x H phi_x + H(w_x phi)_x + phi H w_xx],  d_x H = |xi|
-    p, px, hx = fields[:3]
-    w, wx, whxx = ws.to_phys(s_w, [0, 1, 4])
-    direct = 1.5 * p * px * w + 0.75 * (wx * hx + p * whxx)
-    direct, sq, wxp = ws.from_phys(np.stack((direct, p * p * w, wx * p)))
-    return direct - 0.75 * ws.ik * sq + 0.75 * ws.absk * wxp
+    #               + (3/4)[w_x H phi_x + H(w_x phi)_x + phi H w_xx]
+    #             = (3/4)[w_x (H phi_x - phi^2) + phi H w_xx + H d_x (w_x phi)]
+    p, hx = fields
+    wx, whxx = ws.to_phys(s_w, _DERIVS)
+    direct, wxp = ws.from_phys(wx * (hx - p * p) + p * whxx, wx * p)
+    return 0.75 * (direct + ws.absk * wxp)
 
 
 def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
@@ -176,8 +177,7 @@ def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
     ``fields`` are the ``product_fields`` of the state that the third-order
     terms are built on: ``s`` itself for ``third_order_bo`` (computed here
     when omitted), and the background for ``linearized_tbo`` and
-    ``adjoint_linearized_tbo``, which need them (the adjoint reads only the
-    first three rows).
+    ``adjoint_linearized_tbo``, which need them.
     """
     if tag == "benjamin_ono":
         return _bo_nl(ws, s)
@@ -248,20 +248,10 @@ def bo_rhs(phi: RealField) -> RealField:
 
 
 def tbo_rhs(phi: RealField) -> RealField:
-    """Third-order Benjamin-Ono right-hand side, expanded form (dealiased)."""
+    """Third-order Benjamin-Ono right-hand side, flux form (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
     return _with_linear("third_order_bo", phi, ws, _tbo_nl(ws, product_fields(ws, phi.spectrum)))
-
-
-def tbo_rhs_conservative(phi: RealField) -> RealField:
-    """Cross-check form ``phi_xxx - (1/4)(phi^3)_x + (3/4) d_x[phi H phi_x + H(phi phi_x)]``."""
-    require_mean_free(phi)
-    ws = _workspace(phi.grid)
-    p, px, hx = ws.to_phys(phi.spectrum, [0, 1, 2])
-    cubic, direct, inner = ws.from_phys(np.stack((p * p * p, p * hx, p * px)))
-    nl = ws.ik * (0.75 * (direct + ws.hil * inner) - 0.25 * cubic)
-    return _with_linear("third_order_bo", phi, ws, nl)
 
 
 def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
@@ -274,8 +264,7 @@ def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
 def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
     ws = _workspace(_check_same_grid(w, phi))
-    # the adjoint reads only phi, phi_x and H phi_x of the background
-    nl = _adj_nl(ws, ws.to_phys(phi.spectrum, [0, 1, 2]), w.spectrum)
+    nl = _adj_nl(ws, product_fields(ws, phi.spectrum), w.spectrum)
     return _with_linear("third_order_bo", w, ws, nl)
 
 

@@ -215,11 +215,26 @@ def test_cli_blowup_is_a_failed_verdict(tmp_path, capsys):
 def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
     path = write_fast_config(tmp_path, "conserve")
     for assignment in ("analysis.bands=3", "analysis.conv_dts=abc",
-                       'analysis.amplitudes=[0.01, "x"]', "analysis.k_bands=[5.5, 6]"):
+                       'analysis.amplitudes=[0.01, "x"]', "analysis.k_bands=[5.5, 6]",
+                       "data.amplitude=abc", "data.width=NaN", "data.profile=3", "seed=abc",
+                       "seed=1.5", "seed=true", "analysis.fit_points=abc",
+                       "analysis.t_probe=abc", "analysis.delta=Infinity", "output_dir=3"):
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "config error: analysis." in capsys.readouterr().err
+        field = assignment.split("=")[0]
+        assert f"config error: {field} must be " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_crash_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    def crash(cfg, base_dir=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("bo3.cli.run_experiment", crash)
+    path = write_fast_config(tmp_path, "conserve")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_cli_validate(tmp_path, capsys):

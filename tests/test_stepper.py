@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bo3 import flows
 from bo3.flows import FlowKind, airy_propagate, tbo_rhs
 from bo3.spectral import RealField, l2_norm, make_grid
 from bo3.stepper import (
@@ -275,6 +276,37 @@ def test_pair_phi_row_is_the_single_march(wide):
     assert np.array_equal(phi_traj.times, single.times)
     for (_, a), (_, b) in zip(phi_traj.frames, single.frames):
         assert np.array_equal(a.values, b.values)
+
+
+def test_transform_budget_per_stage(wide, monkeypatch):
+    # rows per batched transform: a third-order stage takes phi and H phi_x
+    # to the product grid and brings two products back; a pair stage adds
+    # two rows of the second state each way and shares the background's
+    rows = {"irfft": [], "rfft": []}
+    for name, log in rows.items():
+        def counted(a, *args, _fft=getattr(np.fft, name), _log=log, **kwargs):
+            _log.append(np.shape(a)[0] if np.ndim(a) == 2 else 1)
+            return _fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def budget(run):
+        for log in rows.values():
+            log.clear()
+        run()
+        return rows["irfft"], rows["rfft"]
+
+    phi0 = small_state(wide, seed=23, eps=0.1)
+    v0 = small_state(wide, seed=24, eps=0.5)
+    ws = flows._workspace(wide)
+    s = phi0.spectrum[: wide.n // 2 + 1]
+    assert budget(lambda: flows.nonlinear_spectrum("third_order_bo", ws, s)) == ([2], [2])
+    one_step = SolverConfig(dt=1e-3, t_end=1e-3)
+    assert budget(lambda: integrate(FlowKind("third_order_bo"), phi0, one_step)) == (
+        [2] * 4, [2] * 4)
+    assert budget(lambda: integrate(FlowKind("benjamin_ono"), phi0, one_step)) == (
+        [1] * 4, [1] * 4)
+    for pair in (integrate_linearized_pair, integrate_adjoint_pair):
+        assert budget(lambda: pair(phi0, v0, one_step)) == ([2, 2] * 4, [2, 2] * 4)
 
 
 def test_linearized_background_validation(wide):
