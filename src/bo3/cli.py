@@ -40,16 +40,25 @@ def _load_config(path: str):
     return config_from_dict(raw)
 
 
+_BOUND_FORMATS = {"in": "[{:.6g}, {:.6g}]", "near": "{:.6g} +- {:.6g}"}
+
+
+def _shown(check) -> str:
+    """Value, test and bound of one check, e.g. ``3.5e-16 <= 1e-08``."""
+    if check.bound is None:  # a blow-up: the value is the time it happened
+        return f"{check.metric} {check.value:.6g}"
+    fmt = _BOUND_FORMATS.get(check.test, "{:.6g}")
+    bound = check.bound if isinstance(check.bound, tuple) else (check.bound,)
+    return f"{check.value:.6g} {check.test} {fmt.format(*bound)}"
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     for assignment in args.set or []:
         apply_override(cfg, assignment)
     result = run_experiment(cfg, base_dir=args.out)
-    for name, ok in sorted(result.verdicts.items()):
-        # a blown-up run's only verdict, ``finite``, shows the blow-up time
-        value = result.metrics.get(name, result.metrics.get("blowup_time"))
-        shown = "" if value is None else f"  ({value:.6g})"
-        print(f"{'PASS' if ok else 'FAIL'}  {result.name}.{name}{shown}")
+    for name, check in sorted(result.checks.items()):
+        print(f"{'PASS' if check.passed else 'FAIL'}  {result.name}.{name}  ({_shown(check)})")
     for w in result.warnings:
         print(f"WARN  {w}")
     return result.exit_code

@@ -224,11 +224,6 @@ CHANNELS = {
     "E2": lambda phi, t: e2(phi),
     "L2": lambda phi, t: l2_norm(phi),
     "H1": lambda phi, t: sobolev_norm(phi, 1.0),
-    "Hhalf_hom": lambda phi, t: sobolev_norm(phi, 0.5, homogeneous=True),
-    "lnl_half_norm": lambda phi, t: (
-        sobolev_norm(l_nonlinear(phi, t), 0.5, homogeneous=True) if t > 0.0 else np.nan
-    ),
-    "l_vf_norm": lambda phi, t: l2_norm(l_vector_field(phi, t)),
 }
 
 PAIR_CHANNELS = {

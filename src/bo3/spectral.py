@@ -32,7 +32,6 @@ __all__ = [
     "DyadicBand",
     "FrequencyEnvelope",
     "make_grid",
-    "field_from_values",
     "apply_symbol",
     "hilbert",
     "derivative",
@@ -51,7 +50,6 @@ __all__ = [
     "project_range",
     "mean",
     "l2_norm",
-    "sup_norm",
     "sobolev_norm",
     "besov_norm",
     "envelope",
@@ -184,14 +182,6 @@ class ComplexField(_Field):
         return cls(grid, np.fft.ifft(s), s.copy())
 
 
-def field_from_values(grid: SpectralGrid, values):
-    """Wrap samples in a RealField or ComplexField depending on dtype."""
-    v = np.asarray(values)
-    if np.iscomplexobj(v):
-        return ComplexField(grid, v)
-    return RealField(grid, v)
-
-
 def _like(f, grid, spectrum):
     """Rebuild a field of the same kind as ``f`` from a spectrum."""
     if isinstance(f, RealField):
@@ -206,10 +196,6 @@ def mean(f) -> float:
 def l2_norm(f) -> float:
     """Continuum L2 norm over one period (trapezoid-exact for trig polys)."""
     return float(np.sqrt(f.grid.spacing * np.sum(np.abs(f.values) ** 2)))
-
-
-def sup_norm(f) -> float:
-    return float(np.max(np.abs(f.values)))
 
 
 def _mean_tolerance(f) -> float:

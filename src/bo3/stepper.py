@@ -43,7 +43,6 @@ class BlowUpError(RuntimeError):
 class SolverConfig:
     dt: float = 1e-4
     t_end: float = 1.0
-    scheme: str = "if_rk4"
     snapshot_stride: int = 1
     dealias: bool = True
     tail_tol: float = 1e-8
@@ -57,8 +56,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
-        if self.scheme != "if_rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass

@@ -253,8 +253,8 @@ def test_criterion_09_almost_conservation(lnl_result):
     ok = res.passed
     report(9, "critical-norm almost-conservation", ok,
            f"y drift / eps = {res.metrics['y_drift_over_eps']:.2e} (cap "
-           f"{TOLERANCES['y_drift_over_eps']}), cubic bound="
-           f"{res.metrics['cubic_energy_bound']:.2e} (cap {TOLERANCES['cubic_energy_bound']})")
+           f"{TOLERANCES['y_drift_over_eps'][2]}), cubic bound="
+           f"{res.metrics['cubic_energy_bound']:.2e} (cap {TOLERANCES['cubic_energy_bound'][2]})")
 
 
 def test_criterion_10_vector_field(airy_result, decay_result):
@@ -264,7 +264,7 @@ def test_criterion_10_vector_field(airy_result, decay_result):
     report(10, "vector-field norms", ok,
            f"linear conservation={airy.metrics['l_vf_deviation']:.1e}, "
            f"nonlinear K={decay.metrics['lnl_half_over_eps']:.2f} (cap "
-           f"{TOLERANCES['lnl_half_over_eps']})")
+           f"{TOLERANCES['lnl_half_over_eps'][2]})")
 
 
 def test_criterion_11_decay_weights(decay_result):

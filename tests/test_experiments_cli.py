@@ -1,11 +1,20 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bo3.cli import main
 from bo3.experiments import (
+    EXPERIMENTS,
+    AnalysisParams,
     ConfigError,
+    DataParams,
+    GridParams,
+    SolverParams,
     apply_override,
     config_from_dict,
     config_to_dict,
@@ -75,6 +84,33 @@ def test_validate_catches_bad_parameters():
     cfg.analysis.amplitudes = (0.08, 0.04, 0.02, 0.01)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+OVERRIDE_PATHS = ["seed"] + [
+    f"{section}.{f.name}"
+    for section, cls in (("grid", GridParams), ("data", DataParams),
+                         ("solver", SolverParams), ("analysis", AnalysisParams))
+    for f in dataclasses.fields(cls)
+]
+# Integers stay below 2**16 in size so that a power-of-two grid stays small,
+# plus integers too large for a float.
+SCALARS = st.one_of(st.integers(-2**16, 2**16), st.integers(2**1024, 2**1100), st.floats(),
+                    st.booleans(), st.text(max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(EXPERIMENTS)),
+       st.lists(st.tuples(st.sampled_from(OVERRIDE_PATHS),
+                          st.one_of(SCALARS, st.lists(SCALARS, max_size=4))),
+                min_size=1, max_size=2))
+def test_fuzzed_overrides_validate_or_raise_config_error(experiment, overrides):
+    cfg = default_config(experiment)
+    for path, value in overrides:
+        apply_override(cfg, f"{path}={json.dumps(value)}")
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        pass
 
 
 def test_override_paths():
@@ -183,6 +219,21 @@ def test_cli_run_pass_exit_code(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_cli_prints_value_test_and_bound_of_every_check(tmp_path, capsys):
+    path = write_fast_config(tmp_path, "airy_decay")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("WARN")]
+    assert len(lines) == 2
+    assert re.fullmatch(r"PASS  airy_decay\.airy_decay_slope  \(\S+ near -0\.333333 \+- 0\.02\)",
+                        lines[0])
+    assert re.fullmatch(r"PASS  airy_decay\.l_vf_conservation  \(\S+ <= 1e-06\)", lines[1])
+    manifest = json.loads((tmp_path / "out" / "airy_decay" / "manifest.json").read_text())
+    assert manifest["checks"].keys() == manifest["verdicts"].keys()
+    for name, check in manifest["checks"].items():
+        assert check["value"] == manifest["metrics"][check["metric"]]
+        assert (check["margin"] >= 0) is manifest["verdicts"][name]
+
+
 def test_cli_run_with_set_override(tmp_path, capsys):
     path = write_fast_config(tmp_path, "scaling")
     code = main(["run", str(path), "--set", "solver.t_end=0.02",
@@ -223,6 +274,19 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
         assert code == 3
         field = assignment.split("=")[0]
         assert f"config error: {field} must be " in capsys.readouterr().err
+    # values of the right type that no run can use are caught before compute too
+    for name, assignment in (("conserve", "analysis.conv_n=100"),
+                             ("conserve", "analysis.conv_length=-1"),
+                             ("conserve", "analysis.conv_dts=[1e-3,1e-3,2e-3]"),
+                             ("conserve", "solver.dealias=3"),
+                             ("conserve", "solver.snapshot_stride=1.5"),
+                             ("airy_decay", "analysis.fit_t_hi=0.5"),
+                             ("strichartz", "analysis.k_bands=[]"),
+                             ("strichartz", "analysis.k_bands=[3]")):
+        path = write_fast_config(tmp_path, name)
+        code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
+        assert code == 3, assignment
+        assert assignment.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -242,6 +306,8 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": "conserve", "grid": {"n": 100}}')
+    assert main(["validate", str(bad)]) == 3
+    bad.write_text('{"experiment": "conserve", "analysis": {"bands": 3}}')
     assert main(["validate", str(bad)]) == 3
     assert main(["validate", str(tmp_path / "missing.json")]) == 3
     notjson = tmp_path / "broken.json"

@@ -47,8 +47,6 @@ def test_solver_config_validation():
         SolverConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(snapshot_stride=0)
-    with pytest.raises(ValueError):
-        SolverConfig(scheme="euler")
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             SolverConfig(dt=bad)
