@@ -33,6 +33,10 @@ __all__ = [
 
 REGIONS = ("hyperbolic", "self_similar", "elliptic")
 
+# Share of the energy in the edge region above which airy_decay_fit takes a
+# propagated field to have wrapped around the periodic seam.
+WRAP_EDGE_TOL = 0.05
+
 
 def jbracket(x, t: float):
     """Airy-scaled distance weight ``sqrt(x^2 + t^(2/3))``."""
@@ -173,12 +177,12 @@ class WrapAroundError(RuntimeError):
         )
 
 
-def airy_decay_fit(f0: RealField, times, edge_tol: float = 0.05):
+def airy_decay_fit(f0: RealField, times):
     """Fitted slope of ``log sup|phi(t)|`` against ``log t`` for the linear flow.
 
     The data must be mean-free, bandlimited and centered; the domain has to be
     large enough that nothing reaches the seam.  Wrap-around is detected as
-    edge energy growing beyond ``edge_tol`` (and beyond three times its
+    edge energy growing beyond ``WRAP_EDGE_TOL`` (and beyond three times its
     initial share, so domain-filling data is not rejected); the first
     contaminated time aborts the fit.  Returns ``(slope, times, sups)``.
     """
@@ -187,7 +191,7 @@ def airy_decay_fit(f0: RealField, times, edge_tol: float = 0.05):
         raise ValueError("need at least two sample times")
     spectral.require_mean_free(f0)
     frac0 = edge_fraction(f0)
-    threshold = max(edge_tol, 3.0 * frac0)
+    threshold = max(WRAP_EDGE_TOL, 3.0 * frac0)
     sups = []
     for t in times:
         u = airy_propagate(f0, t)

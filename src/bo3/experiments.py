@@ -94,7 +94,6 @@ class SolverParams:
     dt: float = 1e-4
     t_end: float = 1.0
     snapshot_stride: int = 100
-    dealias: bool = True
     tail_tol: float = 1e-8
 
     def build(self) -> SolverConfig:
@@ -322,16 +321,16 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
 
 
 _KINDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
-          str: ("a string", "strings"), bool: ("true or false", "booleans")}
+          str: ("a string", "strings")}
 
 
 def _fits(x, kind) -> bool:
-    """True for a string, a bool, an integer or a finite number as kind asks.
+    """True for a string, an integer or a finite number as kind asks.
 
     Bools are not numbers, and neither is an integer beyond the float range.
     """
-    if kind in (str, bool):
-        return isinstance(x, kind)
+    if kind is str:
+        return isinstance(x, str)
     if isinstance(x, bool) or not isinstance(x, (int, float) if kind is float else int):
         return False
     try:
@@ -374,9 +373,9 @@ def _check_bands(name: str, bands, grid) -> None:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check every precondition that is knowable before any compute starts."""
+    _check_fields("", cfg, ["experiment", "seed", "output_dir"])
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    _check_fields("", cfg, ["seed", "output_dir"])
     for section in ("grid", "data", "analysis"):
         _check_fields(f"{section}.", getattr(cfg, section))
     try:
@@ -386,22 +385,36 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_fields("solver.", cfg.solver)
     if cfg.data.profile not in profiles.PROFILES:
         raise ConfigError(f"unknown profile {cfg.data.profile!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
     ana = cfg.analysis
     _grid("analysis.conv_", ana.conv_n, ana.conv_length)
+    for name in ("residual_dt", "conv_t_end", "scale_factor", "window_factor", "vf_t_hi"):
+        if getattr(ana, name) <= 0:
+            raise ConfigError(f"analysis.{name} must be positive, got {getattr(ana, name)}")
+    for name in ("fit_points", "vf_points", "time_samples"):
+        if getattr(ana, name) < 2:
+            raise ConfigError(f"analysis.{name} must be at least 2, got {getattr(ana, name)}")
+    if ana.scale_factor == 1:  # the rescaled run would be the run itself
+        raise ConfigError("analysis.scale_factor must not be 1")
     if not 0 < ana.fit_t_lo < ana.fit_t_hi:
         raise ConfigError("analysis.fit_t_lo and analysis.fit_t_hi must satisfy "
                           f"0 < fit_t_lo < fit_t_hi, got {ana.fit_t_lo} and {ana.fit_t_hi}")
     if len(set(ana.conv_dts)) < 3 or min(ana.conv_dts) <= 0:
         raise ConfigError("analysis.conv_dts must hold at least three distinct positive "
                           f"steps, got {list(ana.conv_dts)}")
-    if any(b <= a for a, b in zip(ana.amplitudes, ana.amplitudes[1:])):
-        raise ConfigError("analysis.amplitudes must increase")
+    amps = list(ana.amplitudes)
+    if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
+        raise ConfigError(f"analysis.amplitudes must be positive and increase, got {amps}")
     if not (ana.bands and ana.k_bands):
         raise ConfigError("analysis.bands and analysis.k_bands must not be empty")
     _check_bands("analysis.bands", ana.bands, grid)
     if cfg.experiment == "normalform_scaling" and len(ana.amplitudes) < 4:
         raise ConfigError("normalform_scaling needs at least four amplitudes")
+    if cfg.experiment == "decay_profile" and ana.report_t_lo > cfg.solver.t_end:
+        raise ConfigError(f"analysis.report_t_lo = {ana.report_t_lo} exceeds solver.t_end = "
+                          f"{cfg.solver.t_end}: no frame would be judged")
     if cfg.experiment == "strichartz":
         _check_bands("analysis.j_band", [ana.j_band], grid)
         _check_bands("analysis.k_bands", ana.k_bands, grid)

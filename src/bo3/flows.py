@@ -6,16 +6,16 @@ invariants, written as the derivative of a flux:
 
     phi_t = phi_xxx + d_x [(3/4)(phi H phi_x + H(phi phi_x)) - (1/4) phi^3]
 
-together with the Benjamin-Ono equation ``phi_t = -H phi_xx + phi phi_x``,
-its linearization around a background, and the backward adjoint of that
-linearization.  Every evolved field is real, so the kernels work on its half
-spectrum, the n/2+1 nonnegative wavenumbers: one batched ``irfft`` takes two
-rows (phi and H phi_x of a state, or their derivative pair for the adjoint;
-multipliers cached once per grid) to a product grid, and one batched
-``rfft`` brings two products back.  All quadratic and cubic products are
-dealiased by 2x zero-padding, under which the flux form equals the expanded
-one up to round-off: the aliases of a cubic product land outside the kept
-band.
+together with the Airy flow ``phi_t = phi_xxx`` (its linear part, solved
+exactly), its linearization around a background, and the backward adjoint of
+that linearization.  Every evolved field is real, so the kernels work on its
+half spectrum, the n/2+1 nonnegative wavenumbers: one batched ``irfft`` takes
+two rows (phi and H phi_x of a state, or their derivative pair for the
+adjoint; multipliers cached once per grid) to the product grid of 2n points,
+and one batched ``rfft`` brings two products back.  That 2x zero-padding
+dealiases every quadratic and cubic product, and under it the flux form
+equals the expanded one up to round-off: the aliases of a cubic product land
+outside the kept band.
 """
 
 from __future__ import annotations
@@ -31,23 +31,24 @@ __all__ = [
     "FLOW_TAGS",
     "airy_propagate",
     "airy_symbol",
-    "bo_rhs",
     "tbo_rhs",
     "linearized_tbo_rhs",
     "adjoint_linearized_rhs",
     "spectral_tail_fraction",
 ]
 
-FLOW_TAGS = ("airy", "benjamin_ono", "third_order_bo")
+FLOW_TAGS = ("airy", "third_order_bo")
 
 
 @dataclass(frozen=True)
 class FlowKind:
-    """Selects one of the flows that ``stepper.integrate`` marches.
+    """Selects the flow that ``stepper.integrate`` marches.
 
-    The linearized flow and its backward adjoint ride on a background state
-    and are marched together with it by ``stepper.integrate_linearized_pair``
-    and ``stepper.integrate_adjoint_pair``.
+    ``airy`` is the linear flow ``phi_t = phi_xxx``, propagated exactly, and
+    ``third_order_bo`` the nonlinear one.  The linearized flow and its
+    backward adjoint ride on a background state and are marched together
+    with it by ``stepper.integrate_linearized_pair`` and
+    ``stepper.integrate_adjoint_pair``.
     """
 
     tag: str
@@ -60,20 +61,19 @@ class FlowKind:
 # ---------------------------------------------------------------------------
 # Half-spectrum workspace.  The integrator spends essentially all of its time
 # here.  A real field is carried by its n/2+1 nonnegative wavenumbers; products
-# are formed on a product grid of factor*n points (factor 2 dealiases).
+# are formed on the product grid of 2n points, which dealiases them.
 
 
 class _Workspace:
     """Cached symbols and one padding buffer for one grid (not for concurrent use)."""
 
-    __slots__ = ("grid", "n", "half", "factor", "big", "table", "ik", "absk", "pad")
+    __slots__ = ("grid", "n", "half", "big", "table", "ik", "absk", "pad")
 
-    def __init__(self, grid: SpectralGrid, dealias: bool = True):
+    def __init__(self, grid: SpectralGrid):
         n = grid.n
         half = n // 2
         self.grid, self.n, self.half = grid, n, half
-        self.factor = 2 if dealias else 1
-        self.big = self.factor * n
+        self.big = 2 * n
         k = np.abs(grid.xi[: half + 1])
         odd = np.ones(half + 1)  # odd symbols zero the Nyquist mode
         odd[half] = 0.0
@@ -81,10 +81,10 @@ class _Workspace:
         self.absk = k * odd
         # table rows (see _FIELDS and _DERIVS): phi = s, H phi_x = |k| s,
         # phi_x = ik s and H phi_xx = i k|k| s; the padding keeps the modes
-        # below the Nyquist, and the factor undoes the 1/big of the longer irfft
+        # below the Nyquist, and the 2 undoes the 1/big of the twice longer irfft
         table = np.stack((np.ones(half + 1), self.absk, self.ik, 1j * k * k))
-        self.table = self.factor * table[:, :half]
-        self.pad = np.zeros((2, self.big // 2 + 1), dtype=complex)
+        self.table = 2.0 * table[:, :half]
+        self.pad = np.zeros((2, n + 1), dtype=complex)
 
     def to_phys(self, spec, rows):
         """Product-grid samples of the table rows ``rows`` (a slice) applied to a spectrum.
@@ -99,7 +99,7 @@ class _Workspace:
 
     def from_phys(self, *vals):
         """Half spectra of product-grid samples, truncated to the grid's band."""
-        out = np.fft.rfft(np.array(vals), axis=-1)[:, : self.half + 1] * (1.0 / self.factor)
+        out = np.fft.rfft(np.array(vals), axis=-1)[:, : self.half + 1] * 0.5
         out[:, self.half] = 0.0
         return out
 
@@ -114,12 +114,10 @@ class _Workspace:
 _WORKSPACES: dict = {}
 
 
-def _workspace(grid: SpectralGrid, dealias: bool = True) -> _Workspace:
-    key = (grid.n, grid.length, dealias)
-    ws = _WORKSPACES.get(key)
+def _workspace(grid: SpectralGrid) -> _Workspace:
+    ws = _WORKSPACES.get(grid)
     if ws is None:
-        ws = _Workspace(grid, dealias)
-        _WORKSPACES[key] = ws
+        ws = _WORKSPACES[grid] = _Workspace(grid)
     return ws
 
 
@@ -131,12 +129,6 @@ def _workspace(grid: SpectralGrid, dealias: bool = True) -> _Workspace:
 
 _FIELDS = slice(0, 2)  # table rows phi, H phi_x
 _DERIVS = slice(2, 4)  # table rows phi_x, H phi_xx
-
-
-def _bo_nl(ws: _Workspace, s):
-    # phi phi_x = (1/2) (phi^2)_x
-    (p,) = ws.to_phys(s, slice(0, 1))
-    return 0.5 * ws.ik * ws.from_phys(p * p)[0]
 
 
 def product_fields(ws: _Workspace, s):
@@ -179,8 +171,6 @@ def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
     when omitted), and the background for ``linearized_tbo`` and
     ``adjoint_linearized_tbo``, which need them.
     """
-    if tag == "benjamin_ono":
-        return _bo_nl(ws, s)
     if tag == "third_order_bo":
         return _tbo_nl(ws, product_fields(ws, s) if fields is None else fields)
     if tag == "linearized_tbo":
@@ -190,12 +180,9 @@ def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
     raise ValueError(f"no nonlinear part for flow {tag!r}")
 
 
-def linear_symbol(tag: str, grid: SpectralGrid) -> np.ndarray:
-    """Exact symbol of the linear part (diagonal in Fourier)."""
+def linear_symbol(grid: SpectralGrid) -> np.ndarray:
+    """Exact symbol ``(i xi)^3`` of the linear part phi_xxx (diagonal in Fourier)."""
     lam = (1j * grid.xi) ** 3
-    if tag == "benjamin_ono":
-        # linear part of phi_t = -H phi_xx + ...: symbol -(-i sgn)(i xi)^2 = -i xi|xi|
-        lam = -(-1j * np.sign(grid.xi)) * (1j * grid.xi) ** 2
     lam[grid.nyquist_index] = 0.0
     return lam
 
@@ -230,42 +217,35 @@ def _check_same_grid(*fields):
     return g
 
 
-def _with_linear(tag: str, f, ws: _Workspace, nl) -> RealField:
-    """Field of the flow's linear part applied to f plus the half spectrum nl.
+def _with_linear(f, ws: _Workspace, nl) -> RealField:
+    """Field of f_xxx plus the half spectrum nl.
 
     The linear part stays on the full spectrum, formed as
     ``spectral.derivative`` forms it.
     """
-    out = linear_symbol(tag, f.grid) * f.spectrum + ws.full(nl)
+    out = linear_symbol(f.grid) * f.spectrum + ws.full(nl)
     return RealField.from_spectrum(f.grid, out)
-
-
-def bo_rhs(phi: RealField) -> RealField:
-    """Benjamin-Ono right-hand side ``-H phi_xx + phi phi_x`` (dealiased)."""
-    require_mean_free(phi)
-    ws = _workspace(phi.grid)
-    return _with_linear("benjamin_ono", phi, ws, _bo_nl(ws, phi.spectrum))
 
 
 def tbo_rhs(phi: RealField) -> RealField:
     """Third-order Benjamin-Ono right-hand side, flux form (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    return _with_linear("third_order_bo", phi, ws, _tbo_nl(ws, product_fields(ws, phi.spectrum)))
+    return _with_linear(phi, ws, _tbo_nl(ws, product_fields(ws, phi.spectrum)))
 
 
 def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
     """Linearization of the third-order flow around ``phi`` in direction ``v``."""
     ws = _workspace(_check_same_grid(v, phi))
     nl = _lin_nl(ws, product_fields(ws, phi.spectrum), v.spectrum)
-    return _with_linear("third_order_bo", v, ws, nl)
+    return _with_linear(v, ws, nl)
 
 
 def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
     ws = _workspace(_check_same_grid(w, phi))
     nl = _adj_nl(ws, product_fields(ws, phi.spectrum), w.spectrum)
-    return _with_linear("third_order_bo", w, ws, nl)
+    return _with_linear(w, ws, nl)
 
 
 def spectral_tail_fraction(f) -> float:

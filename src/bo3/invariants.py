@@ -53,6 +53,10 @@ class SupportLeakageWarning(UserWarning):
 # x-weighted functionals are flagged as untrustworthy.
 EDGE_TOL = 1e-6
 
+# The modified energy's cubic correction acts above the moving cutoff
+# ``C_CUT * t**(-1/3)``.
+C_CUT = 1.0
+
 
 def _quad(f: RealField) -> float:
     return float(f.grid.spacing * np.sum(f.values))
@@ -143,10 +147,10 @@ def fractional_derivative(v: RealField, power: float) -> RealField:
     return RealField.from_spectrum(grid, out)
 
 
-def _high_cut(fld: RealField, t: float, c_cut: float) -> RealField:
-    """Smooth projection onto wavenumbers above ``c_cut * t**(-1/3)``."""
+def _high_cut(fld: RealField, t: float) -> RealField:
+    """Smooth projection onto wavenumbers above ``C_CUT * t**(-1/3)``."""
     grid = fld.grid
-    theta = c_cut * t ** (-1.0 / 3.0)
+    theta = C_CUT * t ** (-1.0 / 3.0)
     mask = 1.0 - spectral.dyadic_bump(grid.xi / theta)
     return RealField.from_spectrum(grid, mask * fld.spectrum)
 
@@ -158,11 +162,11 @@ class ModifiedEnergy:
     cubic: float
 
 
-def modified_energy(y: RealField, phi: RealField, t: float, c_cut: float = 1.0) -> ModifiedEnergy:
+def modified_energy(y: RealField, phi: RealField, t: float) -> ModifiedEnergy:
     """Quadratic energy of ``y`` plus its cubic high-frequency correction.
 
     The correction couples the pieces of ``y`` and ``phi`` above the moving
-    cutoff ``c_cut * t**(-1/3)`` and is built so that its time derivative
+    cutoff ``C_CUT * t**(-1/3)`` and is built so that its time derivative
     cancels the leading quadratic growth of ``||y||^2`` along the linearized
     flow.  Requires t > 0 because of the cutoff.
     """
@@ -171,8 +175,8 @@ def modified_energy(y: RealField, phi: RealField, t: float, c_cut: float = 1.0) 
     if y.grid != phi.grid:
         raise ValueError("fields live on different grids")
     quadratic = l2_norm(y) ** 2
-    y_hi = _high_cut(y, t, c_cut)
-    phi_hi = _high_cut(phi, t, c_cut)
+    y_hi = _high_cut(y, t)
+    phi_hi = _high_cut(phi, t)
     a = fractional_derivative(y_hi, -0.5)          # |D|^(-1/2) y_hi
     b = hilbert(fractional_derivative(y_hi, 0.5))  # H |D|^(1/2) y_hi
     c = hilbert(a)                            # H |D|^(-1/2) y_hi

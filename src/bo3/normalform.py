@@ -57,6 +57,10 @@ __all__ = [
     "cubic_scaling_test",
 ]
 
+# The gauged band residual is evaluated on a grid this many times finer: the
+# exponential products spread the band's spectrum.
+RESIDUAL_REFINE = 2
+
 
 def gauge_phase(phi: RealField) -> RealField:
     """Phase with ``2 d_x Phi = phi``; removes the paradifferential terms."""
@@ -187,20 +191,20 @@ def _dt_band_transform(phi: RealField, k: int, F: RealField):
     return dt_tilde, dt_phase
 
 
-def band_residual_gauged(phi: RealField, k: int, refine_factor: int = 2) -> float:
+def band_residual_gauged(phi: RealField, k: int) -> float:
     """L2 size of ``(d_t - d_x^3)`` applied to the gauged band variable.
 
     The exponential products spread the band's spectrum, so the residual is
-    evaluated on a spectrally refined grid to keep the measurement alias-free.
+    evaluated on the ``RESIDUAL_REFINE`` times finer grid to keep the
+    measurement alias-free.
     """
     tr = band_transform(phi, k)
     F = tbo_rhs(phi)
     dt_tilde, dt_phase = _dt_band_transform(phi, k, F)
-    fac = refine_factor
-    tilde_f = refine(tr.tilde_phi, fac)
-    dt_tilde_f = refine(ComplexField(phi.grid, dt_tilde), fac)
-    phase_f = refine(tr.phase, fac)
-    dt_phase_f = refine(dt_phase, fac)
+    tilde_f = refine(tr.tilde_phi, RESIDUAL_REFINE)
+    dt_tilde_f = refine(ComplexField(phi.grid, dt_tilde), RESIDUAL_REFINE)
+    phase_f = refine(tr.phase, RESIDUAL_REFINE)
+    dt_phase_f = refine(dt_phase, RESIDUAL_REFINE)
     gauge = np.exp(-1j * phase_f.values)
     psi = tilde_f.values * gauge
     dt_psi = (dt_tilde_f.values - 1j * tilde_f.values * dt_phase_f.values) * gauge

@@ -1,27 +1,20 @@
-"""File formats: field snapshots, trajectory archives and CSV tables.
+"""File formats: field snapshots and CSV tables.
 
 Snapshot format: one header line ``n L time`` followed by n lines ``x value``
-(``x re im`` for complex fields), everything in full double precision.  A
-trajectory archive is a directory of numbered snapshots plus one JSON manifest
-with the times, solver configuration and accumulated warnings.
+(``x re im`` for complex fields), everything in full double precision.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .spectral import ComplexField, RealField, SpectralGrid
-from .stepper import SolverConfig, Trajectory
 
 __all__ = [
     "write_snapshot",
     "read_snapshot",
-    "write_trajectory",
-    "read_trajectory",
     "write_csv",
     "read_csv",
 ]
@@ -58,36 +51,6 @@ def read_snapshot(path):
         return ComplexField(grid, vals), float(time_str)
     vals = np.array([float(r[1]) for r in rows])
     return RealField(grid, vals), float(time_str)
-
-
-def write_trajectory(directory, traj: Trajectory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, (t, fld) in enumerate(traj.frames):
-        name = f"frame_{i:05d}.txt"
-        write_snapshot(directory / name, fld, t)
-        names.append(name)
-    manifest = {
-        "kind": traj.kind_tag,
-        "times": [t for t, _ in traj.frames],
-        "frames": names,
-        "config": dataclasses.asdict(traj.config),
-        "warnings": [[t, kind] for t, kind in traj.warnings],
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def read_trajectory(directory) -> Trajectory:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    frames = []
-    for name in manifest["frames"]:
-        fld, t = read_snapshot(directory / name)
-        frames.append((t, fld))
-    config = SolverConfig(**manifest["config"])
-    warnings = [(t, kind) for t, kind in manifest["warnings"]]
-    return Trajectory(frames, config, manifest["kind"], warnings)
 
 
 def write_csv(path, rows) -> None:

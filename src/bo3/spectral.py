@@ -1,8 +1,8 @@
 """Periodic pseudo-spectral core.
 
-Grids, grid functions with cached spectra, Fourier multipliers, the Hilbert
-transform, derivatives and antiderivatives, smooth dyadic (Littlewood-Paley)
-projections, Sobolev/Besov norms and frequency envelopes.
+Grids, grid functions with cached spectra, the Hilbert transform, derivatives
+and antiderivatives, dealiased products, smooth dyadic (Littlewood-Paley)
+projections, Sobolev norms and frequency envelopes.
 
 Conventions
 -----------
@@ -32,7 +32,6 @@ __all__ = [
     "DyadicBand",
     "FrequencyEnvelope",
     "make_grid",
-    "apply_symbol",
     "hilbert",
     "derivative",
     "antiderivative",
@@ -51,7 +50,6 @@ __all__ = [
     "mean",
     "l2_norm",
     "sobolev_norm",
-    "besov_norm",
     "envelope",
 ]
 
@@ -211,38 +209,6 @@ def require_mean_free(f) -> None:
 
 # ---------------------------------------------------------------------------
 # Multipliers
-
-
-def _is_odd_symbol(grid: SpectralGrid, sym: np.ndarray) -> bool:
-    # compare m(-xi) against -m(xi) on the paired bins (Nyquist excluded)
-    rev = np.empty_like(sym)
-    rev[0] = sym[0]
-    rev[1:] = sym[:0:-1]
-    scale = np.max(np.abs(sym)) + 1e-300
-    mask = np.ones(grid.n, dtype=bool)
-    mask[grid.nyquist_index] = False
-    return bool(np.all(np.abs(rev[mask] + sym[mask]) <= 1e-12 * scale))
-
-
-def apply_symbol(f, symbol) -> ComplexField:
-    """Apply a Fourier multiplier ``xi -> symbol(xi)`` to a field.
-
-    The multiplier must be finite on every grid wavenumber.  The Nyquist mode
-    is zeroed whenever the symbol is odd or has imaginary content anywhere.
-    Always returns a ComplexField; use the dedicated operators for
-    real-preserving multipliers.
-    """
-    grid = f.grid
-    sym = np.asarray(symbol(grid.xi) if callable(symbol) else symbol, dtype=complex)
-    if sym.shape != (grid.n,):
-        raise ValueError(f"symbol must produce {grid.n} values")
-    if not np.all(np.isfinite(sym)):
-        bad = grid.xi[~np.isfinite(sym)][:1]
-        raise ValueError(f"symbol is not finite at wavenumber {bad}")
-    out = sym * f.spectrum
-    if np.any(sym.imag != 0.0) or _is_odd_symbol(grid, sym):
-        out[grid.nyquist_index] = 0.0
-    return ComplexField.from_spectrum(grid, out)
 
 
 def hilbert(f: RealField) -> RealField:
@@ -464,13 +430,6 @@ def band_l2_norms(f) -> np.ndarray:
         m = band_multiplier(grid, k)
         out.append(np.sqrt(scale * np.sum(m**2 * power)))
     return np.asarray(out)
-
-
-def besov_norm(f, s: float) -> float:
-    """sup over resolved bands of ``2**(s k) * ||P_k f||_L2``."""
-    norms = band_l2_norms(f)
-    ks = np.arange(norms.size)
-    return float(np.max(2.0 ** (s * ks) * norms)) if norms.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ class SolverConfig:
     dt: float = 1e-4
     t_end: float = 1.0
     snapshot_stride: int = 1
-    dealias: bool = True
     tail_tol: float = 1e-8
 
     def __post_init__(self):
@@ -142,7 +141,7 @@ def _march(s0, t0, t_span, config, lam, nl, emit):
                 emit(t, s)
 
 
-def _recorded_march(ws, s0, t0, t_span, config, lam_tag, nl):
+def _recorded_march(ws, s0, t0, t_span, config, nl):
     """Run ``_march`` on the half spectra of s0, keeping one frame list per row.
 
     Frames are built from the full Hermitian spectrum.  Resolution warnings
@@ -159,15 +158,15 @@ def _recorded_march(ws, s0, t0, t_span, config, lam_tag, nl):
         for frames, fld in zip(rows, fields):
             frames.append((t, fld))
 
-    _march(s0, t0, t_span, config, flows.linear_symbol(lam_tag, grid)[:m], nl, emit)
+    _march(s0, t0, t_span, config, flows.linear_symbol(grid)[:m], nl, emit)
     return rows, warns
 
 
 def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Trajectory:
     """Integrate one flow from initial data ``f0``.
 
-    The Airy flow is propagated exactly to each frame time.  Nonlinear flows
-    require mean-free data.  Non-finite values abort with the blow-up time;
+    The Airy flow is propagated exactly to each frame time.  The third-order
+    flow requires mean-free data.  Non-finite values abort with the blow-up time;
     under-resolution only accumulates warnings on the trajectory.
     """
     grid = f0.grid
@@ -180,9 +179,9 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
         return Trajectory([(j * h, flows.airy_propagate(f0, j * h)) for j in steps], config, tag)
 
     require_mean_free(f0)
-    ws = flows._workspace(grid, config.dealias)
+    ws = flows._workspace(grid)
     nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
-    (frames,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, tag, nl)
+    (frames,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
     return Trajectory(frames, config, tag, warns)
 
 
@@ -195,7 +194,7 @@ def _pair_march(phi, sec, sec_tag, t0, t_span, config):
     if phi.grid != sec.grid:
         raise ValueError("fields live on different grids")
     require_mean_free(phi)
-    ws = flows._workspace(phi.grid, config.dealias)
+    ws = flows._workspace(phi.grid)
 
     def nl(s):
         fields = flows.product_fields(ws, s[0])
@@ -203,7 +202,7 @@ def _pair_march(phi, sec, sec_tag, t0, t_span, config):
                          flows.nonlinear_spectrum(sec_tag, ws, s[1], fields)))
 
     s0 = np.stack((phi.spectrum, sec.spectrum))
-    return _recorded_march(ws, s0, t0, t_span, config, "third_order_bo", nl)
+    return _recorded_march(ws, s0, t0, t_span, config, nl)
 
 
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):

@@ -81,11 +81,6 @@ def _combine(*terms):
     return RealField(terms[0][1].grid, sum(c * f.values for c, f in terms))
 
 
-def bo_rhs_oracle(phi):
-    return _combine((-1.0, hilbert(derivative(phi, 2))),
-                    (1.0, dealiased_product(phi, derivative(phi))))
-
-
 def tbo_rhs_oracle(phi):
     dp = dealiased_product
     px, pxx = derivative(phi), derivative(phi, 2)

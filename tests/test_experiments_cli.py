@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -282,12 +283,90 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              ("conserve", "solver.snapshot_stride=1.5"),
                              ("airy_decay", "analysis.fit_t_hi=0.5"),
                              ("strichartz", "analysis.k_bands=[]"),
-                             ("strichartz", "analysis.k_bands=[3]")):
+                             ("strichartz", "analysis.k_bands=[3]"),
+                             # each of these used to fail in compute, or pass a
+                             # verdict on no measurement
+                             ("strichartz", "seed=-1"),
+                             ("strichartz", "analysis.time_samples=1"),
+                             ("strichartz", "analysis.window_factor=0"),
+                             ("airy_decay", "analysis.fit_points=1"),
+                             ("airy_decay", "analysis.vf_points=0"),
+                             ("airy_decay", "analysis.vf_points=1"),
+                             ("airy_decay", "analysis.vf_t_hi=0"),
+                             ("normalform_scaling", "analysis.residual_dt=-1"),
+                             ("normalform_scaling", "analysis.amplitudes=[-0.02,0.01,0.02,0.04]"),
+                             ("conserve", "analysis.conv_t_end=-1"),
+                             ("conserve", "analysis.conv_t_end=0"),
+                             ("scaling", "analysis.scale_factor=0"),
+                             ("scaling", "analysis.scale_factor=1"),
+                             ("decay_profile", "solver.t_end=0.5")):
         path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3, assignment
         assert assignment.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Fields with a lower bound, for the boundary values 0, -1 and 1.
+BOUNDED_PATHS = ["seed", "solver.t_end", "solver.dt", "solver.snapshot_stride",
+                 "analysis.time_samples", "analysis.fit_points", "analysis.vf_points",
+                 "analysis.residual_dt", "analysis.conv_t_end", "analysis.scale_factor",
+                 "analysis.window_factor", "analysis.vf_t_hi", "analysis.report_t_lo",
+                 "analysis.amplitudes"]
+SHIPPED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+FILE_VALUES = st.one_of(st.sampled_from([0, -1, 1, 0.0, -1.0, 1.0, 0.5]), st.none(),
+                        st.booleans(), st.text(max_size=3),
+                        st.lists(st.sampled_from([0, -1, 1, 0.5, 2.0]), max_size=4))
+FILE_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.one_of(st.sampled_from(BOUNDED_PATHS + ["experiment"]),
+                                         st.sampled_from(OVERRIDE_PATHS)), FILE_VALUES),
+    st.tuples(st.just("section"), st.sampled_from(["grid", "data", "solver", "analysis"]),
+              st.one_of(st.none(), st.integers(-1, 1), st.text(max_size=3), st.lists(
+                  st.integers(-1, 1), max_size=2))),
+    st.tuples(st.just("unknown"), st.sampled_from(["", "grid", "solver", "analysis"]),
+              st.sampled_from(["scheme", "x"])),
+)
+
+
+def _edited(raw, edits):
+    """A copy of a config dict with each edit applied: a field set, a section
+    replaced, or an unknown key added (at the top level for the path "")."""
+    raw = json.loads(json.dumps(raw))
+    for kind, path, value in edits:
+        if kind == "section":
+            raw[path] = value
+            continue
+        parts = path.split(".") if path else []
+        if kind == "unknown":
+            parts, value = parts + [value], 1
+        obj = raw
+        for part in parts[:-1]:
+            obj = obj.setdefault(part, {})
+        if isinstance(obj, dict):  # a section edited into a non-object stays so
+            obj[parts[-1]] = value
+    return raw
+
+
+def _accepts(raw) -> bool:
+    try:
+        validate_config(config_from_dict(raw))
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SHIPPED), st.lists(FILE_EDITS, min_size=1, max_size=3))
+def test_fuzzed_config_files_exit_0_or_3(raw, edits):
+    raw = _edited(raw, edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(raw))
+        code = main(["validate", str(path)])
+        assert code == (0 if _accepts(raw) else 3)
+        if code == 3:
+            assert main(["run", str(path), "--out", str(out)]) == 3
+            assert not out.exists()
 
 
 def test_cli_crash_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
@@ -308,6 +387,8 @@ def test_cli_validate(tmp_path, capsys):
     bad.write_text('{"experiment": "conserve", "grid": {"n": 100}}')
     assert main(["validate", str(bad)]) == 3
     bad.write_text('{"experiment": "conserve", "analysis": {"bands": 3}}')
+    assert main(["validate", str(bad)]) == 3
+    bad.write_text('{"experiment": [1]}')
     assert main(["validate", str(bad)]) == 3
     assert main(["validate", str(tmp_path / "missing.json")]) == 3
     notjson = tmp_path / "broken.json"

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from bo3 import flows
 from bo3.flows import (
     FlowKind,
     adjoint_linearized_rhs,
     airy_propagate,
-    bo_rhs,
     linearized_tbo_rhs,
     spectral_tail_fraction,
     tbo_rhs,
 )
-from bo3.spectral import MeanError, RealField, derivative, l2_norm, make_grid, sobolev_norm
+from bo3.spectral import (MeanError, RealField, dealiased_product, derivative, hilbert, l2_norm,
+                          make_grid, sobolev_norm)
 
 import oracles
 from conftest import random_bandlimited_field
@@ -32,6 +33,8 @@ def test_flow_kind_validation():
         FlowKind("kdv")
     with pytest.raises(ValueError):
         FlowKind("linearized_tbo")  # marched only as a pair with its background
+    with pytest.raises(ValueError):
+        FlowKind("benjamin_ono")  # only the third-order flow of the hierarchy is modelled
 
 
 # ---------------------------------------------------------------------------
@@ -66,44 +69,17 @@ def test_airy_group_property_and_unitarity(grid):
 
 
 # ---------------------------------------------------------------------------
-# Benjamin-Ono right-hand side
-
-
-def test_bo_rhs_zero(grid):
-    z = RealField(grid, np.zeros(grid.n))
-    assert np.max(np.abs(bo_rhs(z).values)) == 0.0
-
-
-def test_bo_rhs_single_mode(grid):
-    # symbolic oracle with H sin = -cos:
-    #   -H(eps sin x)_xx + eps^2 sin x cos x = -eps cos x + (eps^2/2) sin 2x
-    eps = 0.3
-    f = RealField(grid, eps * np.sin(grid.x))
-    expected = -eps * np.cos(grid.x) + 0.5 * eps**2 * np.sin(2.0 * grid.x)
-    assert np.max(np.abs(bo_rhs(f).values - expected)) <= 1e-10
-
-
-def test_bo_rhs_cosine_mode(grid):
-    # second symbolic oracle (H cos = sin):
-    #   -H(eps cos x)_xx = eps sin x;  phi phi_x = -(eps^2/2) sin 2x
-    eps = 0.25
-    f = RealField(grid, eps * np.cos(grid.x))
-    expected = eps * np.sin(grid.x) - 0.5 * eps**2 * np.sin(2.0 * grid.x)
-    assert np.max(np.abs(bo_rhs(f).values - expected)) <= 1e-10
-
-
-def test_bo_rhs_rejects_mean(grid):
-    with pytest.raises(MeanError):
-        bo_rhs(RealField(grid, 1.0 + np.sin(grid.x)))
-
-
-# ---------------------------------------------------------------------------
 # third-order right-hand side
 
 
 def test_tbo_rhs_zero(grid):
     z = RealField(grid, np.zeros(grid.n))
     assert np.max(np.abs(tbo_rhs(z).values)) == 0.0
+
+
+def test_tbo_rhs_rejects_mean(grid):
+    with pytest.raises(MeanError):
+        tbo_rhs(RealField(grid, 1.0 + np.sin(grid.x)))
 
 
 def test_tbo_rhs_single_mode(grid):
@@ -235,16 +211,20 @@ def test_derivative_intertwines_adjoint_and_linearized(grid):
 @pytest.mark.parametrize("n", [128, 1024])
 def test_rhs_kernels_match_full_spectrum_oracles(n):
     # data below n/6 keeps every cubic product inside the band, where the
-    # oracles' nested dealiased products are exact; the quadratic
-    # Benjamin-Ono product is exact for full-band data, whose products
-    # reach the dropped Nyquist mode
+    # oracles' nested dealiased products are exact; a single quadratic
+    # product is exact for full-band data, whose products reach the dropped
+    # Nyquist mode
     g = make_grid(n, 32.0 * np.pi)
     phi = random_bandlimited_field(g, seed=40)
     v = random_bandlimited_field(g, seed=41)
     full_band = random_bandlimited_field(g, seed=42, bandlimit=g.xi_max)
+    ws = flows._workspace(g)
+    p, hx = flows.product_fields(ws, full_band.spectrum)
+    q, _ = flows.product_fields(ws, v.spectrum)
+    products = [RealField.from_spectrum(g, s) for s in ws.full(ws.from_phys(p * q, p * hx))]
     cases = [
-        (bo_rhs(phi), oracles.bo_rhs_oracle(phi)),
-        (bo_rhs(full_band), oracles.bo_rhs_oracle(full_band)),
+        (products[0], dealiased_product(full_band, v)),
+        (products[1], dealiased_product(full_band, hilbert(derivative(full_band)))),
         (tbo_rhs(phi), oracles.tbo_rhs_oracle(phi)),
         (linearized_tbo_rhs(v, phi), oracles.linearized_tbo_rhs_oracle(v, phi)),
         (adjoint_linearized_rhs(v, phi), oracles.adjoint_linearized_rhs_oracle(v, phi)),

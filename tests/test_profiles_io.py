@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from bo3.flows import FlowKind
 from bo3.plotting import line_plot_svg, plot_csv
 from bo3.profiles import PROFILES, make_profile
 from bo3.snapshots import (
     read_csv,
     read_snapshot,
-    read_trajectory,
     write_csv,
     write_snapshot,
-    write_trajectory,
 )
 from bo3.spectral import ComplexField, make_grid
-from bo3.stepper import SolverConfig, integrate
 
 
 @pytest.fixture
@@ -88,19 +84,6 @@ def test_snapshot_roundtrip_complex(tmp_path, grid):
     g, t = read_snapshot(path)
     assert isinstance(g, ComplexField)
     assert np.array_equal(g.values, f.values)
-
-
-def test_trajectory_archive_roundtrip(tmp_path, grid):
-    data = make_profile("odd_packet", grid, amplitude=0.1, bandlimit=1.0)
-    cfg = SolverConfig(dt=1e-3, t_end=5e-3, snapshot_stride=1)
-    traj = integrate(FlowKind("third_order_bo"), data, cfg)
-    write_trajectory(tmp_path / "arc", traj)
-    back = read_trajectory(tmp_path / "arc")
-    assert back.kind_tag == "third_order_bo"
-    assert np.array_equal(back.times, traj.times)
-    for (t1, f1), (t2, f2) in zip(traj.frames, back.frames):
-        assert np.array_equal(f1.values, f2.values)
-    assert back.config == traj.config
 
 
 def test_csv_roundtrip_full_precision(tmp_path):

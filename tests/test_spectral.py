@@ -11,8 +11,6 @@ from bo3.spectral import (
     MeanError,
     RealField,
     antiderivative,
-    apply_symbol,
-    besov_norm,
     dealiased_product,
     derivative,
     envelope,
@@ -97,37 +95,6 @@ def test_fields_are_immutable():
     f = RealField(grid, np.sin(grid.x))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
-
-
-# ---------------------------------------------------------------------------
-# multipliers
-
-
-def test_apply_symbol_identity(grid2pi):
-    f = random_bandlimited_field(grid2pi, seed=3)
-    out = apply_symbol(f, lambda xi: np.ones_like(xi))
-    assert np.max(np.abs(out.values - f.values)) <= 1e-12
-
-
-def test_apply_symbol_differentiates_sine(grid2pi):
-    f = RealField(grid2pi, np.sin(grid2pi.x))
-    out = apply_symbol(f, lambda xi: 1j * xi)
-    assert np.max(np.abs(out.values.real - np.cos(grid2pi.x))) <= 1e-12
-    assert np.max(np.abs(out.values.imag)) <= 1e-12
-
-
-def test_apply_symbol_half_derivative_single_mode(grid2pi):
-    # |xi|^(1/2) acting on cos(2x) -> sqrt(2) cos(2x); frozen from the DFT oracle
-    f = RealField(grid2pi, np.cos(2.0 * grid2pi.x))
-    out = apply_symbol(f, lambda xi: np.sqrt(np.abs(xi)).astype(complex))
-    expected = np.sqrt(2.0) * np.cos(2.0 * grid2pi.x)
-    assert np.max(np.abs(out.values.real - expected)) <= 1e-12
-
-
-def test_apply_symbol_rejects_nonfinite(grid2pi):
-    f = RealField(grid2pi, np.sin(grid2pi.x))
-    with pytest.raises(ValueError), np.errstate(divide="ignore"):
-        apply_symbol(f, lambda xi: 1.0 / xi)
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +340,6 @@ def test_homogeneous_negative_norm_needs_mean_free(grid2pi):
     f = RealField(grid2pi, 1.0 + np.sin(grid2pi.x))
     with pytest.raises(MeanError):
         sobolev_norm(f, -0.5, homogeneous=True)
-
-
-def test_besov_zero_and_single_band():
-    grid = make_grid(256, 2.0 * np.pi)
-    zero = RealField(grid, np.zeros(grid.n))
-    assert besov_norm(zero, -0.5) == 0.0
-    g = RealField(grid, np.sin(8.0 * grid.x))  # plateau of band 3
-    g_norm = l2_norm(g)
-    for s in (-0.5, 0.0, 1.0):
-        assert besov_norm(g, s) == pytest.approx(2.0 ** (3 * s) * g_norm, rel=1e-12)
-
-
-def test_besov_two_modes_matches_definition():
-    grid = make_grid(256, 2.0 * np.pi)
-    f = RealField(grid, np.sin(grid.x) + np.sin(8.0 * grid.x))
-    s = -0.5
-    expected = max(
-        2.0 ** (s * k) * l2_norm(project_band(f, k)) for k in resolved_bands(grid)
-    )
-    assert besov_norm(f, s) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -110,24 +110,6 @@ def test_single_step_matches_stage_algebra(grid):
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-def test_undealiased_march_matches_on_band_limited_data(wide):
-    # below n/6 the cubic products cannot alias, so the product grid of n
-    # points (no padding) and of 2n points give the same march to round-off;
-    # the band edge (mode 16 of 128) leaves room for the spread over the run
-    phi0 = small_state(wide, seed=30, eps=0.1, bandlimit=2.0)
-    v0 = small_state(wide, seed=31, eps=1.0, bandlimit=2.0)
-
-    def finals(dealias):
-        cfg = SolverConfig(dt=1e-3, t_end=0.05, snapshot_stride=25, dealias=dealias)
-        single = integrate(FlowKind("third_order_bo"), phi0, cfg)
-        _, v = integrate_linearized_pair(phi0, v0, cfg)
-        _, w = integrate_adjoint_pair(phi0, v0, cfg)
-        return [single.final().values, v.final().values, w.frames[0][1].values]
-
-    for a, b in zip(finals(True), finals(False)):
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
-
-
 # ---------------------------------------------------------------------------
 # convergence
 
@@ -169,20 +151,6 @@ def test_l2_is_conserved_on_short_run(wide):
     # tight-budget version at dt = 1e-4
     for _, fld in traj.frames:
         assert l2_norm(fld) == pytest.approx(n0, rel=1e-8)
-
-
-def test_benjamin_ono_conserves_its_energies(wide):
-    # exercises the second dispersion symbol; the cross term of E1 cancels
-    # against the transport only if that symbol is right
-    from bo3.invariants import track
-
-    data = small_state(wide, seed=30, eps=0.2, bandlimit=3.0)
-    cfg = SolverConfig(dt=5e-4, t_end=0.5, snapshot_stride=200)
-    traj = integrate(FlowKind("benjamin_ono"), data, cfg)
-    series = track(traj, ["E0", "E1", "E2"])
-    assert series.drift("E0") <= 1e-10
-    assert series.drift("E1") <= 1e-8
-    assert series.drift("E2") <= 1e-8
 
 
 def test_time_reversal(wide):
@@ -301,8 +269,6 @@ def test_transform_budget_per_stage(wide, monkeypatch):
     one_step = SolverConfig(dt=1e-3, t_end=1e-3)
     assert budget(lambda: integrate(FlowKind("third_order_bo"), phi0, one_step)) == (
         [2] * 4, [2] * 4)
-    assert budget(lambda: integrate(FlowKind("benjamin_ono"), phi0, one_step)) == (
-        [1] * 4, [1] * 4)
     for pair in (integrate_linearized_pair, integrate_adjoint_pair):
         assert budget(lambda: pair(phi0, v0, one_step)) == ([2, 2] * 4, [2, 2] * 4)
 

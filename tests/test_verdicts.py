@@ -70,7 +70,8 @@ TINY = {
     "normalform_scaling": ["analysis.t_probe=0.005"],
     "linearized_l2": ["solver.dt=1e-3", "solver.t_end=0.005", "solver.snapshot_stride=5"],
     "lnl_conservation": ["solver.dt=1e-3", "solver.t_end=0.005", "solver.snapshot_stride=5"],
-    "decay_profile": ["solver.dt=5e-3", "solver.t_end=0.02", "solver.snapshot_stride=2"],
+    "decay_profile": ["solver.dt=5e-3", "solver.t_end=0.02", "solver.snapshot_stride=2",
+                      "analysis.report_t_lo=0.01"],
 }
 
 
