@@ -45,7 +45,7 @@ _BOUND_FORMATS = {"in": "[{:.6g}, {:.6g}]", "near": "{:.6g} +- {:.6g}"}
 
 def _shown(check) -> str:
     """Value, test and bound of one check, e.g. ``3.5e-16 <= 1e-08``."""
-    if check.bound is None:  # a blow-up: the value is the time it happened
+    if check.bound is None:  # a stopped run: the value is the time it stopped
         return f"{check.metric} {check.value:.6g}"
     fmt = _BOUND_FORMATS.get(check.test, "{:.6g}")
     bound = check.bound if isinstance(check.bound, tuple) else (check.bound,)

@@ -27,7 +27,7 @@ from . import dispersion, invariants, normalform, plotting, profiles, snapshots
 from .flows import (FlowKind, adjoint_linearized_rhs, airy_propagate, linearized_tbo_rhs,
                     tbo_rhs)
 from .invariants import l2_norm
-from .spectral import RealField, make_grid, sobolev_norm
+from .spectral import BandError, RealField, check_band, make_grid, sobolev_norm
 from .spectral import envelope as spectral_envelope
 from .stepper import (BlowUpError, SolverConfig, integrate, integrate_linearized_pair,
                       convergence_order)
@@ -45,7 +45,6 @@ __all__ = [
     "EXPERIMENTS",
     "TOLERANCES",
     "judge",
-    "default_config",
     "config_from_dict",
     "config_to_dict",
     "apply_override",
@@ -230,38 +229,6 @@ def judge(metrics: dict, specs=TOLERANCES) -> dict:
 # Config plumbing
 
 
-def default_config(experiment: str) -> ExperimentConfig:
-    """Canonical parameters of each experiment suite."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; known: {sorted(EXPERIMENTS)}")
-    cfg = ExperimentConfig(experiment=experiment)
-    if experiment == "scaling":
-        cfg.solver = SolverParams(dt=2e-4, t_end=0.25, snapshot_stride=1250)
-    elif experiment == "airy_decay":
-        cfg.grid = GridParams(n=4096, length=1024.0 * math.pi)
-        cfg.data = DataParams(profile="airy_packet", amplitude=1.0, width=0.9, bandlimit=2.0)
-    elif experiment == "strichartz":
-        cfg.grid = GridParams(n=4096, length=2.0 * math.pi)
-        cfg.data = DataParams(profile="random_bandlimited", amplitude=1.0, bandlimit=4096.0)
-    elif experiment == "normalform_scaling":
-        cfg.grid = GridParams(n=1024, length=64.0 * math.pi)
-        cfg.data = DataParams(profile="random_bandlimited", amplitude=1.0, bandlimit=3.5)
-    elif experiment == "linearized_l2":
-        cfg.solver = SolverParams(dt=5e-4, t_end=1.0, snapshot_stride=100)
-    elif experiment == "lnl_conservation":
-        # data reaches well above twice the moving frequency cutoff so the
-        # cubic energy correction is genuinely exercised on [0, 1]; no
-        # x-weighted quantity is involved, so a compact domain with high
-        # resolved bandwidth is the right rig
-        cfg.grid = GridParams(n=1024, length=64.0 * math.pi)
-        cfg.data = DataParams(profile="gaussian_bump", amplitude=0.05, width=0.8,
-                              bandlimit=5.0)
-        cfg.solver = SolverParams(dt=5e-4, t_end=1.0, snapshot_stride=100)
-    elif experiment == "decay_profile":
-        cfg.solver = SolverParams(dt=5e-3, t_end=50.0, snapshot_stride=100)
-    return cfg
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = dataclasses.asdict(cfg)
     for key in ("bands", "amplitudes", "k_bands", "conv_dts"):
@@ -314,9 +281,6 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
     leaf = parts[-1]
     if not hasattr(obj, leaf):
         raise ConfigError(f"unknown config field {path!r}")
-    current = getattr(obj, leaf)
-    if isinstance(current, tuple) and isinstance(value, list):
-        value = tuple(value)
     setattr(obj, leaf, value)
 
 
@@ -365,10 +329,15 @@ def _grid(prefix: str, n, length):
         raise ConfigError(f"{prefix}n={n!r}, {prefix}length={length!r}: {exc}") from None
 
 
-def _check_bands(name: str, bands, grid) -> None:
+def _check_bands(name: str, bands, grid, check=check_band) -> None:
+    """Raise ConfigError unless ``bands`` is a nonempty list that ``check(grid, k)`` passes."""
+    if not bands:
+        raise ConfigError(f"{name} must not be empty")
     for k in bands:
-        if not 0 <= k <= math.log2(grid.xi_max):
-            raise ConfigError(f"{name} holds band {k}, outside the resolved bands of {grid!r}")
+        try:
+            check(grid, k)
+        except BandError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -388,8 +357,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
+    try:
+        _make_data(cfg)
+    except (ValueError, OverflowError) as exc:
+        shown = ", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
+        raise ConfigError(f"{shown}: {exc}") from None
     ana = cfg.analysis
     _grid("analysis.conv_", ana.conv_n, ana.conv_length)
+    if ana.t_probe < 0:
+        raise ConfigError(f"analysis.t_probe must be nonnegative, got {ana.t_probe}")
     for name in ("residual_dt", "conv_t_end", "scale_factor", "window_factor", "vf_t_hi"):
         if getattr(ana, name) <= 0:
             raise ConfigError(f"analysis.{name} must be positive, got {getattr(ana, name)}")
@@ -407,11 +383,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     amps = list(ana.amplitudes)
     if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
         raise ConfigError(f"analysis.amplitudes must be positive and increase, got {amps}")
-    if not (ana.bands and ana.k_bands):
-        raise ConfigError("analysis.bands and analysis.k_bands must not be empty")
-    _check_bands("analysis.bands", ana.bands, grid)
-    if cfg.experiment == "normalform_scaling" and len(ana.amplitudes) < 4:
-        raise ConfigError("normalform_scaling needs at least four amplitudes")
+    if cfg.experiment == "normalform_scaling":
+        # the bands the body hands to the band normal form, under its own rule
+        _check_bands("analysis.bands", ana.bands, grid, normalform._check_band)
+        if len(ana.amplitudes) < 4:
+            raise ConfigError("normalform_scaling needs at least four amplitudes")
     if cfg.experiment == "decay_profile" and ana.report_t_lo > cfg.solver.t_end:
         raise ConfigError(f"analysis.report_t_lo = {ana.report_t_lo} exceeds solver.t_end = "
                           f"{cfg.solver.t_end}: no frame would be judged")
@@ -638,12 +614,21 @@ def _pairing(a: RealField, b: RealField) -> float:
     return float(a.grid.spacing * np.sum(a.values * b.values))
 
 
-def _exp_linearized(cfg, out_dir):
+def _linearized_run(cfg):
+    """The data phi0, a random perturbation v0 of the same size and band, and
+    the trajectories of the pair (phi, v) marched from (phi0, v0)."""
     phi0 = _make_data(cfg)
+    v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=cfg.data.amplitude,
+                               bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
+    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver.build())
+    _flag_resolution(phi_traj)
+    return phi0, v0, phi_traj, v_traj
+
+
+def _exp_linearized(cfg, out_dir):
+    phi0, v0, phi_traj, v_traj = _linearized_run(cfg)
     grid = phi0.grid
     eps = cfg.data.amplitude
-    v0 = profiles.make_profile("random_bandlimited", grid, amplitude=eps,
-                               bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
 
     # instantaneous duality of the linearized and adjoint right-hand sides
     duality = 0.0
@@ -666,8 +651,6 @@ def _exp_linearized(cfg, out_dir):
     lin = linearized_tbo_rhs(v0, phi0).values
     gateaux = float(np.max(np.abs(fd - lin)) / (np.max(np.abs(lin)) + 1e-300))
 
-    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver.build())
-    _flag_resolution(phi_traj)
     series = invariants.track_pair(phi_traj, v_traj, ["v_l2"])
     growth = series.channels["v_l2"] / series.channels["v_l2"][0]
     c_max = float(np.max(growth))
@@ -685,12 +668,8 @@ def _exp_linearized(cfg, out_dir):
 
 
 def _exp_lnl_conservation(cfg, out_dir):
-    phi0 = _make_data(cfg)
+    _, _, phi_traj, v_traj = _linearized_run(cfg)
     eps = cfg.data.amplitude
-    v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=eps,
-                               bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
-    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver.build())
-    _flag_resolution(phi_traj)
     series = invariants.track_pair(
         phi_traj, v_traj,
         ["y_l2", "modified_energy", "modified_energy_cubic"],
@@ -783,14 +762,22 @@ EXPERIMENTS = {
 }
 
 
+# Each error that stops a measurement, with the (verdict, metric) of the one
+# failed check that then ends the run; the metric is the time of the stop.
+# ``finite``: the solution blew up.  ``interior``: the evolution reached the
+# periodic seam, so the domain is too small for the horizon.
+_STOPS = {BlowUpError: ("finite", "blowup_time"),
+          dispersion.WrapAroundError: ("interior", "wraparound_time")}
+
+
 def run_experiment(cfg: ExperimentConfig, base_dir=None) -> ExperimentResult:
     """Validate, run, and persist one experiment.
 
     Artifacts land in ``<base>/<experiment>/``; ``base`` is, in order of
     precedence, the ``base_dir`` argument, the BO3_OUT environment variable,
     or ``cfg.output_dir``.  The body's metrics are judged by ``judge``; a run
-    whose solution loses finiteness ends with the single failed check
-    ``finite`` on its metric ``blowup_time``.
+    that stops early (blow-up, wrap-around) ends with one failed check from
+    ``_STOPS``.
     """
     validate_config(cfg)
     base = Path(base_dir or os.environ.get("BO3_OUT") or cfg.output_dir)
@@ -802,9 +789,10 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None) -> ExperimentResult:
         try:
             metrics, outputs = EXPERIMENTS[cfg.experiment](cfg, out_dir)
             checks = judge(metrics)
-        except BlowUpError as exc:
-            metrics, outputs = {"blowup_time": exc.time}, []
-            checks = {"finite": Check(False, exc.time, None, math.nan, "blowup_time", "finite")}
+        except tuple(_STOPS) as exc:
+            name, metric = _STOPS[type(exc)]
+            metrics, outputs = {metric: exc.time}, []
+            checks = {name: Check(False, exc.time, None, math.nan, metric, name)}
         collected = [f"{w.category.__name__}: {w.message}" for w in caught]
 
     def number(v):  # JSON has no NaN or infinity

@@ -200,13 +200,7 @@ def airy_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
 
 def airy_propagate(f, t: float):
     """Exact solution of ``phi_t = phi_xxx`` after time t."""
-    grid = f.grid
-    out = airy_symbol(grid, t) * f.spectrum
-    if isinstance(f, RealField):
-        return RealField.from_spectrum(grid, out)
-    from .spectral import ComplexField
-
-    return ComplexField.from_spectrum(grid, out)
+    return type(f).from_spectrum(f.grid, airy_symbol(f.grid, t) * f.spectrum)
 
 
 def _check_same_grid(*fields):

@@ -121,9 +121,13 @@ PROFILES = {
 def make_profile(name: str, grid: SpectralGrid, amplitude: float = 1.0,
                  center: float = 0.0, width: float = 4.0,
                  bandlimit: float = 1.0, seed: int = 0) -> RealField:
-    """Build a named profile scaled to the requested amplitude."""
+    """Build a named profile scaled to the requested amplitude; it must be finite."""
     if name not in PROFILES:
         raise KeyError(f"unknown profile {name!r}; known: {sorted(PROFILES)}")
-    base = PROFILES[name](grid, center=center, width=width,
-                          bandlimit=bandlimit, seed=seed)
-    return RealField(grid, amplitude * base.values)
+    with np.errstate(all="ignore"):  # the finiteness check below reports
+        base = PROFILES[name](grid, center=center, width=width,
+                              bandlimit=bandlimit, seed=seed)
+        values = amplitude * base.values
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"profile {name!r} is not finite at these parameters")
+    return RealField(grid, values)

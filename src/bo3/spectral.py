@@ -44,10 +44,10 @@ __all__ = [
     "range_multiplier",
     "half_multiplier",
     "resolved_bands",
+    "check_band",
     "project_band",
     "project_below",
     "project_range",
-    "mean",
     "l2_norm",
     "sobolev_norm",
     "envelope",
@@ -180,17 +180,6 @@ class ComplexField(_Field):
         return cls(grid, np.fft.ifft(s), s.copy())
 
 
-def _like(f, grid, spectrum):
-    """Rebuild a field of the same kind as ``f`` from a spectrum."""
-    if isinstance(f, RealField):
-        return RealField.from_spectrum(grid, spectrum)
-    return ComplexField.from_spectrum(grid, spectrum)
-
-
-def mean(f) -> float:
-    return float(np.mean(f.values.real)) if isinstance(f, RealField) else complex(np.mean(f.values))
-
-
 def l2_norm(f) -> float:
     """Continuum L2 norm over one period (trapezoid-exact for trig polys)."""
     return float(np.sqrt(f.grid.spacing * np.sum(np.abs(f.values) ** 2)))
@@ -216,7 +205,7 @@ def hilbert(f: RealField) -> RealField:
     grid = f.grid
     out = (-1j * grid._sgn) * f.spectrum
     out[grid.nyquist_index] = 0.0
-    return _like(f, grid, out)
+    return type(f).from_spectrum(grid, out)
 
 
 def derivative(f, order: int = 1):
@@ -227,7 +216,7 @@ def derivative(f, order: int = 1):
     out = (1j * grid.xi) ** order * f.spectrum
     if order % 2 == 1:
         out[grid.nyquist_index] = 0.0
-    return _like(f, grid, out)
+    return type(f).from_spectrum(grid, out)
 
 
 def antiderivative(f: RealField) -> RealField:
@@ -242,7 +231,7 @@ def antiderivative(f: RealField) -> RealField:
     nz = grid.xi != 0.0
     out[nz] = f.spectrum[nz] / (1j * grid.xi[nz])
     out[grid.nyquist_index] = 0.0
-    return _like(f, grid, out)
+    return type(f).from_spectrum(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +285,7 @@ def refine(f, factor: int = 2):
     """Trigonometric interpolation of a field onto a ``factor`` times finer grid."""
     grid = f.grid
     fine = SpectralGrid(factor * grid.n, grid.length)
-    spec = pad_spectrum(f.spectrum, grid.n, factor)
-    if isinstance(f, RealField):
-        return RealField.from_spectrum(fine, spec)
-    return ComplexField.from_spectrum(fine, spec)
+    return type(f).from_spectrum(fine, pad_spectrum(f.spectrum, grid.n, factor))
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +322,15 @@ def resolved_bands(grid: SpectralGrid) -> range:
     return range(0, int(np.floor(np.log2(grid.xi_max))) + 1)
 
 
-def _check_band(grid: SpectralGrid, k: int) -> None:
-    if k < 0 or 2.0**k > grid.xi_max:
+def check_band(grid: SpectralGrid, k: int) -> None:
+    """Raise BandError unless band k is one of the grid's ``resolved_bands``."""
+    if k not in resolved_bands(grid):
         raise BandError(f"band {k} outside resolved range of {grid!r}")
 
 
 def band_multiplier(grid: SpectralGrid, k: int) -> np.ndarray:
     """Smooth projector onto the band ``|xi| ~ 2**k`` (block |xi|<~1 for k=0)."""
-    _check_band(grid, k)
+    check_band(grid, k)
     if k == 0:
         return dyadic_bump(grid.xi)
     return dyadic_bump(grid.xi / 2.0**k) - dyadic_bump(grid.xi / 2.0 ** (k - 1))
@@ -370,10 +357,7 @@ def half_multiplier(grid: SpectralGrid, half: str) -> np.ndarray:
 
 
 def _apply_mask(f, mask: np.ndarray, force_complex: bool):
-    out = mask * f.spectrum
-    if force_complex or isinstance(f, ComplexField):
-        return ComplexField.from_spectrum(f.grid, out)
-    return RealField.from_spectrum(f.grid, out)
+    return (ComplexField if force_complex else type(f)).from_spectrum(f.grid, mask * f.spectrum)
 
 
 def project_band(f, band):

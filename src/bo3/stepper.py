@@ -63,7 +63,6 @@ class Trajectory:
 
     frames: list  # list of (time, RealField)
     config: SolverConfig
-    kind_tag: str = "third_order_bo"
     warnings: list = field(default_factory=list)  # list of (time, kind)
 
     def __post_init__(self):
@@ -176,13 +175,13 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
         if config.t_end > 0.0:
             n_steps, h = _snapshot_plan(config.t_end, config.dt)
             steps += _frame_steps(n_steps, config.snapshot_stride)
-        return Trajectory([(j * h, flows.airy_propagate(f0, j * h)) for j in steps], config, tag)
+        return Trajectory([(j * h, flows.airy_propagate(f0, j * h)) for j in steps], config)
 
     require_mean_free(f0)
     ws = flows._workspace(grid)
     nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
     (frames,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
-    return Trajectory(frames, config, tag, warns)
+    return Trajectory(frames, config, warns)
 
 
 def _pair_march(phi, sec, sec_tag, t0, t_span, config):
@@ -208,8 +207,7 @@ def _pair_march(phi, sec, sec_tag, t0, t_span, config):
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):
     """Co-evolve the nonlinear state and its linearization with shared stages."""
     (phi, v), warns = _pair_march(phi0, v0, "linearized_tbo", 0.0, config.t_end, config)
-    return (Trajectory(phi, config, "third_order_bo", list(warns)),
-            Trajectory(v, config, "linearized_tbo", list(warns)))
+    return Trajectory(phi, config, list(warns)), Trajectory(v, config, list(warns))
 
 
 def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfig):
@@ -221,8 +219,7 @@ def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfi
     """
     (phi, w), warns = _pair_march(phi_T, w_T, "adjoint_linearized_tbo",
                                   config.t_end, -config.t_end, config)
-    return (Trajectory(phi[::-1], config, "third_order_bo", warns[::-1]),
-            Trajectory(w[::-1], config, "adjoint_linearized_tbo", warns[::-1]))
+    return Trajectory(phi[::-1], config, warns[::-1]), Trajectory(w[::-1], config, warns[::-1])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,7 +7,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from bo3.experiments import config_from_dict
 from bo3.spectral import RealField, make_grid
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+
+def shipped_config(name):
+    """The canonical config of an experiment: ``configs/<name>.json``, loaded."""
+    return config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from bo3.experiments import (
     TOLERANCES,
     apply_override,
     config_to_dict,
-    default_config,
     run_experiment,
 )
 from bo3.flows import FlowKind, airy_propagate
@@ -33,7 +32,7 @@ from bo3.spectral import (
 )
 from bo3.stepper import SolverConfig, integrate
 
-from conftest import random_bandlimited_field
+from conftest import random_bandlimited_field, shipped_config
 
 
 def report(num, name, ok, detail=""):
@@ -50,7 +49,7 @@ def rig():
 
 
 def _canonical(name, tmp_path_factory, overrides=()):
-    cfg = default_config(name)
+    cfg = shipped_config(name)
     for ov in overrides:
         apply_override(cfg, ov)
     out = tmp_path_factory.mktemp(f"canon_{name}")
@@ -290,7 +289,7 @@ def test_criterion_12_bilinear_strichartz(strichartz_result):
 
 
 def test_criterion_13_reproducibility(tmp_path):
-    cfg = default_config("normalform_scaling")
+    cfg = shipped_config("normalform_scaling")
     apply_override(cfg, "analysis.t_probe=0.02")
     cfg_path = tmp_path / "nf.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))

@@ -19,12 +19,11 @@ from bo3.experiments import (
     apply_override,
     config_from_dict,
     config_to_dict,
-    default_config,
     run_experiment,
     validate_config,
 )
 
-CONFIG_DIR = Path(__file__).parent.parent / "configs"
+from conftest import CONFIG_DIR, shipped_config
 
 FAST_OVERRIDES = {
     "conserve": ["grid.n=256", "grid.length=201.06192982974676", "solver.dt=1e-3",
@@ -45,7 +44,7 @@ FAST_OVERRIDES = {
 
 
 def fast_config(name):
-    cfg = default_config(name)
+    cfg = shipped_config(name)
     for ov in FAST_OVERRIDES[name]:
         apply_override(cfg, ov)
     return cfg
@@ -56,8 +55,12 @@ def fast_config(name):
 
 
 def test_shipped_configs_round_trip_and_validate():
-    for path in sorted(CONFIG_DIR.glob("*.json")):
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    # one shipped config per experiment: the acceptance suite runs exactly these
+    assert {path.stem for path in paths} == set(EXPERIMENTS)
+    for path in paths:
         raw = json.loads(path.read_text())
+        assert raw["experiment"] == path.stem
         cfg = config_from_dict(raw)
         validate_config(cfg)
         assert config_to_dict(cfg) == raw
@@ -73,16 +76,16 @@ def test_config_rejects_unknown_fields():
 
 
 def test_validate_catches_bad_parameters():
-    cfg = default_config("conserve")
+    cfg = shipped_config("conserve")
     cfg.grid.n = 100
     with pytest.raises(ConfigError):
         validate_config(cfg)
-    cfg = default_config("normalform_scaling")
-    cfg.analysis.bands = (1, 9)
+    cfg = shipped_config("normalform_scaling")
+    cfg.analysis.bands = [1, 9]
     with pytest.raises(ConfigError):
         validate_config(cfg)
-    cfg = default_config("normalform_scaling")
-    cfg.analysis.amplitudes = (0.08, 0.04, 0.02, 0.01)
+    cfg = shipped_config("normalform_scaling")
+    cfg.analysis.amplitudes = [0.08, 0.04, 0.02, 0.01]
     with pytest.raises(ConfigError):
         validate_config(cfg)
 
@@ -105,7 +108,7 @@ SCALARS = st.one_of(st.integers(-2**16, 2**16), st.integers(2**1024, 2**1100), s
                           st.one_of(SCALARS, st.lists(SCALARS, max_size=4))),
                 min_size=1, max_size=2))
 def test_fuzzed_overrides_validate_or_raise_config_error(experiment, overrides):
-    cfg = default_config(experiment)
+    cfg = shipped_config(experiment)
     for path, value in overrides:
         apply_override(cfg, f"{path}={json.dumps(value)}")
     try:
@@ -115,13 +118,13 @@ def test_fuzzed_overrides_validate_or_raise_config_error(experiment, overrides):
 
 
 def test_override_paths():
-    cfg = default_config("conserve")
+    cfg = shipped_config("conserve")
     apply_override(cfg, "solver.dt=0.5")
     assert cfg.solver.dt == 0.5
     apply_override(cfg, "data.profile=sech_bump")
     assert cfg.data.profile == "sech_bump"
     apply_override(cfg, "analysis.bands=[1,2,3]")
-    assert cfg.analysis.bands == (1, 2, 3)
+    assert cfg.analysis.bands == [1, 2, 3]
     with pytest.raises(ConfigError):
         apply_override(cfg, "solver.step=1")
     with pytest.raises(ConfigError):
@@ -264,6 +267,18 @@ def test_cli_blowup_is_a_failed_verdict(tmp_path, capsys):
     assert not [w for w in manifest["warnings"] if w.startswith("RuntimeWarning")]
 
 
+def test_cli_wraparound_is_a_failed_verdict(tmp_path, capsys):
+    path = write_fast_config(tmp_path, "airy_decay")
+    code = main(["run", str(path), "--set", "analysis.fit_t_hi=1e5",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "FAIL  airy_decay.interior  (wraparound_time " in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out" / "airy_decay" / "manifest.json").read_text())
+    assert manifest["verdicts"] == {"interior": False}
+    assert 1.0 < manifest["metrics"]["wraparound_time"] <= 1e5
+    assert manifest["checks"]["interior"]["metric"] == "wraparound_time"
+
+
 def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
     path = write_fast_config(tmp_path, "conserve")
     for assignment in ("analysis.bands=3", "analysis.conv_dts=abc",
@@ -299,12 +314,30 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              ("conserve", "analysis.conv_t_end=0"),
                              ("scaling", "analysis.scale_factor=0"),
                              ("scaling", "analysis.scale_factor=1"),
-                             ("decay_profile", "solver.t_end=0.5")):
+                             ("decay_profile", "solver.t_end=0.5"),
+                             # initial data that cannot be built, or is not finite
+                             ("strichartz", "data.bandlimit=0"),
+                             ("conserve", "data.width=0"),
+                             ("conserve", "data.bandlimit=0"),
+                             ("normalform_scaling", "analysis.t_probe=-1"),
+                             ("normalform_scaling", "analysis.bands=[0]")):
         path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3, assignment
         assert assignment.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bands_are_checked_only_by_the_experiment_that_reads_them():
+    cfg = shipped_config("conserve")
+    apply_override(cfg, "grid.n=256")  # xi_max = 1 resolves band 0 alone
+    validate_config(cfg)
+    cfg = shipped_config("normalform_scaling")
+    apply_override(cfg, "grid.n=256")  # xi_max = 4 resolves its bands 1 and 2
+    validate_config(cfg)
+    apply_override(cfg, "grid.n=128")  # xi_max = 2 resolves band 1 alone
+    with pytest.raises(ConfigError, match="analysis.bands: band 2 outside"):
+        validate_config(cfg)
 
 
 # Fields with a lower bound, for the boundary values 0, -1 and 1.

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -401,14 +399,6 @@ def test_cubic_scaling_slopes(grid):
     res = cubic_scaling_test(profile, (0.01, 0.02, 0.04, 0.08), 2, t_probe=0.0)
     assert res.slope_raw == pytest.approx(2.0, abs=0.2)
     assert res.slope_gauged == pytest.approx(3.0, abs=0.3)
-
-
-def test_cubic_scaling_linear_flow_sentinel(grid):
-    profile = field_with_bands(grid, seed=17)
-    res = cubic_scaling_test(profile, (0.01, 0.02, 0.04, 0.08), 1,
-                             t_probe=0.01, nonlinear=False)
-    assert math.isinf(res.slope_raw)
-    assert math.isinf(res.slope_gauged)
 
 
 def test_cubic_scaling_validation(grid):

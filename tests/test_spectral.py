@@ -25,6 +25,8 @@ from bo3.spectral import (
     sobolev_norm,
 )
 
+from bo3.flows import airy_propagate
+
 from conftest import random_bandlimited_field
 from oracles import quad, slow_dft, slow_product_spectrum
 
@@ -313,6 +315,28 @@ def test_refine_preserves_samples():
 
 # ---------------------------------------------------------------------------
 # norms
+
+
+# Every operator that rebuilds a field from a spectrum keeps the field's class.
+SAME_CLASS_OPS = {
+    "hilbert": hilbert,
+    "derivative": lambda f: derivative(f, 3),
+    "refine": refine,
+    "project_band": lambda f: project_band(f, 3),
+    "project_below": lambda f: project_below(f, 3),
+    "project_range": lambda f: project_range(f, (1, 5)),
+    "airy_propagate": lambda f: airy_propagate(f, 0.01),
+}
+
+
+@pytest.mark.parametrize("cls", [RealField, ComplexField])
+@pytest.mark.parametrize("name", sorted(SAME_CLASS_OPS))
+def test_operators_return_the_input_class(name, cls, grid2pi):
+    op = SAME_CLASS_OPS[name]
+    f = random_bandlimited_field(grid2pi, seed=3)
+    out, ref = op(cls(grid2pi, f.values)), op(f).values
+    assert type(out) is cls
+    np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_l2_norm_of_sine(grid2pi):

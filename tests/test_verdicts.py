@@ -11,10 +11,11 @@ from bo3.experiments import (
     EXPERIMENTS,
     TOLERANCES,
     apply_override,
-    default_config,
     judge,
     run_experiment,
 )
+
+from conftest import shipped_config
 
 # Every spec with the bound it has always had.
 PINNED_SPECS = {
@@ -91,7 +92,7 @@ def test_every_tolerance_is_judged_by_exactly_one_experiment():
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_each_experiment_gives_its_pinned_verdicts(experiment, tmp_path):
-    cfg = default_config(experiment)
+    cfg = shipped_config(experiment)
     for ov in TINY[experiment]:
         apply_override(cfg, ov)
     res = run_experiment(cfg, base_dir=tmp_path)
