@@ -2,7 +2,7 @@
 
     bo3 run <config.json> [--set path=value]... [--out DIR]
     bo3 plot <csv> --x COL --y COL [--y COL2 ...] [--loglog] [--out FILE]
-    bo3 validate <config.json>
+    bo3 validate <config.json> [--set path=value]...
 
 Exit codes: 0 pass, 1 fail, 2 degraded (pass with warnings), 3 usage or
 configuration error, 4 crash (any other exception; its traceback goes to
@@ -52,11 +52,16 @@ def _shown(check) -> str:
     return f"{check.value:.6g} {check.test} {fmt.format(*bound)}"
 
 
-def _cmd_run(args) -> int:
+def _load_overridden(args):
+    """The config of ``args.config`` with every ``--set`` override applied."""
     cfg = _load_config(args.config)
     for assignment in args.set or []:
         apply_override(cfg, assignment)
-    result = run_experiment(cfg, base_dir=args.out)
+    return cfg
+
+
+def _cmd_run(args) -> int:
+    result = run_experiment(_load_overridden(args), base_dir=args.out)
     for name, check in sorted(result.checks.items()):
         print(f"{'PASS' if check.passed else 'FAIL'}  {result.name}.{name}  ({_shown(check)})")
     for w in result.warnings:
@@ -65,7 +70,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_overridden(args)
     validate_config(cfg)
     print(f"ok: {args.config} ({cfg.experiment})")
     return 0
@@ -84,14 +89,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
-    p_run.add_argument("config")
-    p_run.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="override one scalar config field")
+    p_val = sub.add_parser("validate", help="check a config without running it")
+    for p in (p_run, p_val):
+        p.add_argument("config")
+        p.add_argument("--set", action="append", metavar="PATH=VALUE",
+                       help="override one config field")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)
-
-    p_val = sub.add_parser("validate", help="check a config without running it")
-    p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
 
     p_plot = sub.add_parser("plot", help="render an experiment CSV as SVG")

@@ -103,8 +103,8 @@ class SolverParams:
 class AnalysisParams:
     delta: float = 0.05
     c_region: float = 1.0
-    bands: tuple[int, ...] = (1, 2)
-    amplitudes: tuple[float, ...] = (0.01, 0.02, 0.04, 0.08)
+    bands: list[int] = field(default_factory=lambda: [1, 2])
+    amplitudes: list[float] = field(default_factory=lambda: [0.01, 0.02, 0.04, 0.08])
     t_probe: float = 0.1
     residual_dt: float = 1e-3
     fit_t_lo: float = 1.0
@@ -113,11 +113,11 @@ class AnalysisParams:
     vf_t_hi: float = 20.0
     vf_points: int = 9
     j_band: int = 2
-    k_bands: tuple[int, ...] = (5, 6, 7, 8, 9, 10)
+    k_bands: list[int] = field(default_factory=lambda: [5, 6, 7, 8, 9, 10])
     time_samples: int = 64
     window_factor: float = 0.125
     scale_factor: float = 2.0
-    conv_dts: tuple[float, ...] = (4e-3, 2e-3, 1e-3)
+    conv_dts: list[float] = field(default_factory=lambda: [4e-3, 2e-3, 1e-3])
     conv_t_end: float = 0.5
     conv_n: int = 128
     conv_length: float = 16.0 * math.pi
@@ -230,10 +230,7 @@ def judge(metrics: dict, specs=TOLERANCES) -> dict:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    for key in ("bands", "amplitudes", "k_bands", "conv_dts"):
-        d["analysis"][key] = list(d["analysis"][key])
-    return d
+    return dataclasses.asdict(cfg)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -306,14 +303,14 @@ def _fits(x, kind) -> bool:
 def _check_fields(prefix: str, obj, names=None) -> None:
     """Raise ConfigError unless each named field of a dataclass fits its annotation.
 
-    A ``tuple[kind, ...]`` field takes a list of such values.
+    A ``list[kind]`` field takes a list of such values.
     """
     hints = typing.get_type_hints(type(obj))
     for name in names or [f.name for f in dataclasses.fields(obj)]:
         hint, value = hints[name], getattr(obj, name)
-        if typing.get_origin(hint) is tuple:
+        if typing.get_origin(hint) is list:
             kind = typing.get_args(hint)[0]
-            ok = isinstance(value, (tuple, list)) and all(_fits(x, kind) for x in value)
+            ok = isinstance(value, list) and all(_fits(x, kind) for x in value)
             what = "a list of " + _KINDS[kind][1]
         else:
             ok, what = _fits(value, hint), _KINDS[hint][0]
@@ -352,15 +349,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad 'solver' section: {exc}") from None
     _check_fields("solver.", cfg.solver)
-    if cfg.data.profile not in profiles.PROFILES:
-        raise ConfigError(f"unknown profile {cfg.data.profile!r}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
+    build, reads = _DATA_BUILDS.get(cfg.experiment, (_make_data, _DATA_FIELDS))
+    if "profile" in reads and cfg.data.profile not in profiles.PROFILES:
+        raise ConfigError(f"unknown profile {cfg.data.profile!r}")
     try:
-        _make_data(cfg)
+        build(cfg)
     except (ValueError, OverflowError) as exc:
-        shown = ", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
+        shown = ", ".join(f"data.{k}={getattr(cfg.data, k)!r}" for k in reads)
         raise ConfigError(f"{shown}: {exc}") from None
     ana = cfg.analysis
     _grid("analysis.conv_", ana.conv_n, ana.conv_length)
@@ -488,7 +486,7 @@ def _exp_scaling(cfg, out_dir):
         devs.append(float(np.max(np.abs(f2.values - lam * f1.values)) / ref))
     csv = out_dir / "scaling.csv"
     snapshots.write_csv(csv, [["t", "pointwise_deviation"]]
-                        + [[t, d] for (t, _), d in zip(base.frames, devs)])
+                        + [[t, d] for t, d in zip(base.times, devs)])
     return {"scaling_agreement": max(devs)}, [csv]
 
 
@@ -521,17 +519,22 @@ def _exp_airy_decay(cfg, out_dir):
     return {"airy_decay_slope": slope, "l_vf_deviation": vf_dev}, [csv, vf_csv, svg]
 
 
-def _exp_strichartz(cfg, out_dir):
+def _strichartz_data(cfg):
+    """Two mean-free random fields under a centred Gaussian window."""
     grid = make_grid(cfg.grid.n, cfg.grid.length)
     envelope = np.exp(-((grid.x / (grid.length / 16.0)) ** 2))
 
-    def windowed(seed):  # mean-free random data under a centred Gaussian window
+    def windowed(seed):
         base = profiles.make_profile("random_bandlimited", grid,
                                      bandlimit=cfg.data.bandlimit, seed=seed).values
         return RealField(grid, envelope * base - np.mean(envelope * base))
 
-    f, g = windowed(cfg.seed), windowed(cfg.seed + 1)
+    return windowed(cfg.seed), windowed(cfg.seed + 1)
 
+
+def _exp_strichartz(cfg, out_dir):
+    f, g = _strichartz_data(cfg)
+    grid = f.grid
     ana = cfg.analysis
     rows = [["j", "k", "halves", "t_end", "ratio"]]
     ratios = []
@@ -556,8 +559,13 @@ def _exp_strichartz(cfg, out_dir):
             "ratio_min": min(ratios), "ratio_max": max(ratios)}, [csv]
 
 
+def _normalform_data(cfg):
+    """The profile of ``cfg.data`` at amplitude 1; the sweep sets the amplitudes."""
+    return _make_data(cfg, amplitude=1.0)
+
+
 def _exp_normalform(cfg, out_dir):
-    profile = _make_data(cfg, amplitude=1.0)
+    profile = _normalform_data(cfg)
     ana = cfg.analysis
     rows = [["epsilon", "k", "t", "residual_raw", "residual_gauged"]]
     metrics = {}
@@ -749,6 +757,15 @@ def _exp_decay_profile(cfg, out_dir):
                "elliptic_log_over_eps": k_ell, "lnl_half_over_eps": lnl_max}
     return metrics, [csv, fit_path, svg]
 
+
+# The initial data of each experiment that builds anything other than
+# ``_make_data(cfg)``, with the ``data`` fields that build reads;
+# validate_config builds it and checks only those fields.
+_DATA_FIELDS = tuple(f.name for f in dataclasses.fields(DataParams))
+_DATA_BUILDS = {
+    "strichartz": (_strichartz_data, ("bandlimit",)),
+    "normalform_scaling": (_normalform_data, ("profile", "center", "width", "bandlimit")),
+}
 
 EXPERIMENTS = {
     "conserve": _exp_conserve,

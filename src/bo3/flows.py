@@ -243,11 +243,17 @@ def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
 
 
 def spectral_tail_fraction(f) -> float:
-    """Fraction of spectral energy carried by the top third of wavenumbers."""
-    grid = f.grid
-    power = np.abs(f.spectrum) ** 2
+    """Fraction of spectral energy carried by the top third of wavenumbers.
+
+    ``f`` is a real field or its half spectrum (the n/2+1 nonnegative
+    wavenumbers).  The top third are the modes with ``|xi| >= (2/3) xi_max``,
+    which on the half spectrum are the indices from n/3 up.
+    """
+    h = f.spectrum[: f.grid.n // 2 + 1] if hasattr(f, "grid") else f
+    power = np.abs(h) ** 2
+    power[1:-1] *= 2.0  # an interior mode stands for itself and its conjugate
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    tail = np.abs(grid.xi) >= (2.0 / 3.0) * grid.xi_max
-    return float(np.sum(power[tail])) / total
+    n = 2 * (len(h) - 1)
+    return float(np.sum(power[(n + 2) // 3:])) / total

@@ -12,6 +12,7 @@ exactly, in one multiplier application per frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,38 +58,73 @@ class SolverConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
 
-@dataclass
-class Trajectory:
-    """Time-stamped frames produced by the integrator."""
+class _Frames(Sequence):
+    """The ``(t, RealField)`` frames of a trajectory, each built when read."""
 
-    frames: list  # list of (time, RealField)
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.times)
+
+    def __getitem__(self, i):
+        traj = self._traj
+        h = traj.spectra[i]  # an int index; IndexError ends iteration
+        ws = flows._workspace(traj.grid)
+        return float(traj.times[i]), RealField(traj.grid, np.fft.irfft(h, ws.n), ws.full(h))
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """Time-stamped frames of a real field, stored as half spectra.  Immutable
+    after creation.
+
+    ``spectra[i]`` holds the n/2+1 nonnegative wavenumbers of the frame at
+    ``times[i]``.  ``frames`` reads them as ``(t, RealField)`` pairs, each
+    field built by one ``irfft`` when it is read, so it is real by
+    construction.
+    """
+
+    grid: SpectralGrid
+    times: np.ndarray  # (F,), strictly increasing
+    spectra: np.ndarray  # (F, n/2+1) complex
     config: SolverConfig
     warnings: list = field(default_factory=list)  # list of (time, kind)
 
     def __post_init__(self):
-        times = [t for t, _ in self.frames]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("frame times must be strictly increasing")
-        grids = {f.grid for _, f in self.frames}
-        if len(grids) > 1:
+        if self.spectra.shape != (len(self.times), self.grid.n // 2 + 1):
+            raise ValueError(f"expected {len(self.times)} half spectra of {self.grid.n // 2 + 1} "
+                             f"modes, got shape {self.spectra.shape}")
+        self.times.setflags(write=False)
+        self.spectra.setflags(write=False)
+
+    @classmethod
+    def from_frames(cls, frames, config: SolverConfig) -> "Trajectory":
+        """Trajectory of ``(time, RealField)`` pairs on one grid."""
+        grids = {f.grid for _, f in frames}
+        if len(grids) != 1:
             raise ValueError("all frames must share one grid")
+        (grid,) = grids
+        times = np.array([t for t, _ in frames], dtype=float)
+        spectra = np.array([f.spectrum[: grid.n // 2 + 1] for _, f in frames])
+        return cls(grid, times, spectra, config)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.asarray([t for t, _ in self.frames])
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.frames[0][1].grid
+    def frames(self) -> _Frames:
+        return _Frames(self)
 
     def final(self) -> RealField:
         return self.frames[-1][1]
 
     def at(self, t: float, atol: float = 1e-9) -> RealField:
-        for s, f in self.frames:
-            if abs(s - t) <= atol:
-                return f
-        raise KeyError(f"no frame at t = {t}")
+        hits = np.flatnonzero(np.abs(self.times - t) <= atol)
+        if not hits.size:
+            raise KeyError(f"no frame at t = {t}")
+        return self.frames[int(hits[0])][1]
 
 
 def _rk4_step(s, h, efull, ehalf, nl):
@@ -107,58 +143,67 @@ def _snapshot_plan(t_end: float, dt: float):
     return n_steps, t_end / n_steps
 
 
-def _frame_steps(n_steps: int, stride) -> list:
-    """Steps after which a march emits a frame: every stride-th and the last."""
-    return [j for j in range(1, n_steps + 1) if j % stride == 0 or j == n_steps]
-
-
-def _march(s0, t0, t_span, config, lam, nl, emit):
-    """March a state from t0 over t_span (signed), emitting frames.
-
-    The state is one half spectrum ``(m,)`` or a stack ``(2, m)``; the
-    ``(m,)`` multipliers built from the linear symbol ``lam`` broadcast over
-    the rows.
-    """
-    s = np.array(s0, dtype=complex)
-    emit(t0, s)
+def _frame_plan(t_span: float, config: SolverConfig):
+    """Signed step width of a march over t_span and the steps after which it
+    emits a frame: every stride-th and the last, none for an empty span."""
     if t_span == 0.0:
+        return 0.0, []
+    n_steps, h = _snapshot_plan(abs(t_span), config.dt)
+    stride = config.snapshot_stride
+    steps = [j for j in range(1, n_steps + 1) if j % stride == 0 or j == n_steps]
+    return math.copysign(h, t_span), steps
+
+
+def _march(s0, t0, plan, lam, nl, emit):
+    """March a state from t0 by the ``_frame_plan`` ``plan``, emitting frames.
+
+    ``emit(i, t, s)`` receives frame i: the state at t0, then the state after
+    each frame step.  The state is one half spectrum ``(m,)`` or a stack
+    ``(2, m)``; the ``(m,)`` multipliers built from the linear symbol ``lam``
+    broadcast over the rows.
+    """
+    h, frame_steps = plan
+    s = np.array(s0, dtype=complex)
+    emit(0, t0, s)
+    if not frame_steps:
         return
-    n_steps, h_abs = _snapshot_plan(abs(t_span), config.dt)
-    h = math.copysign(h_abs, t_span)
     efull = np.exp(lam * h)
     ehalf = np.exp(lam * (h / 2.0))
-    frame_steps = set(_frame_steps(n_steps, config.snapshot_stride))
+    frame_of = {j: i for i, j in enumerate(frame_steps, 1)}
     # a blowing-up state overflows before the finiteness check sees it; that
     # check, not NumPy's warnings, reports the blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, n_steps + 1):
+        for j in range(1, frame_steps[-1] + 1):
             s = _rk4_step(s, h, efull, ehalf, nl)
             t = t0 + j * h
             if not np.all(np.isfinite(s)):
                 raise BlowUpError(t)
-            if j in frame_steps:
-                emit(t, s)
+            if j in frame_of:
+                emit(frame_of[j], t, s)
 
 
 def _recorded_march(ws, s0, t0, t_span, config, nl):
-    """Run ``_march`` on the half spectra of s0, keeping one frame list per row.
+    """Run ``_march`` on the half spectra of s0, writing every frame into one array.
 
-    Frames are built from the full Hermitian spectrum.  Resolution warnings
-    watch row 0, the nonlinear state.
+    Returns the frame times ``(F,)``, the half spectra ``(rows, F, m)`` with
+    one row per stacked state, and the resolution warnings, which watch row
+    0, the nonlinear state.
     """
-    grid, m = ws.grid, ws.half + 1
+    m = ws.half + 1
     s0 = np.asarray(s0)[..., :m]
-    rows, warns = [[] for _ in range(s0.size // m)], []
+    plan = _frame_plan(t_span, config)
+    times = np.empty(len(plan[1]) + 1)
+    spectra = np.empty((s0.size // m, len(times), m), dtype=complex)
+    warns = []
 
-    def emit(t, s):
-        fields = [RealField.from_spectrum(grid, r) for r in ws.full(s.reshape(-1, m))]
-        if flows.spectral_tail_fraction(fields[0]) > config.tail_tol:
+    def emit(i, t, s):
+        times[i] = t
+        spectra[:, i] = s.reshape(-1, m)
+        if flows.spectral_tail_fraction(spectra[0, i]) > config.tail_tol:
             warns.append((t, "resolution"))
-        for frames, fld in zip(rows, fields):
-            frames.append((t, fld))
 
-    _march(s0, t0, t_span, config, flows.linear_symbol(grid)[:m], nl, emit)
-    return rows, warns
+    _march(s0, t0, plan, flows.linear_symbol(ws.grid)[:m], nl, emit)
+    return times, spectra, warns
 
 
 def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Trajectory:
@@ -171,17 +216,15 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
     grid = f0.grid
     tag = kind.tag
     if tag == "airy":
-        steps, h = [0], 0.0
-        if config.t_end > 0.0:
-            n_steps, h = _snapshot_plan(config.t_end, config.dt)
-            steps += _frame_steps(n_steps, config.snapshot_stride)
-        return Trajectory([(j * h, flows.airy_propagate(f0, j * h)) for j in steps], config)
+        h, steps = _frame_plan(config.t_end, config)
+        return Trajectory.from_frames(
+            [(j * h, flows.airy_propagate(f0, j * h)) for j in [0] + steps], config)
 
     require_mean_free(f0)
     ws = flows._workspace(grid)
     nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
-    (frames,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
-    return Trajectory(frames, config, warns)
+    times, (spectra,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
+    return Trajectory(grid, times, spectra, config, warns)
 
 
 def _pair_march(phi, sec, sec_tag, t0, t_span, config):
@@ -206,8 +249,9 @@ def _pair_march(phi, sec, sec_tag, t0, t_span, config):
 
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):
     """Co-evolve the nonlinear state and its linearization with shared stages."""
-    (phi, v), warns = _pair_march(phi0, v0, "linearized_tbo", 0.0, config.t_end, config)
-    return Trajectory(phi, config, list(warns)), Trajectory(v, config, list(warns))
+    times, (phi, v), warns = _pair_march(phi0, v0, "linearized_tbo", 0.0, config.t_end, config)
+    return (Trajectory(phi0.grid, times, phi, config, list(warns)),
+            Trajectory(phi0.grid, times, v, config, list(warns)))
 
 
 def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfig):
@@ -217,9 +261,11 @@ def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfi
     adjoint of the flow linearized around it, from ``w_T``.  Both
     trajectories are returned in increasing time.
     """
-    (phi, w), warns = _pair_march(phi_T, w_T, "adjoint_linearized_tbo",
-                                  config.t_end, -config.t_end, config)
-    return Trajectory(phi[::-1], config, warns[::-1]), Trajectory(w[::-1], config, warns[::-1])
+    times, (phi, w), warns = _pair_march(phi_T, w_T, "adjoint_linearized_tbo",
+                                         config.t_end, -config.t_end, config)
+    times, warns = times[::-1], warns[::-1]
+    return (Trajectory(phi_T.grid, times, phi[::-1], config, warns),
+            Trajectory(phi_T.grid, times, w[::-1], config, list(warns)))
 
 
 @dataclass(frozen=True)

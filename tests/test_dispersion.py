@@ -140,7 +140,7 @@ def test_decay_weights_fits_hyperbolic_exponents():
         frames.append((float(t), airy_propagate(data, float(t))))
     from bo3.stepper import Trajectory
 
-    traj = Trajectory(frames, SolverConfig(dt=1.0, t_end=60.0))
+    traj = Trajectory.from_frames(frames, SolverConfig(dt=1.0, t_end=60.0))
     report = decay_weights(traj)
     assert "hyperbolic_phi" in report.exponents
     assert -0.6 <= report.exponents["hyperbolic_phi"] <= -0.2

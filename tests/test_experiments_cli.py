@@ -66,6 +66,16 @@ def test_shipped_configs_round_trip_and_validate():
         assert config_to_dict(cfg) == raw
 
 
+def test_analysis_list_defaults_are_lists():
+    ana = config_from_dict({"experiment": "conserve"}).analysis
+    for name in ("bands", "amplitudes", "k_bands", "conv_dts"):
+        assert isinstance(getattr(ana, name), list), name
+    assert ana.bands == [1, 2]
+    cfg = config_from_dict({"experiment": "conserve"})
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert AnalysisParams().bands is not AnalysisParams().bands
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError):
         config_from_dict({"experiment": "conserve", "grids": {}})
@@ -328,6 +338,22 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_data_is_checked_only_where_the_experiment_reads_it(tmp_path, capsys):
+    # strichartz reads only data.bandlimit: a profile it never builds neither
+    # fails validation nor changes its table
+    path = write_fast_config(tmp_path, "strichartz")
+    assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", str(path), "--set", "data.profile=sech_bump", "--set", "data.width=0",
+                 "--set", "data.amplitude=7", "--out", str(tmp_path / "b")]) == 0
+    table = Path("strichartz") / "strichartz.csv"
+    assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
+    capsys.readouterr()
+    path = write_fast_config(tmp_path, "conserve")
+    assert main(["run", str(path), "--set", "data.width=0", "--out", str(tmp_path / "c")]) == 3
+    assert "data.width=0" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_bands_are_checked_only_by_the_experiment_that_reads_them():
     cfg = shipped_config("conserve")
     apply_override(cfg, "grid.n=256")  # xi_max = 1 resolves band 0 alone
@@ -427,6 +453,17 @@ def test_cli_validate(tmp_path, capsys):
     notjson = tmp_path / "broken.json"
     notjson.write_text("{oops")
     assert main(["validate", str(notjson)]) == 3
+
+
+def test_cli_validate_applies_overrides(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = CONFIG_DIR / "conserve.json"
+    assert main(["validate", str(path), "--set", "grid.n=100"]) == 3
+    assert "grid.n=100" in capsys.readouterr().err
+    assert main(["validate", str(path), "--set", "solver.dt=1e-3"]) == 0
+    assert capsys.readouterr().out.startswith("ok:")
+    assert main(["validate", str(path), "--set", "solver.step=1"]) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_plot(tmp_path):

@@ -245,3 +245,15 @@ def test_tail_fraction(grid):
     assert spectral_tail_fraction(hot) > 0.9
     zero = RealField(grid, np.zeros(grid.n))
     assert spectral_tail_fraction(zero) == 0.0
+
+
+def test_tail_fraction_of_a_half_spectrum_is_that_of_the_field(grid):
+    # the full-spectrum definition: energy at |xi| >= (2/3) xi_max over all
+    rng = np.random.default_rng(3)
+    for f in (RealField(grid, rng.normal(size=grid.n)),
+              random_bandlimited_field(grid, seed=15, bandlimit=90.0)):
+        power = np.abs(f.spectrum) ** 2
+        full = np.sum(power[np.abs(grid.xi) >= (2.0 / 3.0) * grid.xi_max]) / np.sum(power)
+        half = spectral_tail_fraction(f.spectrum[: grid.n // 2 + 1])
+        assert half == pytest.approx(full, rel=1e-14, abs=1e-300)
+        assert spectral_tail_fraction(f) == half

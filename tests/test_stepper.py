@@ -58,7 +58,51 @@ def test_trajectory_requires_increasing_times(grid):
     f = small_state(grid)
     cfg = SolverConfig()
     with pytest.raises(ValueError):
-        Trajectory([(0.0, f), (0.0, f)], cfg)
+        Trajectory.from_frames([(0.0, f), (0.0, f)], cfg)
+
+
+def test_lazy_frames_match_fields_built_from_the_full_spectrum(wide):
+    data = small_state(wide, seed=3, eps=0.2)
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, snapshot_stride=10)
+    traj = integrate(FlowKind("third_order_bo"), data, cfg)
+    ws = flows._workspace(wide)
+    for (t, fld), h in zip(traj.frames, traj.spectra):
+        old = RealField.from_spectrum(wide, ws.full(h))
+        assert isinstance(t, float) and isinstance(fld, RealField)
+        assert np.array_equal(fld.spectrum, old.spectrum)
+        assert np.max(np.abs(fld.values - old.values)) <= 1e-14 * np.max(np.abs(old.values))
+
+
+def test_trajectory_len_at_and_final(wide):
+    data = small_state(wide, seed=3)
+    cfg = SolverConfig(dt=1e-3, t_end=0.025, snapshot_stride=10)
+    traj = integrate(FlowKind("third_order_bo"), data, cfg)
+    assert len(traj.frames) == 4  # t = 0, the 10th and 20th steps, the last
+    assert [t for t, _ in traj.frames] == pytest.approx([0.0, 0.01, 0.02, 0.025], abs=1e-15)
+    assert np.array_equal(traj.at(0.02).values, traj.frames[2][1].values)
+    assert np.array_equal(traj.final().values, traj.frames[-1][1].values)
+    assert np.max(np.abs(traj.at(0.0).values - data.values)) <= 1e-15
+    with pytest.raises(KeyError):
+        traj.at(0.015)
+    with pytest.raises(IndexError):
+        traj.frames[4]
+    with pytest.raises(ValueError):  # frames are immutable, and so is their storage
+        traj.spectra[0, 1] = 0.0
+
+
+def test_adjoint_frames_run_forward_in_time(wide):
+    phi_T = small_state(wide, seed=3)
+    w_T = small_state(wide, seed=4)
+    cfg = SolverConfig(dt=1e-3, t_end=0.025, snapshot_stride=10)
+    phi, w = integrate_adjoint_pair(phi_T, w_T, cfg)
+    assert len(phi.frames) == len(w.frames) == 4
+    assert np.all(np.diff(phi.times) > 0.0) and phi.times[0] == pytest.approx(0.0, abs=1e-15)
+    # the march starts at t_end, so the final frames are the data themselves
+    for traj, data in ((phi, phi_T), (w, w_T)):
+        assert traj.times[-1] == cfg.t_end
+        assert np.max(np.abs(traj.final().values - data.values)) <= 1e-15
+    backward = [t for t, _ in reversed(phi.frames)]
+    assert backward == sorted(backward, reverse=True) and len(backward) == 4
 
 
 # ---------------------------------------------------------------------------
