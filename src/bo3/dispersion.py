@@ -139,15 +139,16 @@ def _weighted_channels(fld: RealField, t: float, delta: float, mask_obj: RegionM
     return rows
 
 
-def decay_weights(traj, delta: float = 0.05, c_region: float = 1.0) -> DecayReport:
-    """Measure the Airy-weighted amplitude channels along a trajectory.
+def decay_weights(frames, delta: float = 0.05, c_region: float = 1.0) -> DecayReport:
+    """Measure the Airy-weighted amplitude channels along ``(t, field)`` frames,
+    such as a trajectory's ``frames``.
 
     Frames at t = 0 are skipped (the weights are singular there).  Both
     placements of the small exponent ``delta`` are computed and labeled.
     """
     rows = []
     hyp_t, hyp_phi, hyp_phix = [], [], []
-    for t, fld in traj.frames:
+    for t, fld in frames:
         if t <= 0.0:
             continue
         mask_obj = classify(fld.grid, t, c_region)

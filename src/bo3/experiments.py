@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -397,7 +398,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                               f"j_band = {ana.j_band}, got {list(ana.k_bands)}")
 
 
+@functools.cache
 def build_version() -> str:
+    """Package version plus ``git describe`` of the source tree, computed
+    once per process."""
     here = Path(__file__).resolve().parent
     try:
         out = subprocess.run(
@@ -709,7 +713,8 @@ def _exp_decay_profile(cfg, out_dir):
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver.build())
     _flag_resolution(traj)
     ana = cfg.analysis
-    report = dispersion.decay_weights(traj, delta=ana.delta, c_region=ana.c_region)
+    frames = list(traj.frames)  # built once, read by both passes below
+    report = dispersion.decay_weights(frames, delta=ana.delta, c_region=ana.c_region)
     cols = ["t", "region", "weighted_phi_sup", "weighted_phix_sup",
             "elliptic_phi_over_log", "elliptic_phix_over_log"]
     rows = [cols] + [[r[c] for c in cols] for r in report.rows]
@@ -738,7 +743,7 @@ def _exp_decay_profile(cfg, out_dir):
         if r["region"] == "elliptic" and np.isfinite(r["elliptic_phi_over_log"]):
             k_ell = max(k_ell, r["elliptic_phi_over_log"] / eps,
                         r["elliptic_phix_over_log"] / eps)
-    for t, fld in traj.frames:
+    for t, fld in frames:
         if t >= ana.report_t_lo:
             val = sobolev_norm(invariants.l_nonlinear(fld, t), 0.5, homogeneous=True)
             lnl_max = max(lnl_max, val / eps)

@@ -11,8 +11,9 @@ exactly), its linearization around a background, and the backward adjoint of
 that linearization.  Every evolved field is real, so the kernels work on its
 half spectrum, the n/2+1 nonnegative wavenumbers: one batched ``irfft`` takes
 two rows (phi and H phi_x of a state, or their derivative pair for the
-adjoint; multipliers cached once per grid) to the product grid of 2n points,
-and one batched ``rfft`` brings two products back.  That 2x zero-padding
+adjoint) to the product grid of 2n points, and one batched ``rfft`` brings
+two products back, all in buffers and with multipliers cached once per grid
+(see ``_Workspace``).  That 2x zero-padding
 dealiases every quadratic and cubic product, and under it the flux form
 equals the expanded one up to round-off: the aliases of a cubic product land
 outside the kept band.
@@ -65,9 +66,30 @@ class FlowKind:
 
 
 class _Workspace:
-    """Cached symbols and one padding buffer for one grid (not for concurrent use)."""
+    """Cached symbols and preallocated buffers for one grid.
 
-    __slots__ = ("grid", "n", "half", "big", "table", "ik", "absk", "pad")
+    Every kernel writes into these buffers, so a workspace is not re-entrant
+    and not thread-safe.  Each buffer has one role, so none is overwritten
+    while another kernel still reads it:
+
+    * ``pad``: the padded half spectrum that ``to_phys`` transforms;
+    * ``bg``: phi and H phi_x of the background (``product_fields``);
+    * ``sec``: the two rows of the second state of a pair;
+    * ``prod``: the two products that go back to the half spectrum;
+    * ``tmp``: one product-grid row of scratch;
+    * ``spec``: the ``rfft`` of ``prod``.
+
+    ``lam`` is the linear symbol on the half spectrum.  ``out_tbo``,
+    ``out_lin`` and ``out_adj`` are each flow's pair of output
+    multipliers: the half spectrum of the flow's nonlinear part is
+    ``mult[0] * rfft(prod[0]) + mult[1] * rfft(prod[1])`` on the first n/2+1
+    modes.  Each pair folds in the 1/2 that undoes the twice longer
+    ``rfft``, the flow's derivative and Hilbert symbols, and its zeroed
+    Nyquist mode.
+    """
+
+    __slots__ = ("grid", "n", "half", "big", "table", "absk", "lam", "pad", "bg", "sec",
+                 "prod", "tmp", "spec", "out_tbo", "out_lin", "out_adj")
 
     def __init__(self, grid: SpectralGrid):
         n = grid.n
@@ -77,31 +99,39 @@ class _Workspace:
         k = np.abs(grid.xi[: half + 1])
         odd = np.ones(half + 1)  # odd symbols zero the Nyquist mode
         odd[half] = 0.0
-        self.ik = 1j * k * odd
+        ik = 1j * k * odd
         self.absk = k * odd
+        self.lam = linear_symbol(grid)[: half + 1].copy()
         # table rows (see _FIELDS and _DERIVS): phi = s, H phi_x = |k| s,
         # phi_x = ik s and H phi_xx = i k|k| s; the padding keeps the modes
         # below the Nyquist, and the 2 undoes the 1/big of the twice longer irfft
-        table = np.stack((np.ones(half + 1), self.absk, self.ik, 1j * k * k))
+        table = np.stack((np.ones(half + 1), self.absk, ik, 1j * k * k))
         self.table = 2.0 * table[:, :half]
         self.pad = np.zeros((2, n + 1), dtype=complex)
+        self.bg, self.sec, self.prod = (np.empty((2, self.big)) for _ in range(3))
+        self.tmp = np.empty(self.big)
+        self.spec = np.empty((2, n + 1), dtype=complex)
+        # see _tbo_nl, _lin_nl and _adj_nl for the products they multiply
+        self.out_tbo = np.stack((0.5 * ik, 0.1875 * ik * self.absk))
+        self.out_lin = np.stack((0.375 * ik, 0.375 * ik * self.absk))
+        self.out_adj = np.stack((0.375 * odd, 0.375 * self.absk)).astype(complex)
 
-    def to_phys(self, spec, rows):
-        """Product-grid samples of the table rows ``rows`` (a slice) applied to a spectrum.
+    def to_phys(self, spec, rows, out):
+        """Product-grid samples of the table rows ``rows`` (a slice of two)
+        applied to a spectrum, written into ``out`` (2, 2n).
 
         Only the first n/2 coefficients of ``spec`` are read, so a full
         Hermitian spectrum serves as well as a half one.
         """
-        table = self.table[rows]
-        buf = self.pad[: len(table)]
-        np.multiply(table, spec[: self.half], out=buf[:, : self.half])
-        return np.fft.irfft(buf, self.big, axis=-1)
+        np.multiply(self.table[rows], spec[: self.half], out=self.pad[:, : self.half])
+        return np.fft.irfft(self.pad, self.big, axis=-1, out=out)
 
-    def from_phys(self, *vals):
-        """Half spectra of product-grid samples, truncated to the grid's band."""
-        out = np.fft.rfft(np.array(vals), axis=-1)[:, : self.half + 1] * 0.5
-        out[:, self.half] = 0.0
-        return out
+    def from_prod(self, mult, out):
+        """``mult[0]`` times the half spectrum of ``prod[0]`` plus ``mult[1]``
+        times that of ``prod[1]``, written into ``out`` (n/2+1,)."""
+        spec = np.fft.rfft(self.prod, axis=-1, out=self.spec)[:, : self.half + 1]
+        np.multiply(mult, spec, out=spec)
+        return np.add(spec[0], spec[1], out=out)
 
     def full(self, h):
         """Full Hermitian spectrum (last axis n) of a half spectrum (last axis n/2+1)."""
@@ -125,58 +155,84 @@ def _workspace(grid: SpectralGrid) -> _Workspace:
 # Nonlinear parts (half spectrum in, half spectrum out).  The linear term
 # phi_xxx is kept separate so the integrating-factor stepper can treat it
 # exactly.  Each evaluation is one batched irfft of at most two rows and one
-# batched rfft of at most two products; H d_x has the symbol |k|.
+# batched rfft of two products, formed in the workspace's buffers; the
+# result is written into ``out``.  H d_x has the symbol |k|.
 
 _FIELDS = slice(0, 2)  # table rows phi, H phi_x
 _DERIVS = slice(2, 4)  # table rows phi_x, H phi_xx
 
 
-def product_fields(ws: _Workspace, s):
-    """phi and H phi_x of the spectrum s on the product grid."""
-    return ws.to_phys(s, _FIELDS)
+def product_fields(ws: _Workspace, s, out=None):
+    """phi and H phi_x of the spectrum s on the product grid, written into
+    ``out`` (2, 2n), a new array when omitted."""
+    return ws.to_phys(s, _FIELDS, np.empty((2, ws.big)) if out is None else out)
 
 
-def _tbo_nl(ws: _Workspace, fields):
-    # d_x [phi ((3/4) H phi_x - (1/4) phi^2) + (3/8) H d_x (phi^2)]
+def _tbo_nl(ws: _Workspace, fields, out):
+    # d_x [phi ((3/4) H phi_x - (1/4) phi^2) + (3/8) H d_x (phi^2)]:
+    # prod holds the flux and phi^2
     p, hx = fields
-    sq = p * p
-    flux, sq = ws.from_phys(p * (0.75 * hx - 0.25 * sq), sq)
-    return ws.ik * (flux + 0.375 * ws.absk * sq)
+    flux, sq = ws.prod
+    tmp = ws.tmp
+    np.multiply(p, p, out=sq)
+    np.multiply(hx, 0.75, out=tmp)
+    np.multiply(sq, 0.25, out=flux)
+    np.subtract(tmp, flux, out=tmp)
+    np.multiply(p, tmp, out=flux)
+    return ws.from_prod(ws.out_tbo, out)
 
 
-def _lin_nl(ws: _Workspace, fields, s_v):
+def _lin_nl(ws: _Workspace, fields, s_v, out):
     # Gateaux derivative of _tbo_nl at phi (given by its fields) in direction v:
-    # (3/4) d_x [v H phi_x + phi H v_x - phi^2 v + H d_x (phi v)]
+    # (3/4) d_x [v H phi_x + phi H v_x - phi^2 v + H d_x (phi v)];
+    # prod holds the flux v H phi_x + phi (H v_x - phi v) and phi v
     p, hx = fields
-    v, vh = ws.to_phys(s_v, _FIELDS)
-    flux, pv = ws.from_phys(v * hx + p * (vh - p * v), p * v)
-    return 0.75 * ws.ik * (flux + ws.absk * pv)
+    v, vh = ws.to_phys(s_v, _FIELDS, ws.sec)
+    flux, pv = ws.prod
+    tmp = ws.tmp
+    np.multiply(p, v, out=pv)
+    np.subtract(vh, pv, out=tmp)
+    np.multiply(p, tmp, out=tmp)
+    np.multiply(v, hx, out=flux)
+    np.add(flux, tmp, out=flux)
+    return ws.from_prod(ws.out_lin, out)
 
 
-def _adj_nl(ws: _Workspace, fields, s_w):
+def _adj_nl(ws: _Workspace, fields, s_w, out):
     # w_t - w_xxx = (3/2) phi phi_x w - (3/4)(phi^2 w)_x
     #               + (3/4)[w_x H phi_x + H(w_x phi)_x + phi H w_xx]
-    #             = (3/4)[w_x (H phi_x - phi^2) + phi H w_xx + H d_x (w_x phi)]
+    #             = (3/4)[w_x (H phi_x - phi^2) + phi H w_xx + H d_x (w_x phi)];
+    # prod holds w_x (H phi_x - phi^2) + phi H w_xx and w_x phi
     p, hx = fields
-    wx, whxx = ws.to_phys(s_w, _DERIVS)
-    direct, wxp = ws.from_phys(wx * (hx - p * p) + p * whxx, wx * p)
-    return 0.75 * (direct + ws.absk * wxp)
+    wx, whxx = ws.to_phys(s_w, _DERIVS, ws.sec)
+    direct, wxp = ws.prod
+    tmp = ws.tmp
+    np.multiply(p, p, out=tmp)
+    np.subtract(hx, tmp, out=tmp)
+    np.multiply(wx, tmp, out=direct)
+    np.multiply(p, whxx, out=tmp)
+    np.add(direct, tmp, out=direct)
+    np.multiply(wx, p, out=wxp)
+    return ws.from_prod(ws.out_adj, out)
 
 
-def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None):
-    """Nonlinear part of a flow on the half spectrum.
+def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None, out=None):
+    """Nonlinear part of a flow on the half spectrum, written into ``out``
+    (n/2+1,), a new array when omitted.
 
     ``fields`` are the ``product_fields`` of the state that the third-order
     terms are built on: ``s`` itself for ``third_order_bo`` (computed here
-    when omitted), and the background for ``linearized_tbo`` and
-    ``adjoint_linearized_tbo``, which need them.
+    into the workspace when omitted), and the background for
+    ``linearized_tbo`` and ``adjoint_linearized_tbo``, which need them.
     """
+    if out is None:
+        out = np.empty(ws.half + 1, dtype=complex)
     if tag == "third_order_bo":
-        return _tbo_nl(ws, product_fields(ws, s) if fields is None else fields)
+        return _tbo_nl(ws, product_fields(ws, s, ws.bg) if fields is None else fields, out)
     if tag == "linearized_tbo":
-        return _lin_nl(ws, fields, s)
+        return _lin_nl(ws, fields, s, out)
     if tag == "adjoint_linearized_tbo":
-        return _adj_nl(ws, fields, s)
+        return _adj_nl(ws, fields, s, out)
     raise ValueError(f"no nonlinear part for flow {tag!r}")
 
 
@@ -211,12 +267,13 @@ def _check_same_grid(*fields):
     return g
 
 
-def _with_linear(f, ws: _Workspace, nl) -> RealField:
-    """Field of f_xxx plus the half spectrum nl.
+def _with_linear(f, ws: _Workspace, kernel, *args) -> RealField:
+    """Field of f_xxx plus the half spectrum ``kernel(ws, *args, out)``.
 
     The linear part stays on the full spectrum, formed as
     ``spectral.derivative`` forms it.
     """
+    nl = kernel(ws, *args, np.empty(ws.half + 1, dtype=complex))
     out = linear_symbol(f.grid) * f.spectrum + ws.full(nl)
     return RealField.from_spectrum(f.grid, out)
 
@@ -225,21 +282,19 @@ def tbo_rhs(phi: RealField) -> RealField:
     """Third-order Benjamin-Ono right-hand side, flux form (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    return _with_linear(phi, ws, _tbo_nl(ws, product_fields(ws, phi.spectrum)))
+    return _with_linear(phi, ws, _tbo_nl, product_fields(ws, phi.spectrum, ws.bg))
 
 
 def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
     """Linearization of the third-order flow around ``phi`` in direction ``v``."""
     ws = _workspace(_check_same_grid(v, phi))
-    nl = _lin_nl(ws, product_fields(ws, phi.spectrum), v.spectrum)
-    return _with_linear(v, ws, nl)
+    return _with_linear(v, ws, _lin_nl, product_fields(ws, phi.spectrum, ws.bg), v.spectrum)
 
 
 def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
     ws = _workspace(_check_same_grid(w, phi))
-    nl = _adj_nl(ws, product_fields(ws, phi.spectrum), w.spectrum)
-    return _with_linear(w, ws, nl)
+    return _with_linear(w, ws, _adj_nl, product_fields(ws, phi.spectrum, ws.bg), w.spectrum)
 
 
 def spectral_tail_fraction(f) -> float:
@@ -250,7 +305,8 @@ def spectral_tail_fraction(f) -> float:
     which on the half spectrum are the indices from n/3 up.
     """
     h = f.spectrum[: f.grid.n // 2 + 1] if hasattr(f, "grid") else f
-    power = np.abs(h) ** 2
+    power = np.abs(h)
+    power *= power
     power[1:-1] *= 2.0  # an interior mode stands for itself and its conjugate
     total = float(np.sum(power))
     if total == 0.0:

@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,19 +329,27 @@ def check_band(grid: SpectralGrid, k: int) -> None:
         raise BandError(f"band {k} outside resolved range of {grid!r}")
 
 
+@functools.cache
 def band_multiplier(grid: SpectralGrid, k: int) -> np.ndarray:
-    """Smooth projector onto the band ``|xi| ~ 2**k`` (block |xi|<~1 for k=0)."""
+    """Smooth projector onto the band ``|xi| ~ 2**k`` (block |xi|<~1 for k=0).
+
+    Built once per grid and band; the shared array is read-only.
+    """
     check_band(grid, k)
     if k == 0:
-        return dyadic_bump(grid.xi)
-    return dyadic_bump(grid.xi / 2.0**k) - dyadic_bump(grid.xi / 2.0 ** (k - 1))
+        mask = dyadic_bump(grid.xi)
+    else:
+        mask = dyadic_bump(grid.xi / 2.0**k) - dyadic_bump(grid.xi / 2.0 ** (k - 1))
+    mask.setflags(write=False)
+    return mask
 
 
+@functools.cache
 def below_multiplier(grid: SpectralGrid, k: int) -> np.ndarray:
-    """Cumulative projector onto bands < k."""
-    if k <= 0:
-        return dyadic_bump(2.0 * grid.xi)
-    return dyadic_bump(grid.xi / 2.0 ** (k - 1))
+    """Cumulative projector onto bands < k, built once per grid and k (read-only)."""
+    mask = dyadic_bump(2.0 * grid.xi if k <= 0 else grid.xi / 2.0 ** (k - 1))
+    mask.setflags(write=False)
+    return mask
 
 
 def range_multiplier(grid: SpectralGrid, k1: int, k2: int) -> np.ndarray:

@@ -127,13 +127,54 @@ class Trajectory:
         return self.frames[int(hits[0])][1]
 
 
-def _rk4_step(s, h, efull, ehalf, nl):
-    """One integrating-factor RK4 step of width h on the spectrum (or stack) s."""
-    n1 = nl(s)
-    n2 = nl(ehalf * (s + 0.5 * h * n1))
-    n3 = nl(ehalf * s + 0.5 * h * n2)
-    n4 = nl(efull * s + h * ehalf * n3)
-    return efull * s + (h / 6.0) * (efull * n1 + 2.0 * ehalf * (n2 + n3) + n4)
+class _IFRK4:
+    """Integrating-factor RK4 steps of width h for one march, made in place.
+
+    ``nl(s, out)`` writes the nonlinear part of the state s into out.  The
+    stepper owns the phase multipliers of the linear symbol ``lam`` (m,),
+    which broadcast over the rows of a stacked state, four stage buffers and
+    two scratch buffers of the state's shape, so a step allocates nothing.
+    """
+
+    __slots__ = ("nl", "h", "efull", "ehalf", "hehalf", "e2half", "k1", "k2", "k3", "k4",
+                 "u", "w")
+
+    def __init__(self, shape, h: float, lam, nl):
+        self.nl, self.h = nl, h
+        self.efull, self.ehalf, self.hehalf, self.e2half = (
+            np.empty(lam.shape, dtype=complex) for _ in range(4))
+        np.exp(np.multiply(lam, h, out=self.efull), out=self.efull)
+        np.exp(np.multiply(lam, h / 2.0, out=self.ehalf), out=self.ehalf)
+        np.multiply(self.ehalf, h, out=self.hehalf)
+        np.multiply(self.ehalf, 2.0, out=self.e2half)
+        self.k1, self.k2, self.k3, self.k4, self.u, self.w = (
+            np.empty(shape, dtype=complex) for _ in range(6))
+
+    def step(self, s) -> None:
+        """Advance s by one step:
+        ``efull s + (h/6)(efull n1 + 2 ehalf (n2 + n3) + n4)``."""
+        nl, h, efull, ehalf = self.nl, self.h, self.efull, self.ehalf
+        k1, k2, k3, k4, u, w = self.k1, self.k2, self.k3, self.k4, self.u, self.w
+        nl(s, k1)
+        np.multiply(k1, 0.5 * h, out=u)  # ehalf (s + (h/2) n1)
+        np.add(s, u, out=u)
+        np.multiply(ehalf, u, out=u)
+        nl(u, k2)
+        np.multiply(k2, 0.5 * h, out=w)  # ehalf s + (h/2) n2
+        np.multiply(ehalf, s, out=u)
+        np.add(u, w, out=u)
+        nl(u, k3)
+        np.multiply(efull, s, out=w)  # efull s + h ehalf n3; w keeps efull s
+        np.multiply(self.hehalf, k3, out=u)
+        np.add(w, u, out=u)
+        nl(u, k4)
+        np.multiply(efull, k1, out=k1)
+        np.add(k2, k3, out=k2)
+        np.multiply(self.e2half, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(k1, h / 6.0, out=k1)
+        np.add(w, k1, out=s)
 
 
 def _snapshot_plan(t_end: float, dt: float):
@@ -158,25 +199,25 @@ def _march(s0, t0, plan, lam, nl, emit):
     """March a state from t0 by the ``_frame_plan`` ``plan``, emitting frames.
 
     ``emit(i, t, s)`` receives frame i: the state at t0, then the state after
-    each frame step.  The state is one half spectrum ``(m,)`` or a stack
-    ``(2, m)``; the ``(m,)`` multipliers built from the linear symbol ``lam``
-    broadcast over the rows.
+    each frame step; s is updated in place, so emit copies what it keeps.
+    The state is one half spectrum ``(m,)`` or a stack ``(2, m)``; the
+    ``(m,)`` multipliers built from the linear symbol ``lam`` broadcast over
+    the rows.  ``nl(s, out)`` writes the nonlinear part of s into out.
     """
     h, frame_steps = plan
     s = np.array(s0, dtype=complex)
     emit(0, t0, s)
     if not frame_steps:
         return
-    efull = np.exp(lam * h)
-    ehalf = np.exp(lam * (h / 2.0))
+    rk4 = _IFRK4(s.shape, h, lam, nl)
     frame_of = {j: i for i, j in enumerate(frame_steps, 1)}
     # a blowing-up state overflows before the finiteness check sees it; that
     # check, not NumPy's warnings, reports the blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, frame_steps[-1] + 1):
-            s = _rk4_step(s, h, efull, ehalf, nl)
+            rk4.step(s)
             t = t0 + j * h
-            if not np.all(np.isfinite(s)):
+            if not np.isfinite(s).all():
                 raise BlowUpError(t)
             if j in frame_of:
                 emit(frame_of[j], t, s)
@@ -202,7 +243,7 @@ def _recorded_march(ws, s0, t0, t_span, config, nl):
         if flows.spectral_tail_fraction(spectra[0, i]) > config.tail_tol:
             warns.append((t, "resolution"))
 
-    _march(s0, t0, plan, flows.linear_symbol(ws.grid)[:m], nl, emit)
+    _march(s0, t0, plan, ws.lam, nl, emit)
     return times, spectra, warns
 
 
@@ -222,7 +263,7 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
 
     require_mean_free(f0)
     ws = flows._workspace(grid)
-    nl = lambda s: flows.nonlinear_spectrum(tag, ws, s)
+    nl = lambda s, out: flows.nonlinear_spectrum(tag, ws, s, out=out)
     times, (spectra,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
     return Trajectory(grid, times, spectra, config, warns)
 
@@ -238,10 +279,10 @@ def _pair_march(phi, sec, sec_tag, t0, t_span, config):
     require_mean_free(phi)
     ws = flows._workspace(phi.grid)
 
-    def nl(s):
-        fields = flows.product_fields(ws, s[0])
-        return np.stack((flows.nonlinear_spectrum("third_order_bo", ws, s[0], fields),
-                         flows.nonlinear_spectrum(sec_tag, ws, s[1], fields)))
+    def nl(s, out):
+        fields = flows.product_fields(ws, s[0], ws.bg)
+        flows.nonlinear_spectrum("third_order_bo", ws, s[0], fields, out[0])
+        flows.nonlinear_spectrum(sec_tag, ws, s[1], fields, out[1])
 
     s0 = np.stack((phi.spectrum, sec.spectrum))
     return _recorded_march(ws, s0, t0, t_span, config, nl)

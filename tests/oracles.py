@@ -7,6 +7,8 @@ right-hand sides at the end are the complex full-spectrum formulas, written
 with ``spectral.dealiased_product``, ``hilbert`` and ``derivative``; they pin
 the half-spectrum kernels of ``flows``.  Their nested products equal the
 kernels' single-pass cubic products when the data is band-limited below n/6.
+``rk4_step`` is the integrating-factor RK4 step written with a new array for
+every stage, the reference for the stepper's in-place march.
 """
 
 import numpy as np
@@ -115,3 +117,20 @@ def adjoint_linearized_rhs_oracle(w, phi):
                     (-0.75, derivative(dp(dp(phi, phi), w))), (0.75, dp(wx, hilbert(px))),
                     (0.75, derivative(hilbert(dp(wx, phi)))),
                     (0.75, dp(phi, hilbert(derivative(w, 2)))))
+
+
+# ---------------------------------------------------------------------------
+# time stepping
+
+
+def rk4_step(s, h, efull, ehalf, nl):
+    """One integrating-factor RK4 step of width h on the spectrum (or stack) s.
+
+    Every stage is a new array; ``nl(s)`` returns the nonlinear part of s.
+    The stepper's in-place march must agree with this to round-off.
+    """
+    n1 = nl(s)
+    n2 = nl(ehalf * (s + 0.5 * h * n1))
+    n3 = nl(ehalf * s + 0.5 * h * n2)
+    n4 = nl(efull * s + h * ehalf * n3)
+    return efull * s + (h / 6.0) * (efull * n1 + 2.0 * ehalf * (n2 + n3) + n4)

@@ -108,7 +108,7 @@ def test_decay_weights_zero_trajectory():
     zero = RealField(grid, np.zeros(grid.n))
     cfg = SolverConfig(dt=0.05, t_end=2.0, snapshot_stride=10)
     traj = integrate(FlowKind("airy"), zero, cfg)
-    report = decay_weights(traj)
+    report = decay_weights(traj.frames)
     assert report.rows
     for row in report.rows:
         assert row["weighted_phi_sup"] == 0.0
@@ -120,7 +120,7 @@ def test_decay_weights_skips_time_zero_and_labels_variants():
     data = make_profile("odd_packet", grid, amplitude=0.1, width=6.0, bandlimit=1.0)
     cfg = SolverConfig(dt=0.5, t_end=4.0, snapshot_stride=1)
     traj = integrate(FlowKind("airy"), data, cfg)
-    report = decay_weights(traj, delta=0.05)
+    report = decay_weights(traj.frames, delta=0.05)
     times = {row["t"] for row in report.rows}
     assert 0.0 not in times
     regions = {row["region"] for row in report.rows}
@@ -138,10 +138,7 @@ def test_decay_weights_fits_hyperbolic_exponents():
 
     for t in np.geomspace(1.0, 60.0, 12):
         frames.append((float(t), airy_propagate(data, float(t))))
-    from bo3.stepper import Trajectory
-
-    traj = Trajectory.from_frames(frames, SolverConfig(dt=1.0, t_end=60.0))
-    report = decay_weights(traj)
+    report = decay_weights(frames)
     assert "hyperbolic_phi" in report.exponents
     assert -0.6 <= report.exponents["hyperbolic_phi"] <= -0.2
 

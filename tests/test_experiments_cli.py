@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bo3 import experiments
 from bo3.cli import main
 from bo3.experiments import (
     EXPERIMENTS,
@@ -157,6 +158,16 @@ def test_reduced_conserve_writes_artifacts(tmp_path):
     assert manifest["version"].startswith("bo3-")
     back = config_from_dict(manifest["config"])
     assert config_to_dict(back) == manifest["config"]  # full round trip
+
+
+def test_build_version_asks_git_once_per_process(monkeypatch):
+    calls = []
+    run = experiments.subprocess.run
+    monkeypatch.setattr(experiments.subprocess, "run",
+                        lambda *args, **kwargs: calls.append(args) or run(*args, **kwargs))
+    experiments.build_version.cache_clear()
+    versions = {experiments.build_version() for _ in range(3)}
+    assert len(versions) == 1 and len(calls) == 1
 
 
 def test_zero_amplitude_conserve_drifts_are_exactly_zero(tmp_path):

@@ -221,7 +221,15 @@ def test_rhs_kernels_match_full_spectrum_oracles(n):
     ws = flows._workspace(g)
     p, hx = flows.product_fields(ws, full_band.spectrum)
     q, _ = flows.product_fields(ws, v.spectrum)
-    products = [RealField.from_spectrum(g, s) for s in ws.full(ws.from_phys(p * q, p * hx))]
+    np.multiply(p, q, out=ws.prod[0])
+    np.multiply(p, hx, out=ws.prod[1])
+    # multiplier pairs that pick one product each: the 1/2 of the padded
+    # rfft and the dropped Nyquist mode
+    pick = 0.5 * np.ones(g.n // 2 + 1, dtype=complex)
+    pick[-1] = 0.0
+    none = np.zeros_like(pick)
+    halves = [ws.from_prod(mult, np.empty_like(pick)) for mult in ((pick, none), (none, pick))]
+    products = [RealField.from_spectrum(g, ws.full(h)) for h in halves]
     cases = [
         (products[0], dealiased_product(full_band, v)),
         (products[1], dealiased_product(full_band, hilbert(derivative(full_band)))),
@@ -232,6 +240,21 @@ def test_rhs_kernels_match_full_spectrum_oracles(n):
     for got, want in cases:
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+
+
+def test_rhs_results_survive_later_calls(grid):
+    # the kernels work in the grid's workspace buffers; a returned field is
+    # never one of them
+    phi, psi, v, w = (random_bandlimited_field(grid, seed=s, bandlimit=30.0)
+                      for s in (50, 51, 52, 53))
+    for rhs, first_args, second_args in ((tbo_rhs, (phi,), (psi,)),
+                                         (linearized_tbo_rhs, (v, phi), (w, psi)),
+                                         (adjoint_linearized_rhs, (v, phi), (w, psi))):
+        first = rhs(*first_args)
+        kept = first.values.copy(), first.spectrum.copy()
+        second = rhs(*second_args)
+        assert not np.array_equal(second.values, kept[0])
+        assert np.array_equal(first.values, kept[0]) and np.array_equal(first.spectrum, kept[1])
 
 
 # ---------------------------------------------------------------------------

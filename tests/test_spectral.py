@@ -11,6 +11,8 @@ from bo3.spectral import (
     MeanError,
     RealField,
     antiderivative,
+    band_multiplier,
+    below_multiplier,
     dealiased_product,
     derivative,
     envelope,
@@ -20,6 +22,7 @@ from bo3.spectral import (
     project_band,
     project_below,
     project_range,
+    range_multiplier,
     refine,
     resolved_bands,
     sobolev_norm,
@@ -252,6 +255,19 @@ def test_project_range_excludes_low_block():
     assert np.max(np.abs(got - expected)) <= 1e-12
     const = RealField(grid, np.full(grid.n, 2.0))
     assert np.max(np.abs(project_range(const, (0, k)).values)) <= 1e-14
+
+
+def test_band_multipliers_are_shared_and_read_only():
+    # built once per grid and band; an equal grid finds the same array
+    grid = make_grid(256, 2.0 * np.pi)
+    for build in (band_multiplier, below_multiplier):
+        mask = build(grid, 3)
+        assert build(make_grid(256, 2.0 * np.pi), 3) is mask
+        with pytest.raises(ValueError):
+            mask[0] = 0.0
+    fresh = range_multiplier(grid, 0, 4)
+    assert fresh is not range_multiplier(grid, 0, 4)
+    fresh[0] = 1.0  # a new array on every call, the caller's to change
 
 
 def test_band_beyond_resolution_rejected(grid2pi):

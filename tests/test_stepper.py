@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bo3 import flows
+from bo3 import flows, stepper
 from bo3.flows import FlowKind, airy_propagate, tbo_rhs
 from bo3.spectral import RealField, l2_norm, make_grid
 from bo3.stepper import (
@@ -16,6 +17,7 @@ from bo3.stepper import (
     integrate_linearized_pair,
 )
 
+import oracles
 from conftest import random_bandlimited_field
 from oracles import quad
 
@@ -152,6 +154,101 @@ def test_single_step_matches_stage_algebra(grid):
     s1 = efull * s0 + dt / 6.0 * (efull * n1 + 2.0 * ehalf * (n2 + n3) + n4)
     expected = np.fft.ifft(s1).real
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def _reference_march(ws, s0, h, steps, tag):
+    """``steps`` reference steps of width h from the half spectrum (or pair) s0."""
+    lam = flows.linear_symbol(ws.grid)[: ws.half + 1]
+    efull, ehalf = np.exp(lam * h), np.exp(lam * (h / 2.0))
+
+    def nl(s):
+        if s.ndim == 1:
+            return flows.nonlinear_spectrum(tag, ws, s)
+        fields = flows.product_fields(ws, s[0])
+        return np.stack((flows.nonlinear_spectrum("third_order_bo", ws, s[0], fields),
+                         flows.nonlinear_spectrum(tag, ws, s[1], fields)))
+
+    s = s0
+    for _ in range(steps):
+        s = oracles.rk4_step(s, h, efull, ehalf, nl)
+    return s
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_in_place_march_matches_the_reference_step(n):
+    # the march writes its stages into buffers it owns; the reference step
+    # builds every stage as a new array
+    g = make_grid(n, n * np.pi / 4.0)
+    m = n // 2 + 1
+    phi0 = small_state(g, seed=30, eps=0.2, bandlimit=1.0)
+    v0 = small_state(g, seed=31, eps=0.5, bandlimit=1.0)
+    dt, steps = 1e-3, 40
+    cfg = SolverConfig(dt=dt, t_end=steps * dt, snapshot_stride=10**9)
+    ws = flows._workspace(g)
+    pair0 = np.stack((phi0.spectrum[:m], v0.spectrum[:m]))
+    single = integrate(FlowKind("third_order_bo"), phi0, cfg)
+    lin = integrate_linearized_pair(phi0, v0, cfg)
+    adj = integrate_adjoint_pair(phi0, v0, cfg)  # marched from t_end down to 0
+    cases = [
+        ([single.spectra[-1]],
+         _reference_march(ws, phi0.spectrum[:m], dt, steps, "third_order_bo")),
+        ([t.spectra[-1] for t in lin], _reference_march(ws, pair0, dt, steps, "linearized_tbo")),
+        ([t.spectra[0] for t in adj],
+         _reference_march(ws, pair0, -dt, steps, "adjoint_linearized_tbo")),
+    ]
+    for got, want in cases:
+        for row, ref in zip(got, np.reshape(want, (-1, m))):
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_march_keeps_its_data_and_emits_distinct_frames(wide):
+    # the state is updated in place: each emitted frame is a copy, and the
+    # initial data are not touched
+    phi0 = small_state(wide, seed=32, eps=0.2)
+    v0 = small_state(wide, seed=33, eps=0.5)
+    before = phi0.spectrum.copy(), v0.spectrum.copy()
+    m = wide.n // 2 + 1
+    cfg = SolverConfig(dt=1e-3, t_end=0.03, snapshot_stride=10)
+    runs = [([integrate(FlowKind("third_order_bo"), phi0, cfg)], 0),
+            (integrate_linearized_pair(phi0, v0, cfg), 0),
+            (integrate_adjoint_pair(phi0, v0, cfg), -1)]
+    for trajs, start in runs:
+        for traj, data in zip(trajs, (phi0, v0)):
+            assert np.array_equal(traj.spectra[start], data.spectrum[:m])
+            frames = traj.spectra
+            assert all(not np.array_equal(frames[i], frames[i + 1]) for i in range(len(frames) - 1))
+    assert np.array_equal(phi0.spectrum, before[0]) and np.array_equal(v0.spectrum, before[1])
+
+
+def test_march_allocates_no_stage_temporaries():
+    # the peak of a march is its own arrays (the state, the stepper's
+    # buffers and multipliers, the trajectory) plus less than one half
+    # spectrum: the frame guard's power spectrum and NumPy's views, but no
+    # stage temporary
+    n = 1024
+    g = make_grid(n, n * np.pi / 4.0)
+    m = n // 2 + 1
+    half = 16 * m
+    phi0 = small_state(g, seed=34, eps=0.2, bandlimit=1.0)
+    kind = FlowKind("third_order_bo")
+    cfg = SolverConfig(dt=1e-3, t_end=0.2, snapshot_stride=10**9)  # 200 steps, two frames
+    integrate(kind, phi0, cfg)  # builds the grid's workspace
+    ws = flows._workspace(g)
+    tracemalloc.start()
+    try:
+        state = np.empty(m, dtype=complex)
+        rk4 = stepper._IFRK4(state.shape, cfg.dt, ws.lam, None)
+        buffers = tracemalloc.get_traced_memory()[0]
+        del state, rk4
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = integrate(kind, phi0, cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 2
+    own = buffers + (kept - base)
+    assert peak - base - own < half
 
 
 # ---------------------------------------------------------------------------
