@@ -37,9 +37,8 @@ __all__ = [
     "ConfigError",
     "ResolutionWarning",
     "GridParams",
-    "DataParams",
     "SolverParams",
-    "AnalysisParams",
+    "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
     "Check",
@@ -74,6 +73,13 @@ def _flag_resolution(traj) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# Config sections.  ``grid`` and ``solver`` are shared; each experiment reads
+# its initial data through one of the ``data`` classes and its own settings
+# through one of the ``analysis`` classes, which range-check their fields in
+# ``check(grid, solver)``.
+
+
 @dataclass
 class GridParams:
     n: int = 1024
@@ -81,12 +87,40 @@ class GridParams:
 
 
 @dataclass
-class DataParams:
+class ShapeData:
+    """A profile of ``profiles.PROFILES`` at amplitude 1 (normalform_scaling sweeps it)."""
     profile: str = "gaussian_bump"
-    amplitude: float = 0.05
     center: float = 0.0
     width: float = 4.0
     bandlimit: float = 1.0
+    amplitude = 1.0  # a class constant, not a field
+
+    def build(self, grid, seed) -> RealField:
+        return profiles.make_profile(self.profile, grid, amplitude=self.amplitude,
+                                     center=self.center, width=self.width,
+                                     bandlimit=self.bandlimit, seed=seed)
+
+
+@dataclass
+class ProfileData(ShapeData):
+    """A profile of ``profiles.PROFILES`` at ``amplitude``."""
+    amplitude: float = 0.05
+
+
+@dataclass
+class WindowedData:
+    """Two mean-free random fields under a centred Gaussian window."""
+    bandlimit: float = 1.0
+
+    def build(self, grid, seed) -> tuple:
+        envelope = np.exp(-((grid.x / (grid.length / 16.0)) ** 2))
+
+        def windowed(seed):
+            base = profiles.make_profile("random_bandlimited", grid,
+                                         bandlimit=self.bandlimit, seed=seed).values
+            return RealField(grid, envelope * base - np.mean(envelope * base))
+
+        return windowed(seed), windowed(seed + 1)
 
 
 @dataclass
@@ -100,41 +134,106 @@ class SolverParams:
         return SolverConfig(**dataclasses.asdict(self))
 
 
+# The ranges a field can declare; validate_config checks them with the types.
+_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
+           "at least 2": lambda v: v >= 2}
+
+
 @dataclass
-class AnalysisParams:
-    delta: float = 0.05
-    c_region: float = 1.0
-    bands: list[int] = field(default_factory=lambda: [1, 2])
-    amplitudes: list[float] = field(default_factory=lambda: [0.01, 0.02, 0.04, 0.08])
-    t_probe: float = 0.1
-    residual_dt: float = 1e-3
-    fit_t_lo: float = 1.0
-    fit_t_hi: float = 100.0
-    fit_points: int = 40
-    vf_t_hi: float = 20.0
-    vf_points: int = 9
-    j_band: int = 2
-    k_bands: list[int] = field(default_factory=lambda: [5, 6, 7, 8, 9, 10])
-    time_samples: int = 64
-    window_factor: float = 0.125
-    scale_factor: float = 2.0
+class ConserveAnalysis:
     conv_dts: list[float] = field(default_factory=lambda: [4e-3, 2e-3, 1e-3])
-    conv_t_end: float = 0.5
+    conv_t_end: float = field(default=0.5, metadata={"range": "positive"})
     conv_n: int = 128
     conv_length: float = 16.0 * math.pi
     conv_amplitude: float = 0.5
+
+    def check(self, grid, solver) -> None:
+        _grid("analysis.conv_", self.conv_n, self.conv_length)
+        if len(set(self.conv_dts)) < 3 or min(self.conv_dts) <= 0:
+            raise ConfigError("analysis.conv_dts must hold at least three distinct positive "
+                              f"steps, got {list(self.conv_dts)}")
+
+
+@dataclass
+class ScalingAnalysis:
+    scale_factor: float = field(default=2.0, metadata={"range": "positive"})
+
+    def check(self, grid, solver) -> None:
+        if self.scale_factor == 1:  # the rescaled run would be the run itself
+            raise ConfigError("analysis.scale_factor must not be 1")
+
+
+@dataclass
+class AiryAnalysis:
+    fit_t_lo: float = 1.0
+    fit_t_hi: float = 100.0
+    fit_points: int = field(default=40, metadata={"range": "at least 2"})
+    vf_t_hi: float = field(default=20.0, metadata={"range": "positive"})
+    vf_points: int = field(default=9, metadata={"range": "at least 2"})
+
+    def check(self, grid, solver) -> None:
+        if not 0 < self.fit_t_lo < self.fit_t_hi:
+            raise ConfigError("analysis.fit_t_lo and analysis.fit_t_hi must satisfy "
+                              f"0 < fit_t_lo < fit_t_hi, got {self.fit_t_lo} and {self.fit_t_hi}")
+
+
+@dataclass
+class StrichartzAnalysis:
+    j_band: int = 2
+    k_bands: list[int] = field(default_factory=lambda: [5, 6, 7, 8, 9, 10])
+    window_factor: float = field(default=0.125, metadata={"range": "positive"})
+    time_samples: int = field(default=64, metadata={"range": "at least 2"})
+
+    def check(self, grid, solver) -> None:
+        _check_bands("analysis.j_band", [self.j_band], grid)
+        _check_bands("analysis.k_bands", self.k_bands, grid)
+        if any(abs(k - self.j_band) <= 2 for k in self.k_bands):
+            raise ConfigError(f"analysis.k_bands must keep |k - j_band| > 2 for "
+                              f"j_band = {self.j_band}, got {list(self.k_bands)}")
+
+
+@dataclass
+class NormalformAnalysis:
+    bands: list[int] = field(default_factory=lambda: [1, 2])
+    amplitudes: list[float] = field(default_factory=lambda: [0.01, 0.02, 0.04, 0.08])
+    t_probe: float = field(default=0.1, metadata={"range": "nonnegative"})
+    residual_dt: float = field(default=1e-3, metadata={"range": "positive"})
+
+    def check(self, grid, solver) -> None:
+        amps = self.amplitudes
+        if len(amps) < 4 or not all(0 < a < b for a, b in zip(amps, amps[1:])):
+            raise ConfigError("analysis.amplitudes must be at least four positive increasing "
+                              f"numbers, got {amps}")
+        # the bands the body hands to the band normal form, under its own rule
+        _check_bands("analysis.bands", self.bands, grid, normalform._check_band)
+
+
+@dataclass
+class DecayAnalysis:
+    delta: float = 0.05
+    c_region: float = 1.0
     report_t_lo: float = 1.0
+
+    def check(self, grid, solver) -> None:
+        if self.report_t_lo > solver.t_end:
+            raise ConfigError(f"analysis.report_t_lo = {self.report_t_lo} exceeds solver.t_end = "
+                              f"{solver.t_end}: no frame would be judged")
 
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "conserve"
-    grid: GridParams = field(default_factory=GridParams)
-    data: DataParams = field(default_factory=DataParams)
-    solver: SolverParams = field(default_factory=SolverParams)
-    analysis: AnalysisParams = field(default_factory=AnalysisParams)
-    seed: int = 0
+    """One experiment's settings.  ``data`` and ``analysis`` have the classes of
+    the experiment's record in ``EXPERIMENTS``; a section it does not read is None."""
+    experiment: str
+    grid: GridParams
+    data: object
+    solver: SolverParams | None
+    analysis: object
+    seed: int = field(default=0, metadata={"range": "nonnegative"})
     output_dir: str = "out"
+
+    def initial_data(self):
+        return self.data.build(make_grid(self.grid.n, self.grid.length), self.seed)
 
 
 # One judged verdict: ``margin`` is the signed distance of the metric's ``value``
@@ -231,38 +330,44 @@ def judge(metrics: dict, specs=TOLERANCES) -> dict:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
+    """The config as JSON data, without the sections its experiment does not read."""
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Build a config with the section classes of its experiment's record: a
+    missing section takes its defaults, and a field the experiment does not
+    read is a ConfigError that names both."""
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
     d = dict(d)
-    if "experiment" not in d:
-        raise ConfigError("config is missing the 'experiment' field")
+    name = d.pop("experiment", None)
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"'experiment' must be one of {sorted(EXPERIMENTS)}, got {name!r}")
 
-    def build(cls, key):
+    def build(key, cls):
         sub = d.pop(key, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"{key!r} must be an object")
-        try:
-            return cls(**sub)
-        except TypeError as exc:
-            raise ConfigError(f"bad {key!r} section: {exc}") from None
+        known = [f.name for f in dataclasses.fields(cls)] if cls else []
+        unread = [f"{key}.{k}" for k in sub if k not in known]
+        if unread:
+            raise ConfigError(f"{name} reads no {', '.join(unread)}")
+        # the analysis lists stay JSON lists; validate_config checks them
+        return cls(**sub) if cls else None
 
-    # the analysis lists stay JSON lists; validate_config checks their items
-    sections = {key: build(cls, key) for key, cls in (
-        ("grid", GridParams), ("data", DataParams), ("solver", SolverParams),
-        ("analysis", AnalysisParams))}
-    extra = set(d) - {"experiment", "seed", "output_dir"}
+    sections = {key: build(key, cls) for key, cls in EXPERIMENTS[name].sections().items()}
+    extra = set(d) - {"seed", "output_dir"}
     if extra:
         raise ConfigError(f"unknown config fields: {sorted(extra)}")
-    return ExperimentConfig(experiment=d["experiment"], seed=d.get("seed", 0),
+    return ExperimentConfig(experiment=name, seed=d.get("seed", 0),
                             output_dir=d.get("output_dir", "out"), **sections)
 
 
 def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
-    """Apply one ``section.field=value`` override, coercing via JSON."""
+    """Apply one ``path=value`` override, coercing via JSON.  The path is a
+    top-level field or ``section.field``; config_from_dict rebuilds the config,
+    so a field the experiment does not read is an error there."""
     if "=" not in assignment:
         raise ConfigError(f"override must look like path=value, got {assignment!r}")
     path, raw = assignment.split("=", 1)
@@ -270,16 +375,13 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    obj = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if not hasattr(obj, part):
-            raise ConfigError(f"unknown config section {part!r}")
-        obj = getattr(obj, part)
-    leaf = parts[-1]
-    if not hasattr(obj, leaf):
-        raise ConfigError(f"unknown config field {path!r}")
-    setattr(obj, leaf, value)
+    d = config_to_dict(cfg)
+    section, _, leaf = path.rpartition(".")
+    target = d.setdefault(section, {}) if section else d
+    if not isinstance(target, dict):
+        raise ConfigError(f"{cfg.experiment} reads no {path}")
+    target[leaf] = value
+    vars(cfg).update(vars(config_from_dict(d)))
 
 
 _KINDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
@@ -302,12 +404,13 @@ def _fits(x, kind) -> bool:
 
 
 def _check_fields(prefix: str, obj, names=None) -> None:
-    """Raise ConfigError unless each named field of a dataclass fits its annotation.
-
-    A ``list[kind]`` field takes a list of such values.
-    """
+    """Raise ConfigError unless each named field of a dataclass fits its annotation
+    (a ``list[kind]`` field takes a list of such values) and its declared range."""
     hints = typing.get_type_hints(type(obj))
-    for name in names or [f.name for f in dataclasses.fields(obj)]:
+    for fld in dataclasses.fields(obj):
+        if names and fld.name not in names:
+            continue
+        name, rule = fld.name, fld.metadata.get("range")
         hint, value = hints[name], getattr(obj, name)
         if typing.get_origin(hint) is list:
             kind = typing.get_args(hint)[0]
@@ -317,6 +420,8 @@ def _check_fields(prefix: str, obj, names=None) -> None:
             ok, what = _fits(value, hint), _KINDS[hint][0]
         if not ok:
             raise ConfigError(f"{prefix}{name} must be {what}, got {value!r}")
+        if rule and not _RANGES[rule](value):
+            raise ConfigError(f"{prefix}{name} must be {rule}, got {value!r}")
 
 
 def _grid(prefix: str, n, length):
@@ -339,63 +444,26 @@ def _check_bands(name: str, bands, grid, check=check_band) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check every precondition that is knowable before any compute starts."""
-    _check_fields("", cfg, ["experiment", "seed", "output_dir"])
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    for section in ("grid", "data", "analysis"):
-        _check_fields(f"{section}.", getattr(cfg, section))
-    try:
-        cfg.solver.build()
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad 'solver' section: {exc}") from None
-    _check_fields("solver.", cfg.solver)
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    """Check every precondition knowable before any compute starts: the common
+    fields, the grid, the data build, the solver if it marches, its analysis checks."""
+    _check_fields("", cfg, ["seed", "output_dir"])  # config_from_dict checked the experiment
+    record = EXPERIMENTS[cfg.experiment]
+    if record.marches:
+        try:
+            cfg.solver.build()
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad 'solver' section: {exc}") from None
+    for key, cls in record.sections().items():
+        if cls is not None:
+            _check_fields(f"{key}.", getattr(cfg, key))
     grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
-    build, reads = _DATA_BUILDS.get(cfg.experiment, (_make_data, _DATA_FIELDS))
-    if "profile" in reads and cfg.data.profile not in profiles.PROFILES:
-        raise ConfigError(f"unknown profile {cfg.data.profile!r}")
     try:
-        build(cfg)
-    except (ValueError, OverflowError) as exc:
-        shown = ", ".join(f"data.{k}={getattr(cfg.data, k)!r}" for k in reads)
+        cfg.initial_data()
+    except (KeyError, ValueError, OverflowError) as exc:  # KeyError: an unknown profile
+        shown = ", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
         raise ConfigError(f"{shown}: {exc}") from None
-    ana = cfg.analysis
-    _grid("analysis.conv_", ana.conv_n, ana.conv_length)
-    if ana.t_probe < 0:
-        raise ConfigError(f"analysis.t_probe must be nonnegative, got {ana.t_probe}")
-    for name in ("residual_dt", "conv_t_end", "scale_factor", "window_factor", "vf_t_hi"):
-        if getattr(ana, name) <= 0:
-            raise ConfigError(f"analysis.{name} must be positive, got {getattr(ana, name)}")
-    for name in ("fit_points", "vf_points", "time_samples"):
-        if getattr(ana, name) < 2:
-            raise ConfigError(f"analysis.{name} must be at least 2, got {getattr(ana, name)}")
-    if ana.scale_factor == 1:  # the rescaled run would be the run itself
-        raise ConfigError("analysis.scale_factor must not be 1")
-    if not 0 < ana.fit_t_lo < ana.fit_t_hi:
-        raise ConfigError("analysis.fit_t_lo and analysis.fit_t_hi must satisfy "
-                          f"0 < fit_t_lo < fit_t_hi, got {ana.fit_t_lo} and {ana.fit_t_hi}")
-    if len(set(ana.conv_dts)) < 3 or min(ana.conv_dts) <= 0:
-        raise ConfigError("analysis.conv_dts must hold at least three distinct positive "
-                          f"steps, got {list(ana.conv_dts)}")
-    amps = list(ana.amplitudes)
-    if any(a <= 0 for a in amps) or any(b <= a for a, b in zip(amps, amps[1:])):
-        raise ConfigError(f"analysis.amplitudes must be positive and increase, got {amps}")
-    if cfg.experiment == "normalform_scaling":
-        # the bands the body hands to the band normal form, under its own rule
-        _check_bands("analysis.bands", ana.bands, grid, normalform._check_band)
-        if len(ana.amplitudes) < 4:
-            raise ConfigError("normalform_scaling needs at least four amplitudes")
-    if cfg.experiment == "decay_profile" and ana.report_t_lo > cfg.solver.t_end:
-        raise ConfigError(f"analysis.report_t_lo = {ana.report_t_lo} exceeds solver.t_end = "
-                          f"{cfg.solver.t_end}: no frame would be judged")
-    if cfg.experiment == "strichartz":
-        _check_bands("analysis.j_band", [ana.j_band], grid)
-        _check_bands("analysis.k_bands", ana.k_bands, grid)
-        if any(abs(k - ana.j_band) <= 2 for k in ana.k_bands):
-            raise ConfigError(f"analysis.k_bands must keep |k - j_band| > 2 for "
-                              f"j_band = {ana.j_band}, got {list(ana.k_bands)}")
+    if cfg.analysis is not None:
+        cfg.analysis.check(grid, cfg.solver)
 
 
 @functools.cache
@@ -421,18 +489,8 @@ def build_version() -> str:
 # handles warning capture and the manifest.
 
 
-def _make_data(cfg: ExperimentConfig, amplitude=None, seed_offset=0) -> RealField:
-    grid = make_grid(cfg.grid.n, cfg.grid.length)
-    amp = cfg.data.amplitude if amplitude is None else amplitude
-    return profiles.make_profile(
-        cfg.data.profile, grid, amplitude=amp, center=cfg.data.center,
-        width=cfg.data.width, bandlimit=cfg.data.bandlimit,
-        seed=cfg.seed + seed_offset,
-    )
-
-
 def _exp_conserve(cfg, out_dir):
-    data = _make_data(cfg)
+    data = cfg.initial_data()
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver.build())
     _flag_resolution(traj)
     series = invariants.track(traj, ["E0", "E1", "E2", "L2", "H1"])
@@ -473,7 +531,7 @@ def _exp_conserve(cfg, out_dir):
 
 def _exp_scaling(cfg, out_dir):
     lam = cfg.analysis.scale_factor
-    data = _make_data(cfg)
+    data = cfg.initial_data()
     sol = cfg.solver
     base = integrate(FlowKind("third_order_bo"), data, sol.build())
 
@@ -495,7 +553,7 @@ def _exp_scaling(cfg, out_dir):
 
 
 def _exp_airy_decay(cfg, out_dir):
-    data = _make_data(cfg)
+    data = cfg.initial_data()
     ana = cfg.analysis
     times = np.geomspace(ana.fit_t_lo, ana.fit_t_hi, ana.fit_points)
     slope, ts, sups = dispersion.airy_decay_fit(data, times)
@@ -523,53 +581,27 @@ def _exp_airy_decay(cfg, out_dir):
     return {"airy_decay_slope": slope, "l_vf_deviation": vf_dev}, [csv, vf_csv, svg]
 
 
-def _strichartz_data(cfg):
-    """Two mean-free random fields under a centred Gaussian window."""
-    grid = make_grid(cfg.grid.n, cfg.grid.length)
-    envelope = np.exp(-((grid.x / (grid.length / 16.0)) ** 2))
-
-    def windowed(seed):
-        base = profiles.make_profile("random_bandlimited", grid,
-                                     bandlimit=cfg.data.bandlimit, seed=seed).values
-        return RealField(grid, envelope * base - np.mean(envelope * base))
-
-    return windowed(cfg.seed), windowed(cfg.seed + 1)
-
-
 def _exp_strichartz(cfg, out_dir):
-    f, g = _strichartz_data(cfg)
-    grid = f.grid
+    f, g = cfg.initial_data()
     ana = cfg.analysis
+    j, k_eq = ana.j_band, ana.k_bands[len(ana.k_bands) // 2]
     rows = [["j", "k", "halves", "t_end", "ratio"]]
-    ratios = []
-    j = ana.j_band
-    for k in ana.k_bands:
-        t_end = ana.window_factor * grid.length * 4.0 ** (-max(j, k))
-        r = dispersion.bilinear_strichartz_ratio(
-            j, k, f, g, t_end, samples=ana.time_samples
-        )
-        ratios.append(r)
-        rows.append([j, k, "both/both", t_end, r])
-    k_eq = ana.k_bands[len(ana.k_bands) // 2]
-    t_end = ana.window_factor * grid.length * 4.0 ** (-k_eq)
-    r_eq = dispersion.bilinear_strichartz_ratio(
-        k_eq, k_eq, f, g, t_end, halves=("plus", "minus"), samples=ana.time_samples
-    )
-    ratios.append(r_eq)
-    rows.append([k_eq, k_eq, "plus/minus", t_end, r_eq])
+    # band j against each of k_bands, then the two halves of the middle band
+    for a, b, halves in ([(j, k, ("both", "both")) for k in ana.k_bands]
+                         + [(k_eq, k_eq, ("plus", "minus"))]):
+        t_end = ana.window_factor * f.grid.length * 4.0 ** (-max(a, b))
+        r = dispersion.bilinear_strichartz_ratio(a, b, f, g, t_end, halves=halves,
+                                                 samples=ana.time_samples)
+        rows.append([a, b, "/".join(halves), t_end, r])
+    ratios = [row[-1] for row in rows[1:]]
     csv = out_dir / "strichartz.csv"
     snapshots.write_csv(csv, rows)
     return {"strichartz_spread": max(ratios) / min(ratios),
             "ratio_min": min(ratios), "ratio_max": max(ratios)}, [csv]
 
 
-def _normalform_data(cfg):
-    """The profile of ``cfg.data`` at amplitude 1; the sweep sets the amplitudes."""
-    return _make_data(cfg, amplitude=1.0)
-
-
 def _exp_normalform(cfg, out_dir):
-    profile = _normalform_data(cfg)
+    profile = cfg.initial_data()
     ana = cfg.analysis
     rows = [["epsilon", "k", "t", "residual_raw", "residual_gauged"]]
     metrics = {}
@@ -629,7 +661,7 @@ def _pairing(a: RealField, b: RealField) -> float:
 def _linearized_run(cfg):
     """The data phi0, a random perturbation v0 of the same size and band, and
     the trajectories of the pair (phi, v) marched from (phi0, v0)."""
-    phi0 = _make_data(cfg)
+    phi0 = cfg.initial_data()
     v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=cfg.data.amplitude,
                                bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
     phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver.build())
@@ -708,7 +740,7 @@ def _exp_lnl_conservation(cfg, out_dir):
 
 
 def _exp_decay_profile(cfg, out_dir):
-    data = _make_data(cfg)
+    data = cfg.initial_data()
     eps = cfg.data.amplitude
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver.build())
     _flag_resolution(traj)
@@ -763,24 +795,31 @@ def _exp_decay_profile(cfg, out_dir):
     return metrics, [csv, fit_path, svg]
 
 
-# The initial data of each experiment that builds anything other than
-# ``_make_data(cfg)``, with the ``data`` fields that build reads;
-# validate_config builds it and checks only those fields.
-_DATA_FIELDS = tuple(f.name for f in dataclasses.fields(DataParams))
-_DATA_BUILDS = {
-    "strichartz": (_strichartz_data, ("bandlimit",)),
-    "normalform_scaling": (_normalform_data, ("profile", "center", "width", "bandlimit")),
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its body, the classes of the ``data`` and ``analysis`` sections
+    it reads (None: no analysis), and whether it marches, that is, reads ``solver``."""
+    body: typing.Callable
+    data: type
+    analysis: type | None = None
+    marches: bool = True
+
+    def sections(self) -> dict:
+        """The class of each section, None for a section the experiment does not read."""
+        return {"grid": GridParams, "data": self.data,
+                "solver": SolverParams if self.marches else None, "analysis": self.analysis}
+
 
 EXPERIMENTS = {
-    "conserve": _exp_conserve,
-    "scaling": _exp_scaling,
-    "airy_decay": _exp_airy_decay,
-    "strichartz": _exp_strichartz,
-    "normalform_scaling": _exp_normalform,
-    "linearized_l2": _exp_linearized,
-    "lnl_conservation": _exp_lnl_conservation,
-    "decay_profile": _exp_decay_profile,
+    "conserve": Experiment(_exp_conserve, ProfileData, ConserveAnalysis),
+    "scaling": Experiment(_exp_scaling, ProfileData, ScalingAnalysis),
+    "airy_decay": Experiment(_exp_airy_decay, ProfileData, AiryAnalysis, marches=False),
+    "strichartz": Experiment(_exp_strichartz, WindowedData, StrichartzAnalysis, marches=False),
+    "normalform_scaling": Experiment(_exp_normalform, ShapeData, NormalformAnalysis,
+                                     marches=False),
+    "linearized_l2": Experiment(_exp_linearized, ProfileData),
+    "lnl_conservation": Experiment(_exp_lnl_conservation, ProfileData),
+    "decay_profile": Experiment(_exp_decay_profile, ProfileData, DecayAnalysis),
 }
 
 
@@ -804,12 +843,15 @@ def run_experiment(cfg: ExperimentConfig, base_dir=None) -> ExperimentResult:
     validate_config(cfg)
     base = Path(base_dir or os.environ.get("BO3_OUT") or cfg.output_dir)
     out_dir = base / cfg.experiment
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
 
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         try:
-            metrics, outputs = EXPERIMENTS[cfg.experiment](cfg, out_dir)
+            metrics, outputs = EXPERIMENTS[cfg.experiment].body(cfg, out_dir)
             checks = judge(metrics)
         except tuple(_STOPS) as exc:
             name, metric = _STOPS[type(exc)]

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import spectral
 from .flows import FlowKind, tbo_rhs
-from .invariants import EnergySeries
 from .spectral import (
     BandError,
     ComplexField,
@@ -52,7 +51,6 @@ __all__ = [
     "band_transform",
     "band_residual_raw",
     "band_residual_gauged",
-    "airy_residual",
     "ScalingResult",
     "cubic_scaling_test",
 ]
@@ -163,8 +161,8 @@ def band_transform(phi: RealField, k: int) -> BandTransform:
 # ---------------------------------------------------------------------------
 # Residuals.  The time derivative entering each residual is evaluated
 # algebraically by substituting the flow's right-hand side, so there is no
-# differencing error; ``airy_residual`` below offers the frame-differencing
-# variant for stored trajectories.
+# differencing error; the tests check the gauged residual against the
+# frame-differencing residual of a stored trajectory.
 
 
 def band_residual_raw(phi: RealField, k: int) -> float:
@@ -210,30 +208,6 @@ def band_residual_gauged(phi: RealField, k: int) -> float:
     fine = tilde_f.grid
     d3 = np.fft.ifft((1j * fine.xi) ** 3 * np.fft.fft(psi))
     return l2_norm(ComplexField(fine, dt_psi - d3))
-
-
-def airy_residual(traj, k: int) -> EnergySeries:
-    """Frame-differencing residual of the gauged variable along a trajectory.
-
-    Uses centered differences on stored frames, so the snapshot spacing must
-    put the O(dt^2) differencing error below the residual being measured.
-    Returns the residual norm at every interior frame.
-    """
-    if len(traj.frames) < 3:
-        raise ValueError("need at least three frames for centered differencing")
-    grid = traj.grid
-    psis = []
-    for t, fld in traj.frames:
-        psis.append(band_transform(fld, k).psi)
-    times = traj.times
-    out_t, out_r = [], []
-    for i in range(1, len(psis) - 1):
-        delta = times[i + 1] - times[i - 1]
-        dpsi = (psis[i + 1].values - psis[i - 1].values) / delta
-        d3 = np.fft.ifft((1j * grid.xi) ** 3 * psis[i].spectrum)
-        out_t.append(times[i])
-        out_r.append(l2_norm(ComplexField(grid, dpsi - d3)))
-    return EnergySeries(np.asarray(out_t), {"residual": np.asarray(out_r)})
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,9 @@ def _ticks(lo: float, hi: float, loglog: bool):
         if span / (step * mult) <= 6:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks, v = [], first
-    while v <= hi + 1e-12 * span:
-        ticks.append(v)
-        v += step
-    return ticks
+    # counted, not accumulated: adding a step to a large lo may not move it
+    first, last = math.ceil(lo / step), math.floor((hi + 1e-12 * span) / step)
+    return [i * step for i in range(first, last + 1)]
 
 
 def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
@@ -134,5 +131,8 @@ def plot_csv(csv_path, out_path, x: str, y, loglog=False, annotate=""):
                 xs.append(row[xi])
                 ys.append(row[yi])
         series.append((yc, xs, ys))
-    line_plot_svg(series, out_path, xlabel=x, ylabel=",".join(ycols),
-                  loglog=loglog, annotate=annotate)
+    try:
+        line_plot_svg(series, out_path, xlabel=x, ylabel=",".join(ycols),
+                      loglog=loglog, annotate=annotate)
+    except ArithmeticError:  # values whose span or ticks leave the float range
+        raise ValueError(f"{csv_path}: values too large to lay out") from None

@@ -9,11 +9,16 @@ the half-spectrum kernels of ``flows``.  Their nested products equal the
 kernels' single-pass cubic products when the data is band-limited below n/6.
 ``rk4_step`` is the integrating-factor RK4 step written with a new array for
 every stage, the reference for the stepper's in-place march.
+``airy_residual`` measures the gauged band residual by differencing stored
+frames, the independent check of ``normalform.band_residual_gauged``.
 """
 
 import numpy as np
 
-from bo3.spectral import RealField, dealiased_product, derivative, hilbert
+from bo3.invariants import EnergySeries
+from bo3.normalform import band_transform
+from bo3.spectral import (ComplexField, RealField, dealiased_product, derivative, hilbert,
+                          l2_norm)
 
 
 def slow_dft(values):
@@ -134,3 +139,29 @@ def rk4_step(s, h, efull, ehalf, nl):
     n3 = nl(ehalf * s + 0.5 * h * n2)
     n4 = nl(efull * s + h * ehalf * n3)
     return efull * s + (h / 6.0) * (efull * n1 + 2.0 * ehalf * (n2 + n3) + n4)
+
+
+# ---------------------------------------------------------------------------
+# normal form
+
+
+def airy_residual(traj, k: int) -> EnergySeries:
+    """Frame-differencing residual of the gauged variable along a trajectory.
+
+    Uses centered differences on stored frames, so the snapshot spacing must
+    put the O(dt^2) differencing error below the residual being measured.
+    Returns the residual norm at every interior frame.
+    """
+    if len(traj.frames) < 3:
+        raise ValueError("need at least three frames for centered differencing")
+    grid = traj.grid
+    psis = [band_transform(fld, k).psi for _, fld in traj.frames]
+    times = traj.times
+    out_t, out_r = [], []
+    for i in range(1, len(psis) - 1):
+        delta = times[i + 1] - times[i - 1]
+        dpsi = (psis[i + 1].values - psis[i - 1].values) / delta
+        d3 = np.fft.ifft((1j * grid.xi) ** 3 * psis[i].spectrum)
+        out_t.append(times[i])
+        out_r.append(l2_norm(ComplexField(grid, dpsi - d3)))
+    return EnergySeries(np.asarray(out_t), {"residual": np.asarray(out_r)})

@@ -5,18 +5,15 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bo3 import experiments
 from bo3.cli import main
 from bo3.experiments import (
     EXPERIMENTS,
-    AnalysisParams,
     ConfigError,
-    DataParams,
-    GridParams,
-    SolverParams,
+    NormalformAnalysis,
     apply_override,
     config_from_dict,
     config_to_dict,
@@ -59,22 +56,31 @@ def test_shipped_configs_round_trip_and_validate():
     paths = sorted(CONFIG_DIR.glob("*.json"))
     # one shipped config per experiment: the acceptance suite runs exactly these
     assert {path.stem for path in paths} == set(EXPERIMENTS)
+    values = 0
     for path in paths:
         raw = json.loads(path.read_text())
         assert raw["experiment"] == path.stem
         cfg = config_from_dict(raw)
         validate_config(cfg)
         assert config_to_dict(cfg) == raw
+        # exactly the fields the experiment's record declares
+        read = {key: [f.name for f in dataclasses.fields(cls)]
+                for key, cls in EXPERIMENTS[path.stem].sections().items() if cls}
+        assert {key: list(raw[key]) for key in read} == read
+        assert set(raw) == set(read) | {"experiment", "seed", "output_dir"}
+        values += 2 + sum(len(fields) for fields in read.values())
+    assert values == 109
 
 
 def test_analysis_list_defaults_are_lists():
-    ana = config_from_dict({"experiment": "conserve"}).analysis
-    for name in ("bands", "amplitudes", "k_bands", "conv_dts"):
-        assert isinstance(getattr(ana, name), list), name
-    assert ana.bands == [1, 2]
-    cfg = config_from_dict({"experiment": "conserve"})
-    assert config_from_dict(config_to_dict(cfg)) == cfg
-    assert AnalysisParams().bands is not AnalysisParams().bands
+    for experiment, names in (("normalform_scaling", ("bands", "amplitudes")),
+                              ("strichartz", ("k_bands",)), ("conserve", ("conv_dts",))):
+        cfg = config_from_dict({"experiment": experiment})
+        for name in names:
+            assert isinstance(getattr(cfg.analysis, name), list), name
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict({"experiment": "normalform_scaling"}).analysis.bands == [1, 2]
+    assert NormalformAnalysis().bands is not NormalformAnalysis().bands
 
 
 def test_config_rejects_unknown_fields():
@@ -101,12 +107,16 @@ def test_validate_catches_bad_parameters():
         validate_config(cfg)
 
 
-OVERRIDE_PATHS = ["seed"] + [
-    f"{section}.{f.name}"
-    for section, cls in (("grid", GridParams), ("data", DataParams),
-                         ("solver", SolverParams), ("analysis", AnalysisParams))
-    for f in dataclasses.fields(cls)
-]
+def override_paths(experiment):
+    """``seed`` and every section field the experiment's record declares."""
+    return ["seed"] + [f"{key}.{f.name}"
+                       for key, cls in EXPERIMENTS[experiment].sections().items() if cls
+                       for f in dataclasses.fields(cls)]
+
+
+# Every field of every experiment: a config file may name one its experiment
+# does not read.
+OVERRIDE_PATHS = sorted({path for name in EXPERIMENTS for path in override_paths(name)})
 # Integers stay below 2**16 in size so that a power-of-two grid stays small,
 # plus integers too large for a float.
 SCALARS = st.one_of(st.integers(-2**16, 2**16), st.integers(2**1024, 2**1100), st.floats(),
@@ -114,11 +124,13 @@ SCALARS = st.one_of(st.integers(-2**16, 2**16), st.integers(2**1024, 2**1100), s
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(EXPERIMENTS)),
-       st.lists(st.tuples(st.sampled_from(OVERRIDE_PATHS),
-                          st.one_of(SCALARS, st.lists(SCALARS, max_size=4))),
-                min_size=1, max_size=2))
-def test_fuzzed_overrides_validate_or_raise_config_error(experiment, overrides):
+@given(st.sampled_from(sorted(EXPERIMENTS)).flatmap(lambda experiment: st.tuples(
+    st.just(experiment),
+    st.lists(st.tuples(st.sampled_from(override_paths(experiment)),
+                       st.one_of(SCALARS, st.lists(SCALARS, max_size=4))),
+             min_size=1, max_size=2))))
+def test_fuzzed_overrides_validate_or_raise_config_error(case):
+    experiment, overrides = case
     cfg = shipped_config(experiment)
     for path, value in overrides:
         apply_override(cfg, f"{path}={json.dumps(value)}")
@@ -134,6 +146,7 @@ def test_override_paths():
     assert cfg.solver.dt == 0.5
     apply_override(cfg, "data.profile=sech_bump")
     assert cfg.data.profile == "sech_bump"
+    cfg = shipped_config("normalform_scaling")
     apply_override(cfg, "analysis.bands=[1,2,3]")
     assert cfg.analysis.bands == [1, 2, 3]
     with pytest.raises(ConfigError):
@@ -301,12 +314,19 @@ def test_cli_wraparound_is_a_failed_verdict(tmp_path, capsys):
 
 
 def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
-    path = write_fast_config(tmp_path, "conserve")
-    for assignment in ("analysis.bands=3", "analysis.conv_dts=abc",
-                       'analysis.amplitudes=[0.01, "x"]', "analysis.k_bands=[5.5, 6]",
-                       "data.amplitude=abc", "data.width=NaN", "data.profile=3", "seed=abc",
-                       "seed=1.5", "seed=true", "analysis.fit_points=abc",
-                       "analysis.t_probe=abc", "analysis.delta=Infinity", "output_dir=3"):
+    # each field set on an experiment that reads it
+    for name, assignment in (("normalform_scaling", "analysis.bands=3"),
+                             ("conserve", "analysis.conv_dts=abc"),
+                             ("normalform_scaling", 'analysis.amplitudes=[0.01, "x"]'),
+                             ("strichartz", "analysis.k_bands=[5.5, 6]"),
+                             ("conserve", "data.amplitude=abc"), ("conserve", "data.width=NaN"),
+                             ("conserve", "data.profile=3"), ("conserve", "seed=abc"),
+                             ("conserve", "seed=1.5"), ("conserve", "seed=true"),
+                             ("airy_decay", "analysis.fit_points=abc"),
+                             ("normalform_scaling", "analysis.t_probe=abc"),
+                             ("decay_profile", "analysis.delta=Infinity"),
+                             ("conserve", "output_dir=3")):
+        path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3
         field = assignment.split("=")[0]
@@ -350,19 +370,39 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
 
 
 def test_data_is_checked_only_where_the_experiment_reads_it(tmp_path, capsys):
-    # strichartz reads only data.bandlimit: a profile it never builds neither
-    # fails validation nor changes its table
+    # strichartz reads only data.bandlimit: setting a data field it never
+    # builds is an error that names both, before any output is made
     path = write_fast_config(tmp_path, "strichartz")
-    assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", str(path), "--set", "data.profile=sech_bump", "--set", "data.width=0",
-                 "--set", "data.amplitude=7", "--out", str(tmp_path / "b")]) == 0
-    table = Path("strichartz") / "strichartz.csv"
-    assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
-    capsys.readouterr()
+    for assignment in ("data.profile=sech_bump", "data.width=0", "data.amplitude=7"):
+        assert main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "b")]) == 3
+        assert f"strichartz reads no {assignment.split('=')[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
     path = write_fast_config(tmp_path, "conserve")
     assert main(["run", str(path), "--set", "data.width=0", "--out", str(tmp_path / "c")]) == 3
     assert "data.width=0" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("name, path", [("strichartz", "analysis.conv_dts"),
+                                        ("airy_decay", "solver.dt"),
+                                        ("linearized_l2", "analysis.delta"),
+                                        ("normalform_scaling", "data.amplitude")])
+def test_unread_fields_are_config_errors(name, path, tmp_path, capsys):
+    message = f"config error: {name} reads no {path}"
+    config = CONFIG_DIR / f"{name}.json"
+    # any value, such as the [1] and -1 that the first two cases once refused as out of range
+    for value in ("[1]", "-1"):
+        assert main(["validate", str(config), "--set", f"{path}={value}"]) == 3
+        assert message in capsys.readouterr().err
+    raw = json.loads(config.read_text())
+    section, field = path.split(".")
+    raw.setdefault(section, {})[field] = 1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw))
+    assert main(["validate", str(edited)]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["run", str(edited), "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_bands_are_checked_only_by_the_experiment_that_reads_them():
@@ -488,6 +528,52 @@ def test_cli_plot(tmp_path):
     assert svg.read_text().startswith("<svg")
     assert main(["plot", str(csv), "--x", "t", "--y", "nope",
                  "--out", str(svg)]) == 3
+
+
+def test_cli_bad_paths_are_config_errors(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    path = write_fast_config(tmp_path, "airy_decay")
+    assert main(["run", str(path), "--out", str(blocker)]) == 3
+    assert "cannot make output directory" in capsys.readouterr().err
+    assert main(["plot", str(tmp_path / "missing.csv"), "--x", "t", "--y", "a"]) == 3
+    assert "missing.csv" in capsys.readouterr().err
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,a\n1\n")
+    assert main(["plot", str(ragged), "--x", "t", "--y", "a"]) == 3
+    assert f"{ragged}:2:" in capsys.readouterr().err
+
+
+CELLS = st.one_of(st.floats(), st.integers(-10, 10).map(float), st.sampled_from(["", "x", "nan"]),
+                  st.text(alphabet="ab1.-e ", max_size=4))
+# a header and rows of its width
+TABLES = st.lists(st.text(alphabet="tab_", min_size=1, max_size=3), min_size=1,
+                  max_size=3).flatmap(lambda header: st.tuples(st.just(header), st.lists(
+                      st.lists(CELLS, min_size=len(header), max_size=len(header)), max_size=5)))
+
+
+# tables whose layout once overflowed, divided by zero or never ended
+@example((["t"], [[1e308]]), "file", [], False, "t")
+@example((["t", "a"], [[-1e308, 1.0], [1e308, 2.0]]), "file", [], False, "a")
+@example((["t", "a"], [[1e-300, 1.0], [1.7976931348623157e308, 2.0]]), "file", [], True,
+         "a")
+@example((["t", "a"], [[1e16, 0.0], [1.0000000000000002e16, 1.0]]), "file", [], False, "a")
+@settings(max_examples=200, deadline=None)
+@given(TABLES, st.sampled_from(["file", "ragged", "empty", "missing"]),
+       st.lists(CELLS, max_size=4), st.booleans(), st.text(alphabet="tab_", min_size=1, max_size=3))
+def test_fuzzed_plot_exits_0_or_3(table, kind, extra_row, loglog, other):
+    """Random headers and cells, ragged rows, empty and missing files: a
+    table that cannot be plotted is a usage error, never a crash."""
+    header, rows = table
+    rows = rows + [extra_row] if kind == "ragged" else rows
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, svg = Path(tmp) / "table.csv", Path(tmp) / "table.svg"
+        if kind != "missing":
+            csv.write_text("" if kind == "empty" else "\n".join(
+                ",".join(str(c) for c in row) for row in [header] + rows) + "\n")
+        args = ["plot", str(csv), "--x", header[0], "--y", header[-1], "--y", other,
+                "--out", str(svg)] + ["--loglog"] * loglog
+        assert main(args) in (0, 3)
 
 
 def test_cli_usage_error():

@@ -3,7 +3,6 @@ import pytest
 
 from bo3.flows import FlowKind
 from bo3.normalform import (
-    airy_residual,
     b0,
     band_residual_gauged,
     band_residual_raw,
@@ -34,7 +33,7 @@ from bo3.spectral import (
 from bo3.stepper import SolverConfig, integrate
 
 from conftest import random_bandlimited_field
-from oracles import slow_product_spectrum
+from oracles import airy_residual, slow_product_spectrum
 
 
 @pytest.fixture

@@ -3,13 +3,8 @@ import pytest
 
 from bo3.plotting import line_plot_svg, plot_csv
 from bo3.profiles import PROFILES, make_profile
-from bo3.snapshots import (
-    read_csv,
-    read_snapshot,
-    write_csv,
-    write_snapshot,
-)
-from bo3.spectral import ComplexField, make_grid
+from bo3.snapshots import read_csv, write_csv
+from bo3.spectral import make_grid
 
 
 @pytest.fixture
@@ -63,27 +58,7 @@ def test_unknown_profile(grid):
 
 
 # ---------------------------------------------------------------------------
-# snapshots
-
-
-def test_snapshot_roundtrip_real(tmp_path, grid):
-    f = make_profile("gaussian_bump", grid, amplitude=0.3)
-    path = tmp_path / "snap.txt"
-    write_snapshot(path, f, time=1.25)
-    g, t = read_snapshot(path)
-    assert t == 1.25
-    assert g.grid == grid
-    assert np.array_equal(g.values, f.values)
-
-
-def test_snapshot_roundtrip_complex(tmp_path, grid):
-    vals = np.exp(1j * grid.x) * np.exp(-((grid.x / 10.0) ** 2))
-    f = ComplexField(grid, vals)
-    path = tmp_path / "snap_c.txt"
-    write_snapshot(path, f, time=0.5)
-    g, t = read_snapshot(path)
-    assert isinstance(g, ComplexField)
-    assert np.array_equal(g.values, f.values)
+# CSV tables
 
 
 def test_csv_roundtrip_full_precision(tmp_path):

@@ -1,5 +1,6 @@
 """The verdict table: TOLERANCES specs, the judge, and each experiment's verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bo3.experiments import (
     apply_override,
     judge,
     run_experiment,
+    validate_config,
 )
 
 from conftest import shipped_config
@@ -100,6 +102,36 @@ def test_each_experiment_gives_its_pinned_verdicts(experiment, tmp_path):
     assert set(res.checks) == PINNED_VERDICTS[experiment]
     for check in res.checks.values():
         assert check.value == res.metrics[check.metric]
+
+
+def _recording(key, section, seen):
+    """A copy of a config section that adds ``<key>.<field>`` to ``seen`` at
+    every read of one of its fields."""
+    names = [f.name for f in dataclasses.fields(section)]
+
+    class Recording(type(section)):
+        def __getattribute__(self, name):
+            if name in names:
+                seen.add(f"{key}.{name}")
+            return super().__getattribute__(name)
+
+    return Recording(**{name: getattr(section, name) for name in names})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # run_experiment would record them
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path):
+    cfg = shipped_config(experiment)
+    for ov in TINY[experiment]:
+        apply_override(cfg, ov)
+    validate_config(cfg)  # reads every field; only the body's reads count below
+    declared, seen = set(), set()
+    for key, cls in EXPERIMENTS[experiment].sections().items():
+        if cls is not None:
+            declared |= {f"{key}.{f.name}" for f in dataclasses.fields(cls)}
+            setattr(cfg, key, _recording(key, getattr(cfg, key), seen))
+    EXPERIMENTS[experiment].body(cfg, tmp_path)
+    assert seen == declared
 
 
 # The "near" edges sit where |v - target| is exact for the neighbouring floats.
