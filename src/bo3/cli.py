@@ -4,9 +4,10 @@
     bo3 plot <csv> --x COL --y COL [--y COL2 ...] [--loglog] [--out FILE]
     bo3 validate <config.json> [--set path=value]...
 
-Exit codes: 0 pass, 1 fail, 2 degraded (pass with warnings), 3 usage or
-configuration error, 4 crash (any other exception; its traceback goes to
-stderr).  BO3_OUT overrides the output directory.
+``bo3 run`` writes its artifacts into ``DIR/<experiment>/`` (DIR defaults to
+``out``).  Exit codes: 0 pass, 1 fail, 2 degraded (pass with warnings), 3
+usage or configuration error, 4 crash (any other exception; its traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
         p.add_argument("config")
         p.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="override one config field")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.set_defaults(func=_cmd_run)
     p_val.set_defaults(func=_cmd_validate)
 

@@ -96,10 +96,9 @@ class DecayReport:
     exponents: dict
 
 
-def _weighted_channels(fld: RealField, t: float, delta: float, mask_obj: RegionMask):
+def _weighted_channels(fld: RealField, fx, t: float, delta: float, mask_obj: RegionMask):
     grid = fld.grid
     jb = jbracket(grid.x, t)
-    fx = derivative(fld).values
     phi_w = t**0.25 * jb ** (0.25 - delta) * np.abs(fld.values)
     phix_w = t**0.75 * jb ** (-0.25 - delta) * np.abs(fx)
     phi_w_alt = t**0.25 * jb ** (0.25 + delta) * np.abs(fld.values)
@@ -152,12 +151,13 @@ def decay_weights(frames, delta: float = 0.05, c_region: float = 1.0) -> DecayRe
         if t <= 0.0:
             continue
         mask_obj = classify(fld.grid, t, c_region)
-        rows.extend(_weighted_channels(fld, t, delta, mask_obj))
+        fx = derivative(fld).values
+        rows.extend(_weighted_channels(fld, fx, t, delta, mask_obj))
         sel = mask_obj.mask("hyperbolic")
         if np.any(sel):
             hyp_t.append(t)
             hyp_phi.append(np.max(np.abs(fld.values[sel])) + 1e-300)
-            hyp_phix.append(np.max(np.abs(derivative(fld).values[sel])) + 1e-300)
+            hyp_phix.append(np.max(np.abs(fx[sel])) + 1e-300)
     exponents = {}
     if len(hyp_t) >= 3:
         lt = np.log(hyp_t)

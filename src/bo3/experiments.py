@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import subprocess
 import typing
 import warnings as _warnings
@@ -44,6 +43,7 @@ __all__ = [
     "Check",
     "EXPERIMENTS",
     "TOLERANCES",
+    "MEMORY_BUDGET",
     "judge",
     "config_from_dict",
     "config_to_dict",
@@ -230,7 +230,6 @@ class ExperimentConfig:
     solver: SolverParams | None
     analysis: object
     seed: int = field(default=0, metadata={"range": "nonnegative"})
-    output_dir: str = "out"
 
     def initial_data(self):
         return self.data.build(make_grid(self.grid.n, self.grid.length), self.seed)
@@ -357,11 +356,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         return cls(**sub) if cls else None
 
     sections = {key: build(key, cls) for key, cls in EXPERIMENTS[name].sections().items()}
-    extra = set(d) - {"seed", "output_dir"}
+    extra = set(d) - {"seed"}
     if extra:
         raise ConfigError(f"unknown config fields: {sorted(extra)}")
-    return ExperimentConfig(experiment=name, seed=d.get("seed", 0),
-                            output_dir=d.get("output_dir", "out"), **sections)
+    return ExperimentConfig(experiment=name, seed=d.get("seed", 0), **sections)
 
 
 def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
@@ -443,10 +441,31 @@ def _check_bands(name: str, bands, grid, check=check_band) -> None:
             raise ConfigError(f"{name}: {exc}") from None
 
 
+# The most memory a run may ask for, in bytes as ``_run_bytes`` estimates them.
+MEMORY_BUDGET = 2**30
+
+
+def _run_bytes(cfg: ExperimentConfig) -> float:
+    """Estimated bytes of a run's largest arrays: x, xi and sign(xi) of each grid
+    it builds (``grid.n`` and ``analysis.conv_n``), 24 B a point, and the half
+    spectra its trajectories hold, frames x (n/2+1) x 16 B per stacked row.  The
+    frames (t = 0, every stride-th step and the last) are counted in floats, at
+    most one over the stepper's plan, so an absurd step count cannot overflow.
+    """
+    n = cfg.grid.n
+    total = 24.0 * (n + getattr(cfg.analysis, "conv_n", 0))
+    rows = EXPERIMENTS[cfg.experiment].marches
+    if rows:
+        sol = cfg.solver
+        frames = 2.0 + sol.t_end / sol.dt / sol.snapshot_stride
+        total += rows * frames * (n // 2 + 1) * 16.0
+    return total
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check every precondition knowable before any compute starts: the common
-    fields, the grid, the data build, the solver if it marches, its analysis checks."""
-    _check_fields("", cfg, ["seed", "output_dir"])  # config_from_dict checked the experiment
+    """Check every precondition knowable before any compute starts: the common fields,
+    the solver if it marches, the run's memory, the grid, the data and the analysis."""
+    _check_fields("", cfg, ["seed"])  # config_from_dict checked the experiment
     record = EXPERIMENTS[cfg.experiment]
     if record.marches:
         try:
@@ -456,6 +475,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, cls in record.sections().items():
         if cls is not None:
             _check_fields(f"{key}.", getattr(cfg, key))
+    need = _run_bytes(cfg)
+    if need > MEMORY_BUDGET:
+        raise ConfigError(f"the run needs about {need / 2**30:.3g} GiB, over the "
+                          f"{MEMORY_BUDGET / 2**30:g} GiB of experiments.MEMORY_BUDGET")
     grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
     try:
         cfg.initial_data()
@@ -496,14 +519,7 @@ def _exp_conserve(cfg, out_dir):
     series = invariants.track(traj, ["E0", "E1", "E2", "L2", "H1"])
     csv = out_dir / "energies.csv"
     snapshots.write_csv(csv, series.to_rows())
-
-    def drift(name):
-        ref = series.reference[name]
-        if ref == 0.0:  # zero data: absolute drift, exactly zero on a zero run
-            return float(np.max(np.abs(series.channels[name])))
-        return series.drift(name)
-
-    metrics = {f"{name.lower()}_drift": drift(name) for name in ("E0", "E1", "E2")}
+    metrics = {f"{name.lower()}_drift": series.drift(name) for name in ("E0", "E1", "E2")}
 
     ana = cfg.analysis
     conv_grid = make_grid(ana.conv_n, ana.conv_length)
@@ -511,19 +527,16 @@ def _exp_conserve(cfg, out_dir):
         "random_bandlimited", conv_grid, amplitude=ana.conv_amplitude,
         bandlimit=2.0, seed=cfg.seed,
     )
-    conv = convergence_order(
-        FlowKind("third_order_bo"), conv_data, ana.conv_t_end, ana.conv_dts
-    )
+    conv = convergence_order(conv_data, ana.conv_t_end, ana.conv_dts)
     snapshots.write_csv(out_dir / "convergence.csv",
                         [["dt", "error"]] + [[d, e] for d, e in zip(conv.dts, conv.errors)])
     metrics["convergence_order"] = conv.order
     svg = out_dir / "energies.svg"
-    refs = series.reference
-    drift_series = [
-        (name, series.times[1:],
-         np.abs(series.channels[name][1:] - refs[name]) / (abs(refs[name]) + 1e-300) + 1e-18)
-        for name in ("E0", "E1", "E2")
-    ]
+    drift_series = []
+    for name in ("E0", "E1", "E2"):
+        vals = series.channels[name]
+        drift_series.append((name, series.times[1:],
+                             np.abs(vals[1:] - vals[0]) / (abs(vals[0]) + 1e-300) + 1e-18))
     plotting.line_plot_svg(drift_series, svg, xlabel="t", ylabel="relative drift",
                            loglog=False, title="energy drift")
     return metrics, [csv, out_dir / "convergence.csv", svg]
@@ -648,7 +661,7 @@ def _exp_normalform(cfg, out_dir):
     const_rows = [["k", "normalized_size"]] + [[k + 1, c] for k, c in enumerate(consts)]
     const_csv = out_dir / "bk_constants.csv"
     snapshots.write_csv(const_csv, const_rows)
-    # the spread across the ladder is reported for reference
+    # the spread across the ladder is reported, not judged
     metrics["bk_constant_max"] = float(max(consts))
     metrics["bk_constant_spread"] = float(max(consts) / min(consts))
     return metrics, [csv, const_csv, svg]
@@ -798,11 +811,12 @@ def _exp_decay_profile(cfg, out_dir):
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its body, the classes of the ``data`` and ``analysis`` sections
-    it reads (None: no analysis), and whether it marches, that is, reads ``solver``."""
+    it reads (None: no analysis), and ``marches``, the half-spectrum rows its
+    trajectories hold at once (0: it does not march, that is, reads no ``solver``)."""
     body: typing.Callable
     data: type
     analysis: type | None = None
-    marches: bool = True
+    marches: int = 1
 
     def sections(self) -> dict:
         """The class of each section, None for a section the experiment does not read."""
@@ -812,13 +826,13 @@ class Experiment:
 
 EXPERIMENTS = {
     "conserve": Experiment(_exp_conserve, ProfileData, ConserveAnalysis),
-    "scaling": Experiment(_exp_scaling, ProfileData, ScalingAnalysis),
-    "airy_decay": Experiment(_exp_airy_decay, ProfileData, AiryAnalysis, marches=False),
-    "strichartz": Experiment(_exp_strichartz, WindowedData, StrichartzAnalysis, marches=False),
+    "scaling": Experiment(_exp_scaling, ProfileData, ScalingAnalysis, marches=2),
+    "airy_decay": Experiment(_exp_airy_decay, ProfileData, AiryAnalysis, marches=0),
+    "strichartz": Experiment(_exp_strichartz, WindowedData, StrichartzAnalysis, marches=0),
     "normalform_scaling": Experiment(_exp_normalform, ShapeData, NormalformAnalysis,
-                                     marches=False),
-    "linearized_l2": Experiment(_exp_linearized, ProfileData),
-    "lnl_conservation": Experiment(_exp_lnl_conservation, ProfileData),
+                                     marches=0),
+    "linearized_l2": Experiment(_exp_linearized, ProfileData, marches=2),
+    "lnl_conservation": Experiment(_exp_lnl_conservation, ProfileData, marches=2),
     "decay_profile": Experiment(_exp_decay_profile, ProfileData, DecayAnalysis),
 }
 
@@ -831,18 +845,15 @@ _STOPS = {BlowUpError: ("finite", "blowup_time"),
           dispersion.WrapAroundError: ("interior", "wraparound_time")}
 
 
-def run_experiment(cfg: ExperimentConfig, base_dir=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
     """Validate, run, and persist one experiment.
 
-    Artifacts land in ``<base>/<experiment>/``; ``base`` is, in order of
-    precedence, the ``base_dir`` argument, the BO3_OUT environment variable,
-    or ``cfg.output_dir``.  The body's metrics are judged by ``judge``; a run
-    that stops early (blow-up, wrap-around) ends with one failed check from
-    ``_STOPS``.
+    Artifacts land in ``<base_dir>/<experiment>/``.  The body's metrics are
+    judged by ``judge``; a run that stops early (blow-up, wrap-around) ends
+    with one failed check from ``_STOPS``.
     """
     validate_config(cfg)
-    base = Path(base_dir or os.environ.get("BO3_OUT") or cfg.output_dir)
-    out_dir = base / cfg.experiment
+    out_dir = Path(base_dir) / cfg.experiment
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission

@@ -21,6 +21,7 @@ outside the kept band.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +39,17 @@ __all__ = [
     "spectral_tail_fraction",
 ]
 
-FLOW_TAGS = ("airy", "third_order_bo")
+FLOW_TAGS = ("third_order_bo",)
 
 
 @dataclass(frozen=True)
 class FlowKind:
-    """Selects the flow that ``stepper.integrate`` marches.
-
-    ``airy`` is the linear flow ``phi_t = phi_xxx``, propagated exactly, and
-    ``third_order_bo`` the nonlinear one.  The linearized flow and its
-    backward adjoint ride on a background state and are marched together
-    with it by ``stepper.integrate_linearized_pair`` and
-    ``stepper.integrate_adjoint_pair``.
+    """Selects the flow that ``stepper.integrate`` marches.  ``third_order_bo``
+    is the only one; the kind stays because callers build it and read ``tag``.
+    The Airy flow ``phi_t = phi_xxx`` has one exact path, ``airy_propagate``.
+    The linearized flow and its backward adjoint ride on a background state
+    and are marched together with it by ``stepper.integrate_linearized_pair``
+    and ``stepper.integrate_adjoint_pair``.
     """
 
     tag: str
@@ -236,10 +236,15 @@ def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None, out=None):
     raise ValueError(f"no nonlinear part for flow {tag!r}")
 
 
+@functools.cache
 def linear_symbol(grid: SpectralGrid) -> np.ndarray:
-    """Exact symbol ``(i xi)^3`` of the linear part phi_xxx (diagonal in Fourier)."""
+    """Exact symbol ``(i xi)^3`` of the linear part phi_xxx (diagonal in Fourier).
+
+    Built once per grid; the shared array is read-only.
+    """
     lam = (1j * grid.xi) ** 3
     lam[grid.nyquist_index] = 0.0
+    lam.setflags(write=False)
     return lam
 
 
@@ -297,14 +302,13 @@ def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     return _with_linear(w, ws, _adj_nl, product_fields(ws, phi.spectrum, ws.bg), w.spectrum)
 
 
-def spectral_tail_fraction(f) -> float:
+def spectral_tail_fraction(h) -> float:
     """Fraction of spectral energy carried by the top third of wavenumbers.
 
-    ``f`` is a real field or its half spectrum (the n/2+1 nonnegative
+    ``h`` is the half spectrum of a real field (its n/2+1 nonnegative
     wavenumbers).  The top third are the modes with ``|xi| >= (2/3) xi_max``,
     which on the half spectrum are the indices from n/3 up.
     """
-    h = f.spectrum[: f.grid.n // 2 + 1] if hasattr(f, "grid") else f
     power = np.abs(h)
     power *= power
     power[1:-1] *= 2.0  # an interior mode stands for itself and its conjugate

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,7 +200,6 @@ class EnergySeries:
 
     times: np.ndarray
     channels: dict
-    reference: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, vals in self.channels.items():
@@ -208,12 +207,10 @@ class EnergySeries:
                 raise ValueError(f"channel {name!r} length mismatch")
 
     def drift(self, name: str) -> float:
-        """max |value - value(0)| / |value(0)| for one channel."""
+        """max |value - value(0)| / |value(0)|, or max |value| where value(0) is 0."""
         vals = np.asarray(self.channels[name], dtype=float)
-        ref = self.reference.get(name, vals[0])
-        if ref == 0.0:
-            raise ZeroDivisionError(f"channel {name!r} starts at zero")
-        return float(np.max(np.abs(vals - ref)) / abs(ref))
+        dev = float(np.max(np.abs(vals - vals[0])))
+        return dev / abs(float(vals[0])) if vals[0] != 0.0 else dev
 
     def to_rows(self):
         names = sorted(self.channels)
@@ -283,7 +280,7 @@ def track(traj, channels) -> EnergySeries:
     blocks = [_energies(ws, traj.spectra[i: i + TRACK_BLOCK])
               for i in range(0, len(traj.times), TRACK_BLOCK)]
     series = {name: np.concatenate([b[name] for b in blocks]) for name in channels}
-    return EnergySeries(traj.times, series, {n: series[n][0] for n in series})
+    return EnergySeries(traj.times, series)
 
 
 class _PairFrame:
@@ -327,4 +324,4 @@ def track_pair(phi_traj, v_traj, channels) -> EnergySeries:
         for name in channels:
             out[name].append(PAIR_CHANNELS[name](frame))
     series = {name: np.asarray(vals) for name, vals in out.items()}
-    return EnergySeries(phi_traj.times, series, {n: series[n][0] for n in series})
+    return EnergySeries(phi_traj.times, series)

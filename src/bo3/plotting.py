@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from html import escape
 from pathlib import Path
 
 from .snapshots import read_csv
@@ -37,6 +38,10 @@ def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
     ``series`` is a list of (label, xs, ys).  With ``loglog`` both axes are
     logarithmic and nonpositive points are dropped.
     """
+    # text goes into XML elements; html.escape with quote=False escapes what
+    # xml.sax.saxutils.escape does, without importing urllib (~7 MB of RSS)
+    xlabel, ylabel, title, annotate = (escape(s, quote=False)
+                                       for s in (xlabel, ylabel, title, annotate))
     pts_all = []
     clean = []
     for label, xs, ys in series:
@@ -46,7 +51,7 @@ def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
             if (not loglog or (x > 0 and y > 0)) and math.isfinite(x) and math.isfinite(y)
         ]
         if pairs:
-            clean.append((label, pairs))
+            clean.append((escape(label, quote=False), pairs))
             pts_all.extend(pairs)
     if not pts_all:
         raise ValueError("nothing to plot")
@@ -136,3 +141,5 @@ def plot_csv(csv_path, out_path, x: str, y, loglog=False, annotate=""):
                       loglog=loglog, annotate=annotate)
     except ArithmeticError:  # values whose span or ticks leave the float range
         raise ValueError(f"{csv_path}: values too large to lay out") from None
+    except OSError as exc:  # a missing directory, or no permission
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None

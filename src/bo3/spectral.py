@@ -432,16 +432,6 @@ class FrequencyEnvelope:
     delta: float
     c: np.ndarray
 
-    def is_slowly_varying(self, rtol: float = 1e-12) -> bool:
-        ks = np.arange(self.c.size)
-        ratio_bound = 2.0 ** (self.delta * np.abs(ks[:, None] - ks[None, :]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(self.c[None, :] > 0, self.c[:, None] / self.c[None, :], 0.0)
-        return bool(np.all(ratios <= ratio_bound * (1.0 + rtol)))
-
-    def majorizes(self, f, rtol: float = 1e-12) -> bool:
-        return bool(np.all(band_l2_norms(f) <= self.c * (1.0 + rtol) + 1e-300))
-
 
 def envelope(f, delta: float) -> FrequencyEnvelope:
     """Minimal slowly varying envelope ``c_k = sup_j 2**(-delta|j-k|) ||P_j f||``."""

@@ -5,8 +5,7 @@ the exact linear propagator (a pure phase multiplier), and classical RK4 is
 applied to the transformed nonlinearity.  The state is the half spectrum of a
 real field (its m = n/2+1 nonnegative wavenumbers); one march serves a single
 state ``(m,)`` and the stacked ``(2, m)`` states of the linearized and
-adjoint pairs, forward and backward in time.  The Airy flow is propagated
-exactly, in one multiplier application per frame.
+adjoint pairs, forward and backward in time.
 """
 
 from __future__ import annotations
@@ -102,29 +101,12 @@ class Trajectory:
         self.times.setflags(write=False)
         self.spectra.setflags(write=False)
 
-    @classmethod
-    def from_frames(cls, frames, config: SolverConfig) -> "Trajectory":
-        """Trajectory of ``(time, RealField)`` pairs on one grid."""
-        grids = {f.grid for _, f in frames}
-        if len(grids) != 1:
-            raise ValueError("all frames must share one grid")
-        (grid,) = grids
-        times = np.array([t for t, _ in frames], dtype=float)
-        spectra = np.array([f.spectrum[: grid.n // 2 + 1] for _, f in frames])
-        return cls(grid, times, spectra, config)
-
     @property
     def frames(self) -> _Frames:
         return _Frames(self)
 
     def final(self) -> RealField:
         return self.frames[-1][1]
-
-    def at(self, t: float, atol: float = 1e-9) -> RealField:
-        hits = np.flatnonzero(np.abs(self.times - t) <= atol)
-        if not hits.size:
-            raise KeyError(f"no frame at t = {t}")
-        return self.frames[int(hits[0])][1]
 
 
 class _IFRK4:
@@ -248,24 +230,16 @@ def _recorded_march(ws, s0, t0, t_span, config, nl):
 
 
 def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Trajectory:
-    """Integrate one flow from initial data ``f0``.
+    """Integrate the flow ``kind`` from mean-free initial data ``f0``.
 
-    The Airy flow is propagated exactly to each frame time.  The third-order
-    flow requires mean-free data.  Non-finite values abort with the blow-up time;
-    under-resolution only accumulates warnings on the trajectory.
+    Non-finite values abort with the blow-up time; under-resolution only
+    accumulates warnings on the trajectory.
     """
-    grid = f0.grid
-    tag = kind.tag
-    if tag == "airy":
-        h, steps = _frame_plan(config.t_end, config)
-        return Trajectory.from_frames(
-            [(j * h, flows.airy_propagate(f0, j * h)) for j in [0] + steps], config)
-
     require_mean_free(f0)
-    ws = flows._workspace(grid)
-    nl = lambda s, out: flows.nonlinear_spectrum(tag, ws, s, out=out)
+    ws = flows._workspace(f0.grid)
+    nl = lambda s, out: flows.nonlinear_spectrum(kind.tag, ws, s, out=out)
     times, (spectra,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
-    return Trajectory(grid, times, spectra, config, warns)
+    return Trajectory(f0.grid, times, spectra, config, warns)
 
 
 def _pair_march(phi, sec, sec_tag, t0, t_span, config):
@@ -315,24 +289,17 @@ class ConvergenceResult:
     dts: tuple
     errors: tuple
 
-    @property
-    def label(self) -> str:
-        if math.isinf(self.order):
-            return "exact"
-        if math.isnan(self.order):
-            return "non-monotone"
-        return f"{self.order:.3f}"
 
-
-def convergence_order(kind: flows.FlowKind, f0: RealField, t_end: float, dt_list) -> ConvergenceResult:
-    """Self-convergence study against a reference at the finest dt / 8."""
+def convergence_order(f0: RealField, t_end: float, dt_list) -> ConvergenceResult:
+    """Self-convergence study of the third-order flow against a run at the
+    finest dt / 8."""
     dts = sorted(float(d) for d in dt_list)
     if len(dts) < 3:
         raise ValueError("need at least three dt values")
 
     def final_state(dt):
         cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_stride=10**9)
-        return integrate(kind, f0, cfg).final()
+        return integrate(flows.FlowKind("third_order_bo"), f0, cfg).final()
 
     ref = final_state(dts[0] / 8.0)
     scale = np.max(np.abs(ref.values)) + 1e-300

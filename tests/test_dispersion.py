@@ -12,10 +12,9 @@ from bo3.dispersion import (
     jbracket,
     refined_sup,
 )
-from bo3.flows import FlowKind
+from bo3.flows import airy_propagate
 from bo3.profiles import make_profile
 from bo3.spectral import RealField, make_grid
-from bo3.stepper import SolverConfig, integrate
 
 from conftest import random_bandlimited_field
 
@@ -106,9 +105,7 @@ def test_classify_needs_positive_time():
 def test_decay_weights_zero_trajectory():
     grid = make_grid(256, 64.0 * np.pi)
     zero = RealField(grid, np.zeros(grid.n))
-    cfg = SolverConfig(dt=0.05, t_end=2.0, snapshot_stride=10)
-    traj = integrate(FlowKind("airy"), zero, cfg)
-    report = decay_weights(traj.frames)
+    report = decay_weights([(t, airy_propagate(zero, t)) for t in (0.0, 0.5, 1.0, 1.5, 2.0)])
     assert report.rows
     for row in report.rows:
         assert row["weighted_phi_sup"] == 0.0
@@ -118,9 +115,8 @@ def test_decay_weights_zero_trajectory():
 def test_decay_weights_skips_time_zero_and_labels_variants():
     grid = make_grid(512, 256.0 * np.pi)
     data = make_profile("odd_packet", grid, amplitude=0.1, width=6.0, bandlimit=1.0)
-    cfg = SolverConfig(dt=0.5, t_end=4.0, snapshot_stride=1)
-    traj = integrate(FlowKind("airy"), data, cfg)
-    report = decay_weights(traj.frames, delta=0.05)
+    report = decay_weights([(t, airy_propagate(data, t)) for t in 0.5 * np.arange(9)],
+                           delta=0.05)
     times = {row["t"] for row in report.rows}
     assert 0.0 not in times
     regions = {row["region"] for row in report.rows}

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import re
 import tempfile
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bo3 import experiments
+from bo3 import experiments, stepper
 from bo3.cli import main
 from bo3.experiments import (
     EXPERIMENTS,
@@ -67,9 +68,9 @@ def test_shipped_configs_round_trip_and_validate():
         read = {key: [f.name for f in dataclasses.fields(cls)]
                 for key, cls in EXPERIMENTS[path.stem].sections().items() if cls}
         assert {key: list(raw[key]) for key in read} == read
-        assert set(raw) == set(read) | {"experiment", "seed", "output_dir"}
-        values += 2 + sum(len(fields) for fields in read.values())
-    assert values == 109
+        assert set(raw) == set(read) | {"experiment", "seed"}
+        values += 1 + sum(len(fields) for fields in read.values())
+    assert values == 101
 
 
 def test_analysis_list_defaults_are_lists():
@@ -231,13 +232,6 @@ def test_under_resolved_run_is_degraded(tmp_path):
     assert manifest["warnings"]
 
 
-def test_bo3_out_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("BO3_OUT", str(tmp_path / "envout"))
-    res = run_experiment(fast_config("scaling"))
-    assert (tmp_path / "envout" / "scaling" / "scaling.csv").exists()
-    assert res.passed
-
-
 # ---------------------------------------------------------------------------
 # command line
 
@@ -324,8 +318,7 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              ("conserve", "seed=1.5"), ("conserve", "seed=true"),
                              ("airy_decay", "analysis.fit_points=abc"),
                              ("normalform_scaling", "analysis.t_probe=abc"),
-                             ("decay_profile", "analysis.delta=Infinity"),
-                             ("conserve", "output_dir=3")):
+                             ("decay_profile", "analysis.delta=Infinity")):
         path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3
@@ -402,6 +395,45 @@ def test_unread_fields_are_config_errors(name, path, tmp_path, capsys):
     assert main(["validate", str(edited)]) == 3
     assert message in capsys.readouterr().err
     assert main(["run", str(edited), "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_bytes_counts_grids_and_trajectory_rows():
+    # 24 B a grid point; 16 B a half-spectrum mode per frame and stacked row,
+    # at most one frame over the stepper's plan
+    for name, rows in (("conserve", 1), ("scaling", 2), ("lnl_conservation", 2)):
+        cfg = fast_config(name)
+        n, m = cfg.grid.n, cfg.grid.n // 2 + 1
+        grids = 24 * (n + getattr(cfg.analysis, "conv_n", 0))
+        frames = len(stepper._frame_plan(cfg.solver.t_end, cfg.solver.build())[1]) + 1
+        traj = experiments._run_bytes(cfg) - grids
+        assert rows * frames * m * 16 <= traj <= rows * (frames + 1) * m * 16, name
+    cfg = shipped_config("strichartz")  # no march: the grid alone
+    assert experiments._run_bytes(cfg) == 24 * cfg.grid.n
+
+
+def test_oversized_runs_are_config_errors_before_any_grid(tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(experiments, "make_grid", no_grid)
+    conserve = str(CONFIG_DIR / "conserve.json")
+    # 2**30 points: 24 GiB of grid and 102 frames of 8 GiB; or 10**6 frames of 8 MB
+    for assignment, gib in (("grid.n=1073741824", "840"), ("solver.t_end=10000", "7.64")):
+        for command in (["validate", conserve], ["run", conserve, "--out", str(tmp_path / "out")]):
+            assert main(command + ["--set", assignment]) == 3
+            assert f"the run needs about {gib} GiB" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_is_an_unknown_field(tmp_path, capsys):
+    # the output directory is set by --out alone
+    raw = json.loads((CONFIG_DIR / "scaling.json").read_text())
+    raw["output_dir"] = "out"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw))
+    assert main(["run", str(edited), "--out", str(tmp_path / "out")]) == 3
+    assert "unknown config fields: ['output_dir']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -542,38 +574,54 @@ def test_cli_bad_paths_are_config_errors(tmp_path, capsys):
     ragged.write_text("t,a\n1\n")
     assert main(["plot", str(ragged), "--x", "t", "--y", "a"]) == 3
     assert f"{ragged}:2:" in capsys.readouterr().err
+    table = tmp_path / "table.csv"
+    table.write_text("t,a\n0,1\n1,2\n")
+    nowhere = tmp_path / "nodir" / "x.svg"
+    assert main(["plot", str(table), "--x", "t", "--y", "a", "--out", str(nowhere)]) == 3
+    assert f"cannot write {nowhere}" in capsys.readouterr().err
 
 
 CELLS = st.one_of(st.floats(), st.integers(-10, 10).map(float), st.sampled_from(["", "x", "nan"]),
                   st.text(alphabet="ab1.-e ", max_size=4))
+# column names, with the characters that XML escapes
+NAMES = st.text(alphabet="tab_<&>", min_size=1, max_size=3)
 # a header and rows of its width
-TABLES = st.lists(st.text(alphabet="tab_", min_size=1, max_size=3), min_size=1,
-                  max_size=3).flatmap(lambda header: st.tuples(st.just(header), st.lists(
-                      st.lists(CELLS, min_size=len(header), max_size=len(header)), max_size=5)))
+TABLES = st.lists(NAMES, min_size=1, max_size=3).flatmap(lambda header: st.tuples(
+    st.just(header), st.lists(st.lists(CELLS, min_size=len(header), max_size=len(header)),
+                              max_size=5)))
 
 
-# tables whose layout once overflowed, divided by zero or never ended
-@example((["t"], [[1e308]]), "file", [], False, "t")
-@example((["t", "a"], [[-1e308, 1.0], [1e308, 2.0]]), "file", [], False, "a")
+# tables whose layout once overflowed, divided by zero or never ended, and
+# a name and an output directory that once crashed or broke the SVG
+@example((["t"], [[1e308]]), "file", [], False, "t", False)
+@example((["t", "a"], [[-1e308, 1.0], [1e308, 2.0]]), "file", [], False, "a", False)
 @example((["t", "a"], [[1e-300, 1.0], [1.7976931348623157e308, 2.0]]), "file", [], True,
-         "a")
-@example((["t", "a"], [[1e16, 0.0], [1.0000000000000002e16, 1.0]]), "file", [], False, "a")
+         "a", False)
+@example((["t", "a"], [[1e16, 0.0], [1.0000000000000002e16, 1.0]]), "file", [], False, "a",
+         False)
+@example((["t", "a<b&c"], [[0.0, 1.0], [1.0, 2.0]]), "file", [], False, "a<b&c", False)
+@example((["t", "a"], [[0.0, 1.0], [1.0, 2.0]]), "file", [], False, "a", True)
 @settings(max_examples=200, deadline=None)
 @given(TABLES, st.sampled_from(["file", "ragged", "empty", "missing"]),
-       st.lists(CELLS, max_size=4), st.booleans(), st.text(alphabet="tab_", min_size=1, max_size=3))
-def test_fuzzed_plot_exits_0_or_3(table, kind, extra_row, loglog, other):
-    """Random headers and cells, ragged rows, empty and missing files: a
-    table that cannot be plotted is a usage error, never a crash."""
+       st.lists(CELLS, max_size=4), st.booleans(), NAMES, st.booleans())
+def test_fuzzed_plot_exits_0_or_3(table, kind, extra_row, loglog, other, no_dir):
+    """Random headers and cells, ragged rows, empty and missing files, a
+    missing output directory: a table that cannot be plotted is a usage
+    error, never a crash, and a plotted one is well-formed XML."""
     header, rows = table
     rows = rows + [extra_row] if kind == "ragged" else rows
     with tempfile.TemporaryDirectory() as tmp:
-        csv, svg = Path(tmp) / "table.csv", Path(tmp) / "table.svg"
+        csv = Path(tmp) / "table.csv"
+        svg = Path(tmp) / "nodir" / "table.svg" if no_dir else Path(tmp) / "table.svg"
         if kind != "missing":
             csv.write_text("" if kind == "empty" else "\n".join(
                 ",".join(str(c) for c in row) for row in [header] + rows) + "\n")
         args = ["plot", str(csv), "--x", header[0], "--y", header[-1], "--y", other,
-                "--out", str(svg)] + ["--loglog"] * loglog
-        assert main(args) in (0, 3)
+                "--annotate", other, "--out", str(svg)] + ["--loglog"] * loglog
+        code = main(args)
+        assert code in (0, 3)
+        if code == 0:
+            ElementTree.parse(svg)
 
 
 def test_cli_usage_error():

@@ -24,7 +24,7 @@ from bo3.profiles import make_profile
 from bo3.spectral import RealField, derivative, l2_norm, make_grid, sobolev_norm
 from bo3.stepper import SolverConfig, Trajectory, integrate, integrate_linearized_pair
 
-from conftest import random_bandlimited_field, shipped_config
+from conftest import random_bandlimited_field, shipped_config, trajectory
 
 
 @pytest.fixture
@@ -210,9 +210,7 @@ def test_track_unknown_channel(grid):
 
 def test_track_single_frame(grid):
     f = RealField(grid, 0.1 * np.sin(grid.x))
-    cfg = SolverConfig(dt=1e-3, t_end=0.0)
-    traj = integrate(FlowKind("airy"), f, cfg)
-    series = track(traj, ["E0"])
+    series = track(trajectory([(0.0, f)]), ["E0"])
     assert len(series.times) == 1
     assert series.channels["E0"][0] == pytest.approx(np.pi * 0.01, rel=1e-12)
 
@@ -220,9 +218,13 @@ def test_track_single_frame(grid):
 def test_energy_series_validation():
     with pytest.raises(ValueError):
         EnergySeries(np.array([0.0, 1.0]), {"E0": np.array([1.0])})
-    series = EnergySeries(np.array([0.0, 1.0]), {"E0": np.array([0.0, 0.0])})
-    with pytest.raises(ZeroDivisionError):
-        series.drift("E0")
+    series = EnergySeries(np.array([0.0, 1.0]), {"E0": np.array([2.0, 3.0]),
+                                                  "E1": np.array([0.0, -3.0]),
+                                                  "E2": np.array([0.0, 0.0])})
+    assert series.drift("E0") == 0.5
+    # a channel that starts at zero reports its absolute drift
+    assert series.drift("E1") == 3.0
+    assert series.drift("E2") == 0.0
 
 
 def test_track_pair_channels():
@@ -276,7 +278,7 @@ def test_batched_channels_match_per_frame_functions_on_full_band_data():
     grid = make_grid(1024, 256.0 * np.pi)
     rng = np.random.default_rng(0)
     fields = [RealField(grid, rng.normal(size=grid.n)) for _ in range(invariants.TRACK_BLOCK + 6)]
-    traj = Trajectory.from_frames([(float(i), f) for i, f in enumerate(fields)], SolverConfig())
+    traj = trajectory([(float(i), f) for i, f in enumerate(fields)])
     diffs = _largest_channel_difference(traj, fields)
     assert max(diffs.values()) <= 1e-14, diffs
 

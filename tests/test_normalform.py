@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bo3.flows import FlowKind
+from bo3.flows import FlowKind, airy_propagate
 from bo3.normalform import (
     b0,
     band_residual_gauged,
@@ -32,7 +32,7 @@ from bo3.spectral import (
 )
 from bo3.stepper import SolverConfig, integrate
 
-from conftest import random_bandlimited_field
+from conftest import random_bandlimited_field, trajectory
 from oracles import airy_residual, slow_product_spectrum
 
 
@@ -377,8 +377,7 @@ def test_airy_residual_on_linear_trajectory_is_reported(grid):
     # feeding a linear-flow trajectory through the transformations leaves the
     # transformation's own quadratic commutator content; measured, not asserted
     f = field_with_bands(grid, seed=21, scale=0.1)
-    cfg = SolverConfig(dt=1e-3, t_end=6e-3, snapshot_stride=1)
-    traj = integrate(FlowKind("airy"), f, cfg)
+    traj = trajectory([(t, airy_propagate(f, t)) for t in 1e-3 * np.arange(7)])
     series = airy_residual(traj, 1)
     vals = series.channels["residual"]
     assert np.all(np.isfinite(vals))

@@ -11,6 +11,7 @@ from bo3.spectral import (
     MeanError,
     RealField,
     antiderivative,
+    band_l2_norms,
     band_multiplier,
     below_multiplier,
     dealiased_product,
@@ -408,8 +409,6 @@ def test_envelope_two_band_max_of_tents():
     delta = 0.3
     env = envelope(f, delta)
     # direct sup evaluation of the definition
-    from bo3.spectral import band_l2_norms
-
     norms = band_l2_norms(f)
     ks = np.arange(norms.size)
     expected = np.array([
@@ -424,8 +423,12 @@ def test_envelope_invariants(delta, seed):
     grid = make_grid(256, 2.0 * np.pi)
     f = random_bandlimited_field(grid, seed=seed, bandlimit=60.0)
     env = envelope(f, delta)
-    assert env.is_slowly_varying()
-    assert env.majorizes(f)
+    # slowly varying: c_j <= 2**(delta |j - k|) c_k for every pair of bands
+    ks = np.arange(env.c.size)
+    bound = 2.0 ** (delta * np.abs(ks[:, None] - ks[None, :])) * env.c[None, :]
+    assert np.all(env.c[:, None] <= bound * (1.0 + 1e-12))
+    # a majorant of the band norms
+    assert np.all(band_l2_norms(f) <= env.c * (1.0 + 1e-12) + 1e-300)
 
 
 def test_envelope_rejects_bad_delta(grid2pi):
