@@ -17,7 +17,7 @@ import numpy as np
 from . import spectral
 from .flows import airy_propagate
 from .invariants import edge_fraction
-from .spectral import DyadicBand, RealField, derivative, l2_norm, project_band
+from .spectral import DyadicBand, RealField, derivative, l2_norm, project_band, same_grid
 
 __all__ = [
     "jbracket",
@@ -220,15 +220,13 @@ def bilinear_strichartz_ratio(
     blocks need frequency separation: either ``|j - k| > 2`` or the same band
     split into opposite sign halves.
     """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
+    grid = same_grid(f, g)
     if abs(j - k) <= 2 and not (j == k and set(halves) == {"plus", "minus"}):
         raise ValueError(
             "bands must satisfy |j - k| > 2, or be equal with opposite halves"
         )
     if samples < 2:
         raise ValueError("need at least two time samples")
-    grid = f.grid
     pj = project_band(f, DyadicBand(j, halves[0]))
     pk = project_band(g, DyadicBand(k, halves[1]))
     nj, nk = l2_norm(pj), l2_norm(pk)

@@ -36,7 +36,6 @@ __all__ = [
     "ConfigError",
     "ResolutionWarning",
     "GridParams",
-    "SolverParams",
     "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
@@ -74,10 +73,10 @@ def _flag_resolution(traj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config sections.  ``grid`` and ``solver`` are shared; each experiment reads
-# its initial data through one of the ``data`` classes and its own settings
-# through one of the ``analysis`` classes, which range-check their fields in
-# ``check(grid, solver)``.
+# Config sections.  ``grid`` and ``solver`` (``stepper.SolverConfig``) are
+# shared; each experiment reads its initial data through one of the ``data``
+# classes and its own settings through one of the ``analysis`` classes, which
+# range-check their fields in ``check(grid, solver)``.
 
 
 @dataclass
@@ -121,17 +120,6 @@ class WindowedData:
             return RealField(grid, envelope * base - np.mean(envelope * base))
 
         return windowed(seed), windowed(seed + 1)
-
-
-@dataclass
-class SolverParams:
-    dt: float = 1e-4
-    t_end: float = 1.0
-    snapshot_stride: int = 100
-    tail_tol: float = 1e-8
-
-    def build(self) -> SolverConfig:
-        return SolverConfig(**dataclasses.asdict(self))
 
 
 # The ranges a field can declare; validate_config checks them with the types.
@@ -227,7 +215,7 @@ class ExperimentConfig:
     experiment: str
     grid: GridParams
     data: object
-    solver: SolverParams | None
+    solver: SolverConfig | None
     analysis: object
     seed: int = field(default=0, metadata={"range": "nonnegative"})
 
@@ -353,7 +341,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if unread:
             raise ConfigError(f"{name} reads no {', '.join(unread)}")
         # the analysis lists stay JSON lists; validate_config checks them
-        return cls(**sub) if cls else None
+        try:
+            return cls(**sub) if cls else None
+        except (TypeError, ValueError, OverflowError) as exc:  # SolverConfig's own checks
+            raise ConfigError(f"bad {key!r} section: {exc}") from None
 
     sections = {key: build(key, cls) for key, cls in EXPERIMENTS[name].sections().items()}
     extra = set(d) - {"seed"}
@@ -464,15 +455,10 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check every precondition knowable before any compute starts: the common fields,
-    the solver if it marches, the run's memory, the grid, the data and the analysis."""
-    _check_fields("", cfg, ["seed"])  # config_from_dict checked the experiment
-    record = EXPERIMENTS[cfg.experiment]
-    if record.marches:
-        try:
-            cfg.solver.build()
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad 'solver' section: {exc}") from None
-    for key, cls in record.sections().items():
+    the field types of every section, the run's memory, the grid, the data and the
+    analysis.  config_from_dict checked the experiment and the solver's values."""
+    _check_fields("", cfg, ["seed"])
+    for key, cls in EXPERIMENTS[cfg.experiment].sections().items():
         if cls is not None:
             _check_fields(f"{key}.", getattr(cfg, key))
     need = _run_bytes(cfg)
@@ -514,7 +500,7 @@ def build_version() -> str:
 
 def _exp_conserve(cfg, out_dir):
     data = cfg.initial_data()
-    traj = integrate(FlowKind("third_order_bo"), data, cfg.solver.build())
+    traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
     _flag_resolution(traj)
     series = invariants.track(traj, ["E0", "E1", "E2", "L2", "H1"])
     csv = out_dir / "energies.csv"
@@ -546,11 +532,11 @@ def _exp_scaling(cfg, out_dir):
     lam = cfg.analysis.scale_factor
     data = cfg.initial_data()
     sol = cfg.solver
-    base = integrate(FlowKind("third_order_bo"), data, sol.build())
+    base = integrate(FlowKind("third_order_bo"), data, sol)
 
     grid2 = make_grid(cfg.grid.n, cfg.grid.length / lam)
     data2 = RealField(grid2, lam * data.values)
-    sol2 = dataclasses.replace(sol.build(), dt=sol.dt / lam**3, t_end=sol.t_end / lam**3)
+    sol2 = dataclasses.replace(sol, dt=sol.dt / lam**3, t_end=sol.t_end / lam**3)
     scaled = integrate(FlowKind("third_order_bo"), data2, sol2)
     _flag_resolution(base)
     _flag_resolution(scaled)
@@ -677,7 +663,7 @@ def _linearized_run(cfg):
     phi0 = cfg.initial_data()
     v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=cfg.data.amplitude,
                                bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
-    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver.build())
+    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver)
     _flag_resolution(phi_traj)
     return phi0, v0, phi_traj, v_traj
 
@@ -755,7 +741,7 @@ def _exp_lnl_conservation(cfg, out_dir):
 def _exp_decay_profile(cfg, out_dir):
     data = cfg.initial_data()
     eps = cfg.data.amplitude
-    traj = integrate(FlowKind("third_order_bo"), data, cfg.solver.build())
+    traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
     _flag_resolution(traj)
     ana = cfg.analysis
     frames = list(traj.frames)  # built once, read by both passes below
@@ -821,7 +807,7 @@ class Experiment:
     def sections(self) -> dict:
         """The class of each section, None for a section the experiment does not read."""
         return {"grid": GridParams, "data": self.data,
-                "solver": SolverParams if self.marches else None, "analysis": self.analysis}
+                "solver": SolverConfig if self.marches else None, "analysis": self.analysis}
 
 
 EXPERIMENTS = {

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import RealField, SpectralGrid, require_mean_free
+from .spectral import RealField, SpectralGrid, require_mean_free, same_grid
 
 __all__ = [
     "FlowKind",
@@ -264,14 +264,6 @@ def airy_propagate(f, t: float):
     return type(f).from_spectrum(f.grid, airy_symbol(f.grid, t) * f.spectrum)
 
 
-def _check_same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise ValueError("fields live on different grids")
-    return g
-
-
 def _with_linear(f, ws: _Workspace, kernel, *args) -> RealField:
     """Field of f_xxx plus the half spectrum ``kernel(ws, *args, out)``.
 
@@ -292,13 +284,13 @@ def tbo_rhs(phi: RealField) -> RealField:
 
 def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
     """Linearization of the third-order flow around ``phi`` in direction ``v``."""
-    ws = _workspace(_check_same_grid(v, phi))
+    ws = _workspace(same_grid(v, phi))
     return _with_linear(v, ws, _lin_nl, product_fields(ws, phi.spectrum, ws.bg), v.spectrum)
 
 
 def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
-    ws = _workspace(_check_same_grid(w, phi))
+    ws = _workspace(same_grid(w, phi))
     return _with_linear(w, ws, _adj_nl, product_fields(ws, phi.spectrum, ws.bg), w.spectrum)
 
 

@@ -10,7 +10,6 @@ a support-leakage warning fires otherwise.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .spectral import (
     derivative,
     hilbert,
     l2_norm,
+    same_grid,
 )
 
 __all__ = [
@@ -172,8 +172,7 @@ def modified_energy(y: RealField, phi: RealField, t: float) -> ModifiedEnergy:
     """
     if t <= 0.0:
         raise ValueError(f"modified energy needs t > 0, got {t}")
-    if y.grid != phi.grid:
-        raise ValueError("fields live on different grids")
+    same_grid(y, phi)
     quadratic = l2_norm(y) ** 2
     y_hi = _high_cut(y, t)
     phi_hi = _high_cut(phi, t)
@@ -283,45 +282,28 @@ def track(traj, channels) -> EnergySeries:
     return EnergySeries(traj.times, series)
 
 
-class _PairFrame:
-    """One frame of a (background, linearized) pair; derived values are built
-    once, when first read."""
-
-    def __init__(self, phi: RealField, v: RealField, t: float):
-        self.phi, self.v, self.t = phi, v, t
-
-    @functools.cached_property
-    def y(self) -> RealField:
-        return fractional_derivative(self.v, -0.5)
-
-    @functools.cached_property
-    def energy(self) -> ModifiedEnergy:
-        if self.t <= 0.0:
-            return ModifiedEnergy(np.nan, np.nan, np.nan)
-        return modified_energy(self.y, self.phi, self.t)
-
-
-PAIR_CHANNELS = {
-    "v_l2": lambda fr: l2_norm(fr.v),
-    "y_l2": lambda fr: l2_norm(fr.y),
-    "modified_energy": lambda fr: fr.energy.total,
-    "modified_energy_cubic": lambda fr: fr.energy.cubic,
-}
+PAIR_CHANNELS = ("v_l2", "y_l2", "modified_energy", "modified_energy_cubic")
 
 
 def track_pair(phi_traj, v_traj, channels) -> EnergySeries:
     """Evaluate coupled (background, linearized) channels frame by frame.
 
-    Each frame computes ``y = |D|^(-1/2) v`` and the modified energy of y at
-    most once, whichever channels read them.
+    Each frame computes ``y = |D|^(-1/2) v`` once, and the modified energy of
+    y once if a requested channel reads it; at t = 0 the energy is NaN.
     """
     if len(phi_traj.frames) != len(v_traj.frames):
         raise ValueError("trajectories have different frame counts")
     _check_channels(channels, PAIR_CHANNELS)
+    reads_energy = any(name.startswith("modified_energy") for name in channels)
     out = {name: [] for name in channels}
     for (t, phi), (_t2, v) in zip(phi_traj.frames, v_traj.frames):
-        frame = _PairFrame(phi, v, t)
+        y = fractional_derivative(v, -0.5)
+        energy = ModifiedEnergy(np.nan, np.nan, np.nan)
+        if reads_energy and t > 0.0:
+            energy = modified_energy(y, phi, t)
+        values = {"v_l2": l2_norm(v), "y_l2": l2_norm(y),
+                  "modified_energy": energy.total, "modified_energy_cubic": energy.cubic}
         for name in channels:
-            out[name].append(PAIR_CHANNELS[name](frame))
+            out[name].append(values[name])
     series = {name: np.asarray(vals) for name, vals in out.items()}
     return EnergySeries(phi_traj.times, series)

@@ -39,6 +39,7 @@ from .spectral import (
     project_range,
     refine,
     require_mean_free,
+    same_grid,
 )
 
 __all__ = [
@@ -74,9 +75,7 @@ def _check_band(grid, k: int) -> None:
 
 def bk_bilinear(u: RealField, v: RealField, k: int) -> ComplexField:
     """Symmetric bilinear polarization of the band normal form."""
-    grid = u.grid
-    if v.grid != grid:
-        raise ValueError("fields live on different grids")
+    grid = same_grid(u, v)
     _check_band(grid, k)
     band = DyadicBand(k, "plus")
     du = antiderivative(u)
@@ -179,11 +178,9 @@ def band_residual_raw(phi: RealField, k: int) -> float:
 def _dt_band_transform(phi: RealField, k: int, F: RealField):
     """Exact time derivatives of the transform pieces along the flow."""
     band = DyadicBand(k, "plus")
-    dt_tilde = (
-        project_band(F, band).values
-        + bk_bilinear(F, phi, k).values
-        + bk_bilinear(phi, F, k).values
-    )
+    # B_k is symmetric term by term, so B_k(phi, F) is B_k(F, phi) to the bit
+    b = bk_bilinear(F, phi, k).values
+    dt_tilde = project_band(F, band).values + b + b
     dt_phase = project_below(RealField(phi.grid, 0.5 * antiderivative(F).values), k)
     return dt_tilde, dt_phase
 

@@ -33,6 +33,7 @@ __all__ = [
     "DyadicBand",
     "FrequencyEnvelope",
     "make_grid",
+    "same_grid",
     "hilbert",
     "derivative",
     "antiderivative",
@@ -197,6 +198,14 @@ def require_mean_free(f) -> None:
         raise MeanError(float(m), tol)
 
 
+def same_grid(*fields) -> SpectralGrid:
+    """The grid the fields share; a ValueError if they live on different grids."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields[1:]):
+        raise ValueError("fields live on different grids")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # Multipliers
 
@@ -264,9 +273,7 @@ def dealiased_product(f, g):
     projected back onto the grid's band, which is the sharp version of the
     two-thirds rule.
     """
-    grid = f.grid
-    if g.grid != grid:
-        raise ValueError("fields live on different grids")
+    grid = same_grid(f, g)
     n = grid.n
     pu = np.fft.ifft(pad_spectrum(f.spectrum, n, 2))
     pv = np.fft.ifft(pad_spectrum(g.spectrum, n, 2))

@@ -6,6 +6,11 @@ applied to the transformed nonlinearity.  The state is the half spectrum of a
 real field (its m = n/2+1 nonnegative wavenumbers); one march serves a single
 state ``(m,)`` and the stacked ``(2, m)`` states of the linearized and
 adjoint pairs, forward and backward in time.
+
+``SolverConfig`` holds a march's settings; it is also the ``solver`` section
+of an experiment config.  One march, ``_march``, steps the state and keeps
+its frames: at the start, after every ``snapshot_stride``-th step and after
+the last.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flows
-from .spectral import RealField, SpectralGrid, require_mean_free
+from .spectral import RealField, SpectralGrid, require_mean_free, same_grid
 
 __all__ = [
     "SolverConfig",
@@ -43,7 +48,7 @@ class BlowUpError(RuntimeError):
 class SolverConfig:
     dt: float = 1e-4
     t_end: float = 1.0
-    snapshot_stride: int = 1
+    snapshot_stride: int = 100
     tail_tol: float = 1e-8
 
     def __post_init__(self):
@@ -89,7 +94,6 @@ class Trajectory:
     grid: SpectralGrid
     times: np.ndarray  # (F,), strictly increasing
     spectra: np.ndarray  # (F, n/2+1) complex
-    config: SolverConfig
     warnings: list = field(default_factory=list)  # list of (time, kind)
 
     def __post_init__(self):
@@ -160,72 +164,50 @@ class _IFRK4:
 
 
 def _snapshot_plan(t_end: float, dt: float):
+    if t_end == 0.0:
+        return 0, 0.0
     n_steps = max(1, int(round(t_end / dt)))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        n_steps = int(math.ceil(t_end / dt - 1e-12))
+        n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))  # a span below dt is one step
     return n_steps, t_end / n_steps
 
 
-def _frame_plan(t_span: float, config: SolverConfig):
-    """Signed step width of a march over t_span and the steps after which it
-    emits a frame: every stride-th and the last, none for an empty span."""
-    if t_span == 0.0:
-        return 0.0, []
-    n_steps, h = _snapshot_plan(abs(t_span), config.dt)
-    stride = config.snapshot_stride
-    steps = [j for j in range(1, n_steps + 1) if j % stride == 0 or j == n_steps]
-    return math.copysign(h, t_span), steps
+def _march(ws, s0, t0, t_span, config, nl):
+    """March the half spectra of s0 from t0 over t_span (of either sign).
 
-
-def _march(s0, t0, plan, lam, nl, emit):
-    """March a state from t0 by the ``_frame_plan`` ``plan``, emitting frames.
-
-    ``emit(i, t, s)`` receives frame i: the state at t0, then the state after
-    each frame step; s is updated in place, so emit copies what it keeps.
-    The state is one half spectrum ``(m,)`` or a stack ``(2, m)``; the
-    ``(m,)`` multipliers built from the linear symbol ``lam`` broadcast over
-    the rows.  ``nl(s, out)`` writes the nonlinear part of s into out.
+    The state is one half spectrum ``(m,)`` or a stack ``(2, m)``;
+    ``nl(s, out)`` writes the nonlinear part of s into out.  A frame is kept
+    at t0, after every stride-th step and after the last, so a march of
+    n_steps keeps ``1 + ceil(n_steps / stride)`` frames.  Returns the frame
+    times ``(F,)``, the half spectra ``(rows, F, m)`` with one row per
+    stacked state, and the resolution warnings, which watch row 0, the
+    nonlinear state.
     """
-    h, frame_steps = plan
-    s = np.array(s0, dtype=complex)
-    emit(0, t0, s)
-    if not frame_steps:
-        return
-    rk4 = _IFRK4(s.shape, h, lam, nl)
-    frame_of = {j: i for i, j in enumerate(frame_steps, 1)}
+    m = ws.half + 1
+    s = np.array(np.asarray(s0)[..., :m], dtype=complex)
+    n_steps, h = _snapshot_plan(abs(t_span), config.dt)
+    h = math.copysign(h, t_span)
+    stride = config.snapshot_stride
+    times = np.empty(1 + math.ceil(n_steps / stride))
+    spectra = np.empty((s.size // m, len(times), m), dtype=complex)
+    warns = []
+    rk4 = _IFRK4(s.shape, h, ws.lam, nl)
+    i, t = 0, t0
     # a blowing-up state overflows before the finiteness check sees it; that
     # check, not NumPy's warnings, reports the blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, frame_steps[-1] + 1):
-            rk4.step(s)
-            t = t0 + j * h
-            if not np.isfinite(s).all():
-                raise BlowUpError(t)
-            if j in frame_of:
-                emit(frame_of[j], t, s)
-
-
-def _recorded_march(ws, s0, t0, t_span, config, nl):
-    """Run ``_march`` on the half spectra of s0, writing every frame into one array.
-
-    Returns the frame times ``(F,)``, the half spectra ``(rows, F, m)`` with
-    one row per stacked state, and the resolution warnings, which watch row
-    0, the nonlinear state.
-    """
-    m = ws.half + 1
-    s0 = np.asarray(s0)[..., :m]
-    plan = _frame_plan(t_span, config)
-    times = np.empty(len(plan[1]) + 1)
-    spectra = np.empty((s0.size // m, len(times), m), dtype=complex)
-    warns = []
-
-    def emit(i, t, s):
-        times[i] = t
-        spectra[:, i] = s.reshape(-1, m)
-        if flows.spectral_tail_fraction(spectra[0, i]) > config.tail_tol:
-            warns.append((t, "resolution"))
-
-    _march(s0, t0, plan, ws.lam, nl, emit)
+        for j in range(n_steps + 1):
+            if j > 0:
+                rk4.step(s)
+                t = t0 + j * h
+                if not np.isfinite(s).all():
+                    raise BlowUpError(t)
+            if j % stride == 0 or j == n_steps:
+                times[i] = t
+                spectra[:, i] = s.reshape(-1, m)
+                if flows.spectral_tail_fraction(spectra[0, i]) > config.tail_tol:
+                    warns.append((t, "resolution"))
+                i += 1
     return times, spectra, warns
 
 
@@ -238,35 +220,35 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
     require_mean_free(f0)
     ws = flows._workspace(f0.grid)
     nl = lambda s, out: flows.nonlinear_spectrum(kind.tag, ws, s, out=out)
-    times, (spectra,), warns = _recorded_march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
-    return Trajectory(f0.grid, times, spectra, config, warns)
+    times, (spectra,), warns = _march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
+    return Trajectory(f0.grid, times, spectra, warns)
 
 
-def _pair_march(phi, sec, sec_tag, t0, t_span, config):
-    """March the stacked state (phi, sec); the flow of sec rides on phi.
+def _pair_march(phi, sec, tag, t_from, t_to, config):
+    """March the stacked state (phi, sec) from t_from to t_to; the flow ``tag``
+    of sec rides on phi.  Returns both trajectories in increasing time.
 
     The product-grid fields of phi are computed once per stage and serve
     both right-hand sides.
     """
-    if phi.grid != sec.grid:
-        raise ValueError("fields live on different grids")
+    grid = same_grid(phi, sec)
     require_mean_free(phi)
-    ws = flows._workspace(phi.grid)
+    ws = flows._workspace(grid)
 
     def nl(s, out):
         fields = flows.product_fields(ws, s[0], ws.bg)
         flows.nonlinear_spectrum("third_order_bo", ws, s[0], fields, out[0])
-        flows.nonlinear_spectrum(sec_tag, ws, s[1], fields, out[1])
+        flows.nonlinear_spectrum(tag, ws, s[1], fields, out[1])
 
     s0 = np.stack((phi.spectrum, sec.spectrum))
-    return _recorded_march(ws, s0, t0, t_span, config, nl)
+    times, spectra, warns = _march(ws, s0, t_from, t_to - t_from, config, nl)
+    order = slice(None, None, -1 if t_to < t_from else 1)
+    return tuple(Trajectory(grid, times[order], rows[order], warns[order]) for rows in spectra)
 
 
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):
     """Co-evolve the nonlinear state and its linearization with shared stages."""
-    times, (phi, v), warns = _pair_march(phi0, v0, "linearized_tbo", 0.0, config.t_end, config)
-    return (Trajectory(phi0.grid, times, phi, config, list(warns)),
-            Trajectory(phi0.grid, times, v, config, list(warns)))
+    return _pair_march(phi0, v0, "linearized_tbo", 0.0, config.t_end, config)
 
 
 def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfig):
@@ -276,11 +258,7 @@ def integrate_adjoint_pair(phi_T: RealField, w_T: RealField, config: SolverConfi
     adjoint of the flow linearized around it, from ``w_T``.  Both
     trajectories are returned in increasing time.
     """
-    times, (phi, w), warns = _pair_march(phi_T, w_T, "adjoint_linearized_tbo",
-                                         config.t_end, -config.t_end, config)
-    times, warns = times[::-1], warns[::-1]
-    return (Trajectory(phi_T.grid, times, phi[::-1], config, warns),
-            Trajectory(phi_T.grid, times, w[::-1], config, list(warns)))
+    return _pair_march(phi_T, w_T, "adjoint_linearized_tbo", config.t_end, 0.0, config)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bo3 import flows, stepper
 from bo3.experiments import config_from_dict
 from bo3.spectral import RealField, make_grid
-from bo3.stepper import SolverConfig, Trajectory
+from bo3.stepper import Trajectory
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -49,18 +49,18 @@ def random_bandlimited_field(grid, seed, bandlimit=None, mean_free=True):
     return RealField(grid, vals / (peak + 1e-300))
 
 
-def trajectory(frames, config=None):
+def trajectory(frames):
     """Trajectory of ``(t, RealField)`` pairs on one grid, kept as half spectra."""
     grid = frames[0][1].grid
     times = np.array([t for t, _ in frames], dtype=float)
     spectra = np.array([f.spectrum[: grid.n // 2 + 1] for _, f in frames])
-    return Trajectory(grid, times, spectra, config or SolverConfig())
+    return Trajectory(grid, times, spectra)
 
 
 def linear_march(f, config):
     """The stepper's integrating-factor march of f with the nonlinear part
     switched off: the Airy flow as the third-order march carries it."""
     ws = flows._workspace(f.grid)
-    times, (spectra,), _ = stepper._recorded_march(ws, f.spectrum, 0.0, config.t_end, config,
-                                                   lambda s, out: out.fill(0.0))
-    return Trajectory(f.grid, times, spectra, config)
+    times, (spectra,), _ = stepper._march(ws, f.spectrum, 0.0, config.t_end, config,
+                                          lambda s, out: out.fill(0.0))
+    return Trajectory(f.grid, times, spectra)

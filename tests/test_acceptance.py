@@ -6,10 +6,12 @@ through session fixtures, so the whole suite stays within a few minutes.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bo3 import snapshots
 from bo3.cli import main as cli_main
 from bo3.experiments import (
     TOLERANCES,
@@ -282,6 +284,84 @@ def test_criterion_12_bilinear_strichartz(strichartz_result):
     report(12, "bilinear smoothing ratio sweep", ok,
            f"max/min={res.metrics['strichartz_spread']:.2f} "
            f"(ratios {res.metrics['ratio_min']:.3f}..{res.metrics['ratio_max']:.3f})")
+
+
+# ---------------------------------------------------------------------------
+# golden canonical artifacts
+
+GOLDEN = Path(__file__).parent / "golden"
+CANONICAL = {"airy_decay": "airy_result", "conserve": "conserve_result",
+             "decay_profile": "decay_result", "linearized_l2": "linearized_result",
+             "lnl_conservation": "lnl_result", "normalform_scaling": "normalform_result",
+             "scaling": "scaling_result", "strichartz": "strichartz_result"}
+GOLDEN_RTOL = 1e-10
+
+
+def _assert_near(got, want, where):
+    """Every number of a JSON value within GOLDEN_RTOL of its golden, relative."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_near(got[key], want[key], f"{where}.{key}")
+    else:
+        assert got == want or abs(got - want) <= GOLDEN_RTOL * abs(want), (where, got, want)
+
+
+def _assert_table_near(got_path, want_path, scales):
+    """Each number column within GOLDEN_RTOL of its scale (the column's largest
+    magnitude unless ``scales`` names it), NaN where the golden has NaN; each
+    text column identical."""
+    header, want_rows = snapshots.read_csv(want_path)
+    got_header, got_rows = snapshots.read_csv(got_path)
+    assert got_header == header and len(got_rows) == len(want_rows), got_path
+    for name, got, want in zip(header, zip(*got_rows), zip(*want_rows)):
+        where = f"{want_path.parent.name}/{want_path.name}:{name}"
+        if any(isinstance(w, str) for w in want):
+            assert got == want, where
+            continue
+        got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+        assert np.array_equal(np.isnan(got), np.isnan(want)), where
+        known = ~np.isnan(want)
+        scale = scales.get(name, np.max(np.abs(want[known]), initial=0.0))
+        worst = np.max(np.abs(got[known] - want[known]), initial=0.0)
+        assert worst <= GOLDEN_RTOL * scale, (where, worst, scale)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_artifacts_match_the_goldens(name, request):
+    """The canonical run's CSVs, decay_fit.json and manifest metrics agree with
+    the goldens in tests/golden/<experiment>/ beyond round-off.
+
+    Each number column is within 1e-10 of its column's largest magnitude, and
+    every metric and number of decay_fit.json within 1e-10 relative.
+    strichartz.csv, which no march feeds, is byte-identical.  One exception:
+    the ``error`` column of conserve/convergence.csv holds differences of
+    samples of size ``analysis.conv_amplitude``, down to ~3e-11, which
+    round-off moves on the scale of the samples, not of the column; it is
+    compared on that scale.
+
+    After a change of numerics on purpose, regenerate the goldens with
+
+        for c in configs/*.json; do bo3 run "$c" --out tests/golden; done
+        rm tests/golden/*/*.svg
+
+    and say in CHANGES.md which files moved, and by how much.
+    """
+    _, out = request.getfixturevalue(CANONICAL[name])
+    golden, run = GOLDEN / name, out / name
+    files = sorted(p.name for p in golden.iterdir() if p.name != "manifest.json")
+    assert sorted(p.name for p in run.iterdir()
+                  if p.suffix != ".svg" and p.name != "manifest.json") == files
+    metrics = [json.loads((d / "manifest.json").read_text())["metrics"] for d in (run, golden)]
+    _assert_near(*metrics, f"{name} metrics")
+    scales = {"convergence.csv": {"error": shipped_config("conserve").analysis.conv_amplitude}}
+    for file in files:
+        if file == "strichartz.csv":
+            assert (run / file).read_bytes() == (golden / file).read_bytes()
+        elif file.endswith(".json"):
+            _assert_near(*(json.loads((d / file).read_text()) for d in (run, golden)), file)
+        else:
+            _assert_table_near(run / file, golden / file, scales.get(file, {}))
 
 
 # ---------------------------------------------------------------------------

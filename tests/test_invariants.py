@@ -289,7 +289,7 @@ def test_track_allocates_blocks_not_the_whole_trajectory():
     grid = make_grid(1024, 256.0 * np.pi)
     rng = np.random.default_rng(1)
     spectra = rng.normal(size=(2001, 513)) + 1j * rng.normal(size=(2001, 513))
-    traj = Trajectory(grid, np.arange(2001.0), spectra, SolverConfig())
+    traj = Trajectory(grid, np.arange(2001.0), spectra)
     tracemalloc.start()
     try:
         track(traj, CHANNELS)

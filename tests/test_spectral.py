@@ -26,9 +26,11 @@ from bo3.spectral import (
     range_multiplier,
     refine,
     resolved_bands,
+    same_grid,
     sobolev_norm,
 )
 
+from bo3 import dispersion, flows, invariants, normalform, stepper
 from bo3.flows import airy_propagate
 
 from conftest import random_bandlimited_field
@@ -320,6 +322,31 @@ def test_dealiased_product_matches_convolution_oracle():
     got = dealiased_product(u, v).spectrum
     ref = slow_product_spectrum(grid, u.spectrum, v.spectrum)
     assert np.max(np.abs(got - ref)) <= 1e-10 * (np.max(np.abs(ref)) + 1.0)
+
+
+# Every entry point that combines two fields refuses fields of two grids
+# through ``same_grid``, in either argument order.
+TWO_FIELD_CALLS = {
+    "spectral.same_grid": same_grid,
+    "spectral.dealiased_product": dealiased_product,
+    "flows.linearized_tbo_rhs": flows.linearized_tbo_rhs,
+    "stepper.integrate_linearized_pair": lambda f, g: stepper.integrate_linearized_pair(
+        f, g, stepper.SolverConfig(dt=1e-3, t_end=1e-3)),
+    "normalform.bk_bilinear": lambda f, g: normalform.bk_bilinear(f, g, 1),
+    "dispersion.bilinear_strichartz_ratio": lambda f, g: dispersion.bilinear_strichartz_ratio(
+        1, 5, f, g, 0.1),
+    "invariants.modified_energy": lambda f, g: invariants.modified_energy(f, g, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FIELD_CALLS))
+def test_fields_on_different_grids_are_refused(name):
+    coarse, fine = make_grid(64, 16.0 * np.pi), make_grid(128, 16.0 * np.pi)
+    f, g = RealField(coarse, np.zeros(64)), RealField(fine, np.zeros(128))
+    for args in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            TWO_FIELD_CALLS[name](*args)
+    assert same_grid(f, RealField(coarse, np.ones(64)), f) is coarse
 
 
 def test_refine_preserves_samples():

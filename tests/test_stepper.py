@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -57,9 +58,8 @@ def test_solver_config_validation():
 
 def test_trajectory_requires_increasing_times(grid):
     f = small_state(grid)
-    cfg = SolverConfig()
     with pytest.raises(ValueError):
-        trajectory([(0.0, f), (0.0, f)], cfg)
+        trajectory([(0.0, f), (0.0, f)])
 
 
 def test_lazy_frames_match_fields_built_from_the_full_spectrum(wide):
@@ -74,33 +74,59 @@ def test_lazy_frames_match_fields_built_from_the_full_spectrum(wide):
         assert np.max(np.abs(fld.values - old.values)) <= 1e-14 * np.max(np.abs(old.values))
 
 
+# (t_end, stride, the steps after which a frame is kept) at dt = 1e-3: a
+# stride that leaves a remainder, divides the step count, exceeds it, is 1,
+# and an empty span, which keeps the data alone
+FRAME_CASES = [(0.025, 10, [0, 10, 20, 25]), (0.02, 10, [0, 10, 20]), (0.005, 10, [0, 5]),
+               (0.003, 1, [0, 1, 2, 3]), (0.0, 10, [0])]
+
+
 def test_trajectory_len_at_and_final(wide):
     data = small_state(wide, seed=3)
-    cfg = SolverConfig(dt=1e-3, t_end=0.025, snapshot_stride=10)
+    for t_end, stride, steps in FRAME_CASES:
+        cfg = SolverConfig(dt=1e-3, t_end=t_end, snapshot_stride=stride)
+        traj = integrate(FlowKind("third_order_bo"), data, cfg)
+        dense = integrate(FlowKind("third_order_bo"), data,
+                          dataclasses.replace(cfg, snapshot_stride=1))
+        assert len(traj.frames) == len(steps) and len(dense.frames) == steps[-1] + 1
+        assert [t for t, _ in traj.frames] == pytest.approx([1e-3 * j for j in steps], abs=1e-15)
+        # each frame, the last one too, is the state after its step
+        assert np.array_equal(traj.spectra, dense.spectra[steps])
+        assert np.array_equal(traj.final().values, traj.frames[-1][1].values)
+        assert np.max(np.abs(traj.frames[0][1].values - data.values)) <= 1e-15
+        with pytest.raises(IndexError):
+            traj.frames[len(steps)]
+        with pytest.raises(ValueError):  # frames are immutable, and so is their storage
+            traj.spectra[0, 1] = 0.0
+
+
+def test_a_span_shorter_than_a_step_is_one_step(wide):
+    data = small_state(wide, seed=3)
+    cfg = SolverConfig(dt=1e-3, t_end=1e-20, snapshot_stride=10)
+    assert stepper._snapshot_plan(cfg.t_end, cfg.dt) == (1, 1e-20)
+    assert stepper._snapshot_plan(0.0, cfg.dt) == (0, 0.0)
     traj = integrate(FlowKind("third_order_bo"), data, cfg)
-    assert len(traj.frames) == 4  # t = 0, the 10th and 20th steps, the last
-    assert [t for t, _ in traj.frames] == pytest.approx([0.0, 0.01, 0.02, 0.025], abs=1e-15)
-    assert np.array_equal(traj.final().values, traj.frames[-1][1].values)
-    assert np.max(np.abs(traj.frames[0][1].values - data.values)) <= 1e-15
-    with pytest.raises(IndexError):
-        traj.frames[4]
-    with pytest.raises(ValueError):  # frames are immutable, and so is their storage
-        traj.spectra[0, 1] = 0.0
+    assert list(traj.times) == [0.0, 1e-20]
 
 
 def test_adjoint_frames_run_forward_in_time(wide):
     phi_T = small_state(wide, seed=3)
     w_T = small_state(wide, seed=4)
-    cfg = SolverConfig(dt=1e-3, t_end=0.025, snapshot_stride=10)
-    phi, w = integrate_adjoint_pair(phi_T, w_T, cfg)
-    assert len(phi.frames) == len(w.frames) == 4
-    assert np.all(np.diff(phi.times) > 0.0) and phi.times[0] == pytest.approx(0.0, abs=1e-15)
-    # the march starts at t_end, so the final frames are the data themselves
-    for traj, data in ((phi, phi_T), (w, w_T)):
-        assert traj.times[-1] == cfg.t_end
-        assert np.max(np.abs(traj.final().values - data.values)) <= 1e-15
-    backward = [t for t, _ in reversed(phi.frames)]
-    assert backward == sorted(backward, reverse=True) and len(backward) == 4
+    for t_end, stride, steps in FRAME_CASES:
+        cfg = SolverConfig(dt=1e-3, t_end=t_end, snapshot_stride=stride)
+        pair = integrate_adjoint_pair(phi_T, w_T, cfg)
+        dense = integrate_adjoint_pair(phi_T, w_T, dataclasses.replace(cfg, snapshot_stride=1))
+        # the march starts at t_end: backward step j is the frame at t_end - j dt,
+        # and the frame at t = 0 is the state after the last step
+        kept = [steps[-1] - j for j in reversed(steps)]
+        for traj, full, data in zip(pair, dense, (phi_T, w_T)):
+            assert len(traj.frames) == len(steps) and len(full.frames) == steps[-1] + 1
+            assert list(traj.times) == pytest.approx(
+                [t_end - 1e-3 * j for j in reversed(steps)], abs=1e-15)
+            assert np.array_equal(traj.spectra, full.spectra[kept])
+            # the final frames are the data themselves
+            assert traj.times[-1] == cfg.t_end
+            assert np.max(np.abs(traj.final().values - data.values)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
