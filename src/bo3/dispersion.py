@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .flows import airy_propagate
+from .flows import airy_propagate, xi_cubed
 from .invariants import edge_fraction
 from .spectral import DyadicBand, RealField, derivative, l2_norm, project_band, same_grid
 
@@ -219,6 +219,13 @@ def bilinear_strichartz_ratio(
     with exact propagation and composite-trapezoid time quadrature.  The two
     blocks need frequency separation: either ``|j - k| > 2`` or the same band
     split into opposite sign halves.
+
+    The space integral of ``|u_j u_k|^2`` is exact on any grid of m points
+    with m above the frequency span of ``u_j u_k`` (its largest integer mode
+    minus its smallest).  So each time sample is summed on the smallest power
+    of two above that span, at most n; at n it is the grid's own sum, aliases
+    included.  Two real bands are transformed from their nonnegative modes
+    with ``irfft``, any other pair with ``ifft``.
     """
     grid = same_grid(f, g)
     if abs(j - k) <= 2 and not (j == k and set(halves) == {"plus", "minus"}):
@@ -230,25 +237,38 @@ def bilinear_strichartz_ratio(
     pj = project_band(f, DyadicBand(j, halves[0]))
     pk = project_band(g, DyadicBand(k, halves[1]))
     nj, nk = l2_norm(pj), l2_norm(pk)
-    if nj == 0.0 or nk == 0.0:
-        return 0.0
     # the band masks vanish off their supports, so the Airy phase is formed
     # only on the union of the two (the Nyquist mode, where airy_symbol is
     # zero, left out) and scattered into zeroed buffers
-    support = (pj.spectrum != 0.0) | (pk.spectrum != 0.0)
-    support[grid.nyquist_index] = False
-    idx = np.flatnonzero(support)
-    cubed = -1j * grid.xi[idx] ** 3
-    sj, sk = pj.spectrum[idx], pk.spectrum[idx]
-    bj, bk = np.zeros(grid.n, dtype=complex), np.zeros(grid.n, dtype=complex)
+    n = grid.n
+    modes = np.arange(n)
+    modes[n // 2:] -= n
+    live_j, live_k = pj.spectrum != 0.0, pk.spectrum != 0.0
+    live_j[grid.nyquist_index] = live_k[grid.nyquist_index] = False
+    if nj == 0.0 or nk == 0.0 or not (live_j.any() and live_k.any()):
+        return 0.0
+    qj, qk = modes[live_j], modes[live_k]
+    span = int(qj.max() + qk.max() - qj.min() - qk.min())
+    m = min(n, 1 << span.bit_length())
+    real = isinstance(pj, RealField) and isinstance(pk, RealField)
+    live = live_j | live_k
+    if real:  # a real band is carried by its nonnegative modes
+        live &= modes >= 0
+    idx = np.flatnonzero(live)
+    cubed = -1j * xi_cubed(grid)[idx]
+    # the factor m/n (a power of two, so exact) makes a length-m inverse
+    # transform give the n-point one's values at the coarse points
+    sj, sk = (m / n) * pj.spectrum[idx], (m / n) * pk.spectrum[idx]
+    pos = modes[idx] % m
+    inverse = np.fft.irfft if real else np.fft.ifft
+    width = m // 2 + 1 if real else m
+    bj, bk = np.zeros(width, dtype=complex), np.zeros(width, dtype=complex)
     ts = np.linspace(0.0, t_end, samples)
     vals = []
     for t in ts:
         phase = np.exp(cubed * t)
-        bj[idx] = phase * sj
-        bk[idx] = phase * sk
-        uj = np.fft.ifft(bj)
-        uk = np.fft.ifft(bk)
-        vals.append(grid.spacing * np.sum(np.abs(uj * uk) ** 2))
+        bj[pos] = phase * sj
+        bk[pos] = phase * sk
+        vals.append(grid.length / m * np.sum(np.abs(inverse(bj, m) * inverse(bk, m)) ** 2))
     integral = float(np.trapezoid(vals, ts))
     return float(np.sqrt(integral) * 2.0 ** max(j, k) / (nj * nk))

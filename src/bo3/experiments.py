@@ -149,6 +149,18 @@ class ScalingAnalysis:
     def check(self, grid, solver) -> None:
         if self.scale_factor == 1:  # the rescaled run would be the run itself
             raise ConfigError("analysis.scale_factor must not be 1")
+        _rescaled(grid, solver, self.scale_factor)
+
+
+def _rescaled(grid, solver, lam):
+    """The grid and solver settings of the run rescaled by ``lam``: the domain
+    shrinks by lam and the times by lam**3.  A factor whose rescaled run cannot
+    be built (lam**3 under- or overflows) is a ConfigError."""
+    try:
+        return (make_grid(grid.n, grid.length / lam),
+                dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:  # ValueError: a GridError too
+        raise ConfigError(f"analysis.scale_factor={lam!r}: {exc}") from None
 
 
 @dataclass
@@ -531,13 +543,10 @@ def _exp_conserve(cfg, out_dir):
 def _exp_scaling(cfg, out_dir):
     lam = cfg.analysis.scale_factor
     data = cfg.initial_data()
-    sol = cfg.solver
-    base = integrate(FlowKind("third_order_bo"), data, sol)
+    base = integrate(FlowKind("third_order_bo"), data, cfg.solver)
 
-    grid2 = make_grid(cfg.grid.n, cfg.grid.length / lam)
-    data2 = RealField(grid2, lam * data.values)
-    sol2 = dataclasses.replace(sol, dt=sol.dt / lam**3, t_end=sol.t_end / lam**3)
-    scaled = integrate(FlowKind("third_order_bo"), data2, sol2)
+    grid2, sol2 = _rescaled(data.grid, cfg.solver, lam)
+    scaled = integrate(FlowKind("third_order_bo"), RealField(grid2, lam * data.values), sol2)
     _flag_resolution(base)
     _flag_resolution(scaled)
 

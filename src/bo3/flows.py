@@ -248,9 +248,20 @@ def linear_symbol(grid: SpectralGrid) -> np.ndarray:
     return lam
 
 
+@functools.cache
+def xi_cubed(grid: SpectralGrid) -> np.ndarray:
+    """``grid.xi**3``, the Airy phase per unit time.
+
+    Built once per grid; the shared array is read-only.
+    """
+    cube = grid.xi**3
+    cube.setflags(write=False)
+    return cube
+
+
 def airy_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
     """Unimodular multiplier ``exp(-i xi^3 t)`` with the Nyquist mode zeroed."""
-    sym = np.exp(-1j * grid.xi**3 * t)
+    sym = np.exp(-1j * xi_cubed(grid) * t)
     sym[grid.nyquist_index] = 0.0
     return sym
 

@@ -7,14 +7,15 @@ phase.  After both steps the block satisfies an Airy equation with a cubic
 right-hand side; the residual experiments in this module measure exactly
 that, which is the keystone check of the whole construction.
 
-All bilinear forms below were pinned by requiring exact cancellation of the
-quadratic terms against the Airy commutator (see the cancellation tests):
+The forms were pinned by requiring exact cancellation of the quadratic terms
+against the Airy commutator (see the cancellation tests):
 
 * band form:    B_k(u,u) = -(1/4)[ i P_k+(u dx^-1 u) - P_k+(Hu dx^-1 u)
                                     - 2i dx^-1(P_<k u) P_k+ u ]
-* low block:    B_0(u,u) = (1/4)[ P_0(dx^-1 u_>0 . Hu) + P_0 H(dx^-1 u_>0 . u) ]
-* linearized:   B_k^lin(phi, v) = 2 B_k(v, phi) - (i/2) dx^-1 v_(0,k) . P_k+ phi
 * gauge phase:  Phi = (1/2) dx^-1 phi, psi_k = (P_k+ phi + B_k) exp(-i Phi_<k)
+
+The low-block form B_0 and the linearized form B_k^lin, which no experiment
+uses, live with their cancellation tests as oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .spectral import (
     l2_norm,
     project_band,
     project_below,
-    project_range,
     refine,
     require_mean_free,
     same_grid,
@@ -47,8 +47,6 @@ __all__ = [
     "gauge_phase",
     "bk_bilinear",
     "bk",
-    "b0",
-    "bk_lin",
     "band_transform",
     "band_residual_raw",
     "band_residual_gauged",
@@ -74,24 +72,25 @@ def _check_band(grid, k: int) -> None:
 
 
 def bk_bilinear(u: RealField, v: RealField, k: int) -> ComplexField:
-    """Symmetric bilinear polarization of the band normal form."""
+    """Symmetric bilinear polarization of the band normal form.
+
+    Each of its three terms sums ``term(u, dx^-1 v) + term(v, dx^-1 u)``; for
+    ``u is v`` the two summands are the same, so each is built once.
+    """
     grid = same_grid(u, v)
     _check_band(grid, k)
     band = DyadicBand(k, "plus")
     du = antiderivative(u)
-    dv = antiderivative(v)
-    t1 = 1j * (
-        project_band(dealiased_product(u, dv), band).values
-        + project_band(dealiased_product(v, du), band).values
-    )
-    t2 = -(
-        project_band(dealiased_product(hilbert(u), dv), band).values
-        + project_band(dealiased_product(hilbert(v), du), band).values
-    )
-    t3 = -2j * (
-        dealiased_product(project_below(du, k), project_band(v, band)).values
-        + dealiased_product(project_below(dv, k), project_band(u, band)).values
-    )
+    dv = du if v is u else antiderivative(v)
+
+    def both(term):
+        a = term(u, dv)
+        return a + (a if v is u else term(v, du))
+
+    t1 = 1j * both(lambda x, dy: project_band(dealiased_product(x, dy), band).values)
+    t2 = -both(lambda x, dy: project_band(dealiased_product(hilbert(x), dy), band).values)
+    t3 = -2j * both(lambda x, dy: dealiased_product(project_below(dy, k),
+                                                    project_band(x, band)).values)
     return ComplexField(grid, -0.125 * (t1 + t2 + t3))
 
 
@@ -99,39 +98,6 @@ def bk(phi: RealField, k: int) -> ComplexField:
     """Quadratic band normal form ``B_k(phi, phi)``."""
     require_mean_free(phi)
     return bk_bilinear(phi, phi, k)
-
-
-def b0(phi: RealField) -> RealField:
-    """Low-frequency normal form: kills the quadratic terms that couple the
-    low block to higher frequencies."""
-    require_mean_free(phi)
-    grid = phi.grid
-
-    hi = RealField.from_spectrum(
-        grid, (1.0 - spectral.dyadic_bump(grid.xi)) * phi.spectrum
-    )
-    dinv = antiderivative(hi)
-    direct = project_band(dealiased_product(dinv, hilbert(phi)), 0).values
-    twisted = hilbert(project_band(dealiased_product(dinv, phi), 0)).values
-    return RealField(grid, 0.25 * (direct + twisted))
-
-
-def bk_lin(phi: RealField, v: RealField, k: int) -> ComplexField:
-    """Linearized band normal form.
-
-    Polarizes the quadratic form and corrects with the band-0-free
-    antiderivative of ``v``, which keeps every term bounded; the one
-    low-frequency quadratic that would need a singular correction is left in
-    the equation on purpose.
-    """
-    grid = phi.grid
-    _check_band(grid, k)
-    v_mid = project_range(v, (0, k))
-    corr = dealiased_product(
-        antiderivative(v_mid), project_band(phi, DyadicBand(k, "plus"))
-    )
-    vals = 2.0 * bk_bilinear(v, phi, k).values - 0.5j * corr.values
-    return ComplexField(grid, vals)
 
 
 @dataclass(frozen=True)

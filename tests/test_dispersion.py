@@ -16,7 +16,8 @@ from bo3.flows import airy_propagate
 from bo3.profiles import make_profile
 from bo3.spectral import RealField, make_grid
 
-from conftest import random_bandlimited_field
+from conftest import random_bandlimited_field, shipped_config
+from oracles import bilinear_strichartz_ratio_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +233,94 @@ def test_bilinear_ratio_sweep_bounded(packet_pair):
         t_end = grid.length * 4.0 ** (-k) / 8.0
         ratios.append(bilinear_strichartz_ratio(2, k, f, g, t_end))
     assert max(ratios) / min(ratios) <= 10.0
+
+
+# The Strichartz kernel sums each time sample on the smallest power-of-two
+# grid above the product's frequency span; bilinear_strichartz_ratio_oracle
+# sums on the full grid.
+
+
+@pytest.fixture
+def inverse_lengths(monkeypatch):
+    """(name, length) of every np.fft.irfft and np.fft.ifft call."""
+    log = []
+    for name in ("irfft", "ifft"):
+        def logged(a, n=None, *args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            log.append((_name, np.shape(a)[-1] if n is None else n))
+            return _fft(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, logged)
+    return log
+
+
+def canonical_strichartz_rows():
+    """The data and the (j, k, halves, t_end) rows of the canonical strichartz run."""
+    cfg = shipped_config("strichartz")
+    f, g = cfg.initial_data()
+    ana = cfg.analysis
+    k_eq = ana.k_bands[len(ana.k_bands) // 2]
+    pairs = ([(ana.j_band, k, ("both", "both")) for k in ana.k_bands]
+             + [(k_eq, k_eq, ("plus", "minus"))])
+    return f, g, [(a, b, halves, ana.window_factor * f.grid.length * 4.0 ** (-max(a, b)))
+                  for a, b, halves in pairs]
+
+
+def test_bilinear_ratio_matches_the_full_grid_oracle_on_the_canonical_rows():
+    f, g, rows = canonical_strichartz_rows()
+    for j, k, halves, t_end in rows:
+        got = bilinear_strichartz_ratio(j, k, f, g, t_end, halves=halves)
+        want = bilinear_strichartz_ratio_oracle(j, k, f, g, t_end, halves=halves)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), (j, k, halves)
+
+
+def test_bilinear_ratio_transform_lengths_on_the_canonical_rows(inverse_lengths):
+    # the two band projections are n-point ifft; then two inverse transforms
+    # per time sample, of the smallest power of two above the product's span:
+    # band 2 (modes up to 7) against band k (up to 2**(k+1) - 1) spans
+    # 2 (7 + 2**(k+1) - 1), which passes n = 4096 at k = 10; the halves of
+    # band 8 (modes 129 to 511) span 764
+    f, g, rows = canonical_strichartz_rows()
+    n = f.grid.n
+    lengths = [256, 512, 1024, 2048, 4096, 4096, 1024]
+    for (j, k, halves, t_end), m in zip(rows, lengths):
+        inverse_lengths.clear()
+        bilinear_strichartz_ratio(j, k, f, g, t_end, halves=halves)
+        name = "irfft" if halves == ("both", "both") else "ifft"
+        assert inverse_lengths == [("ifft", n)] * 2 + [(name, m)] * 128, (j, k, halves)
+
+
+def modes_field(grid, seed, top):
+    """Seeded random real mean-free field on the modes 1..top and their
+    negatives, with every other coefficient exactly zero."""
+    rng = np.random.default_rng(seed)
+    q = np.arange(1, top + 1)
+    coeff = rng.normal(size=top) + 1j * rng.normal(size=top)
+    spec = np.zeros(grid.n, dtype=complex)
+    spec[q], spec[-q] = coeff, np.conj(coeff)
+    return RealField.from_spectrum(grid, spec)
+
+
+@pytest.mark.parametrize("n, length, j, k, top, halves, m", [
+    # band 2 (modes 3..7) against band 7 (65..127) spans 2 (7 + 127) = 268 > n:
+    # the n-point sum, aliases and all
+    (256, 2.0 * np.pi, 2, 7, 127, ("both", "both"), 256),
+    # band 1 (modes 2, 3) against band 4 up to mode 28, then 29: spans 62 and 64
+    (256, 2.0 * np.pi, 1, 4, 28, ("both", "both"), 64),
+    (256, 2.0 * np.pi, 1, 4, 29, ("both", "both"), 128),
+    # wavenumbers q/8: band 1 (modes 9..31) against band 4 up to mode 96 spans
+    # 254, in either order, and 93 when band 4 keeps only its plus half
+    (512, 16.0 * np.pi, 1, 4, 96, ("both", "both"), 256),
+    (512, 16.0 * np.pi, 4, 1, 96, ("both", "both"), 256),
+    (512, 16.0 * np.pi, 1, 4, 96, ("both", "plus"), 128),
+])
+def test_bilinear_ratio_matches_the_full_grid_oracle(inverse_lengths, n, length, j, k, top,
+                                                     halves, m):
+    grid = make_grid(n, length)
+    f, g = modes_field(grid, 1, top), modes_field(grid, 2, top)
+    t_end = length * 4.0 ** (-max(j, k)) / 8.0
+    want = bilinear_strichartz_ratio_oracle(j, k, f, g, t_end, halves=halves, samples=16)
+    inverse_lengths.clear()
+    got = bilinear_strichartz_ratio(j, k, f, g, t_end, halves=halves, samples=16)
+    assert want > 0.1
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    name = "irfft" if halves == ("both", "both") else "ifft"
+    assert inverse_lengths == [("ifft", n)] * 2 + [(name, m)] * 32

@@ -349,6 +349,9 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              ("conserve", "analysis.conv_t_end=0"),
                              ("scaling", "analysis.scale_factor=0"),
                              ("scaling", "analysis.scale_factor=1"),
+                             # lam**3 under- and overflows: no rescaled run to build
+                             ("scaling", "analysis.scale_factor=1e-120"),
+                             ("scaling", "analysis.scale_factor=1e120"),
                              ("decay_profile", "solver.t_end=0.5"),
                              # initial data that cannot be built, or is not finite
                              ("strichartz", "data.bandlimit=0"),

@@ -80,6 +80,21 @@ def test_linear_symbol_is_shared_and_read_only(grid):
     assert np.array_equal(lam, (1j * grid.xi) ** 3 * (np.arange(grid.n) != grid.n // 2))
 
 
+@pytest.mark.parametrize("n", [128, 4096])
+def test_airy_symbol_reads_one_shared_cube(n):
+    # xi**3 is built once per grid, read-only, and the Airy phase formed from
+    # it has the bits of the phase formed from a fresh xi**3
+    grid = make_grid(n, 0.1 * n)
+    cube = flows.xi_cubed(grid)
+    assert flows.xi_cubed(make_grid(n, 0.1 * n)) is cube
+    with pytest.raises(ValueError):
+        cube[1] = 0.0
+    for t in (0.0, 0.37, 25.0):
+        expected = np.exp(-1j * grid.xi**3 * t)
+        expected[grid.nyquist_index] = 0.0
+        assert np.array_equal(flows.airy_symbol(grid, t), expected)
+
+
 # ---------------------------------------------------------------------------
 # third-order right-hand side
 

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from bo3 import normalform
 from bo3.flows import FlowKind, airy_propagate
 from bo3.normalform import (
-    b0,
     band_residual_gauged,
     band_residual_raw,
     band_transform,
     bk,
     bk_bilinear,
-    bk_lin,
     cubic_scaling_test,
     gauge_phase,
 )
@@ -33,7 +32,7 @@ from bo3.spectral import (
 from bo3.stepper import SolverConfig, integrate
 
 from conftest import random_bandlimited_field, trajectory
-from oracles import airy_residual, slow_product_spectrum
+from oracles import airy_residual, b0, bk_lin, slow_product_spectrum
 
 
 @pytest.fixture
@@ -129,6 +128,28 @@ def test_bk_bilinearity(grid):
     assert np.max(np.abs(left - right)) <= 1e-12
     sym = bk_bilinear(u, v, k).values - bk_bilinear(v, u, k).values
     assert np.max(np.abs(sym)) <= 1e-14
+
+
+def test_bk_builds_each_product_once(grid, monkeypatch):
+    # B_k(phi, phi) sums two equal products in each term: it builds each once,
+    # and its bits are those of the polarization of two equal, distinct fields
+    phi = field_with_bands(grid, seed=5)
+    twin = RealField(grid, phi.values.copy())
+    calls = []
+
+    def counted(f, g, _product=normalform.dealiased_product):
+        calls.append((f, g))
+        return _product(f, g)
+
+    monkeypatch.setattr(normalform, "dealiased_product", counted)
+    for k in (1, 2):
+        calls.clear()
+        same = bk(phi, k)
+        assert len(calls) == 3
+        calls.clear()
+        pair = bk_bilinear(phi, twin, k)
+        assert len(calls) == 6
+        assert np.array_equal(same.values, pair.values)
 
 
 def test_bk_size_constant_across_bands():
