@@ -223,8 +223,8 @@ def bilinear_strichartz_ratio(
     The space integral of ``|u_j u_k|^2`` is exact on any grid of m points
     with m above the frequency span of ``u_j u_k`` (its largest integer mode
     minus its smallest).  So each time sample is summed on the smallest power
-    of two above that span, at most n; at n it is the grid's own sum, aliases
-    included.  Two real bands are transformed from their nonnegative modes
+    of two above that span and the two supports' joint range, at most n; at
+    n it is the grid's own sum, aliases included.  Two real bands are transformed from their nonnegative modes
     with ``irfft``, any other pair with ``ifft``.
     """
     grid = same_grid(f, g)
@@ -249,7 +249,10 @@ def bilinear_strichartz_ratio(
         return 0.0
     qj, qk = modes[live_j], modes[live_k]
     span = int(qj.max() + qk.max() - qj.min() - qk.min())
-    m = min(n, 1 << span.bit_length())
+    # both bands are scattered at the union's slots, so m must also exceed
+    # the union's range or a mode of one band lands on a slot of the other
+    hull = int(max(qj.max(), qk.max()) - min(qj.min(), qk.min()))
+    m = min(n, 1 << max(span, hull).bit_length())
     real = isinstance(pj, RealField) and isinstance(pk, RealField)
     live = live_j | live_k
     if real:  # a real band is carried by its nonnegative modes

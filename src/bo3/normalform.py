@@ -71,33 +71,35 @@ def _check_band(grid, k: int) -> None:
     spectral.check_band(grid, k)
 
 
-def bk_bilinear(u: RealField, v: RealField, k: int) -> ComplexField:
-    """Symmetric bilinear polarization of the band normal form.
+def _band_products(x: RealField, dy: RealField, k: int) -> np.ndarray:
+    """The band form's three products of ``x`` against ``dy = dx^-1 y``."""
+    band = DyadicBand(k, "plus")
+    return np.stack([
+        project_band(dealiased_product(x, dy), band).values,
+        project_band(dealiased_product(hilbert(x), dy), band).values,
+        dealiased_product(project_below(dy, k), project_band(x, band)).values,
+    ])
 
-    Each of its three terms sums ``term(u, dx^-1 v) + term(v, dx^-1 u)``; for
-    ``u is v`` the two summands are the same, so each is built once.
-    """
+
+def _band_form(grid, s: np.ndarray) -> ComplexField:
+    # s holds the three products, each summed over both orders
+    return ComplexField(grid, -0.125 * (1j * s[0] + -s[1] + -2j * s[2]))
+
+
+def bk_bilinear(u: RealField, v: RealField, k: int) -> ComplexField:
+    """Symmetric bilinear polarization of the band normal form."""
     grid = same_grid(u, v)
     _check_band(grid, k)
-    band = DyadicBand(k, "plus")
-    du = antiderivative(u)
-    dv = du if v is u else antiderivative(v)
-
-    def both(term):
-        a = term(u, dv)
-        return a + (a if v is u else term(v, du))
-
-    t1 = 1j * both(lambda x, dy: project_band(dealiased_product(x, dy), band).values)
-    t2 = -both(lambda x, dy: project_band(dealiased_product(hilbert(x), dy), band).values)
-    t3 = -2j * both(lambda x, dy: dealiased_product(project_below(dy, k),
-                                                    project_band(x, band)).values)
-    return ComplexField(grid, -0.125 * (t1 + t2 + t3))
+    s = _band_products(u, antiderivative(v), k) + _band_products(v, antiderivative(u), k)
+    return _band_form(grid, s)
 
 
 def bk(phi: RealField, k: int) -> ComplexField:
-    """Quadratic band normal form ``B_k(phi, phi)``."""
+    """Quadratic band normal form ``B_k(phi, phi)``, each product built once."""
     require_mean_free(phi)
-    return bk_bilinear(phi, phi, k)
+    _check_band(phi.grid, k)
+    # both orders of each product are the same array s, and 2 s is exactly s + s
+    return _band_form(phi.grid, 2.0 * _band_products(phi, antiderivative(phi), k))
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,18 @@ def modes_field(grid, seed, top):
     (512, 16.0 * np.pi, 1, 4, 96, ("both", "both"), 256),
     (512, 16.0 * np.pi, 4, 1, 96, ("both", "both"), 256),
     (512, 16.0 * np.pi, 1, 4, 96, ("both", "plus"), 128),
+    # supports of opposite sign with a gap between them: the product spans
+    # less than the two supports together, whose range sets m so that no
+    # mode of one band shares a slot with a mode of the other
+    # band 1 (modes -31..31) against the plus half of band 4 (65..127): span
+    # 124, range 158
+    (512, 16.0 * np.pi, 1, 4, 127, ("both", "plus"), 256),
+    # band 2 (modes -7..7) against the plus half of band 6 (33..127): span
+    # 108, range 134, so the n-point sum
+    (256, 2.0 * np.pi, 2, 6, 127, ("both", "plus"), 256),
+    # the minus half of band 1 (-3, -2) against the plus half of band 5
+    # (17..63): span 47, range 66
+    (256, 2.0 * np.pi, 1, 5, 127, ("minus", "plus"), 128),
 ])
 def test_bilinear_ratio_matches_the_full_grid_oracle(inverse_lengths, n, length, j, k, top,
                                                      halves, m):
