@@ -210,7 +210,7 @@ class NormalformAnalysis:
 
 @dataclass
 class DecayAnalysis:
-    delta: float = 0.05
+    delta: float = field(default=0.05, metadata={"range": "positive"})
     c_region: float = 1.0
     report_t_lo: float = 1.0
 

@@ -118,11 +118,8 @@ class _Workspace:
 
     def to_phys(self, spec, rows, out):
         """Product-grid samples of the table rows ``rows`` (a slice of two)
-        applied to a spectrum, written into ``out`` (2, 2n).
-
-        Only the first n/2 coefficients of ``spec`` are read, so a full
-        Hermitian spectrum serves as well as a half one.
-        """
+        applied to a half spectrum, written into ``out`` (2, 2n).  The
+        Nyquist mode of ``spec`` is not read."""
         np.multiply(self.table[rows], spec[: self.half], out=self.pad[:, : self.half])
         return np.fft.irfft(self.pad, self.big, axis=-1, out=out)
 
@@ -132,13 +129,6 @@ class _Workspace:
         spec = np.fft.rfft(self.prod, axis=-1, out=self.spec)[:, : self.half + 1]
         np.multiply(mult, spec, out=spec)
         return np.add(spec[0], spec[1], out=out)
-
-    def full(self, h):
-        """Full Hermitian spectrum (last axis n) of a half spectrum (last axis n/2+1)."""
-        out = np.empty(h.shape[:-1] + (self.n,), dtype=complex)
-        out[..., : self.half + 1] = h
-        out[..., self.half + 1:] = np.conj(h[..., self.half - 1: 0: -1])
-        return out
 
 
 _WORKSPACES: dict = {}
@@ -272,37 +262,33 @@ def airy_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
 
 def airy_propagate(f, t: float):
     """Exact solution of ``phi_t = phi_xxx`` after time t."""
-    return type(f).from_spectrum(f.grid, airy_symbol(f.grid, t) * f.spectrum)
+    sym = airy_symbol(f.grid, t)[: f.modes.size]  # on the field's own modes
+    return type(f).from_spectrum(f.grid, sym * f.modes)
 
 
 def _with_linear(f, ws: _Workspace, kernel, *args) -> RealField:
-    """Field of f_xxx plus the half spectrum ``kernel(ws, *args, out)``.
-
-    The linear part stays on the full spectrum, formed as
-    ``spectral.derivative`` forms it.
-    """
+    """Field of f_xxx plus the half spectrum ``kernel(ws, *args, out)``."""
     nl = kernel(ws, *args, np.empty(ws.half + 1, dtype=complex))
-    out = linear_symbol(f.grid) * f.spectrum + ws.full(nl)
-    return RealField.from_spectrum(f.grid, out)
+    return RealField.from_spectrum(f.grid, ws.lam * f.modes + nl)
 
 
 def tbo_rhs(phi: RealField) -> RealField:
     """Third-order Benjamin-Ono right-hand side, flux form (dealiased)."""
     require_mean_free(phi)
     ws = _workspace(phi.grid)
-    return _with_linear(phi, ws, _tbo_nl, product_fields(ws, phi.spectrum, ws.bg))
+    return _with_linear(phi, ws, _tbo_nl, product_fields(ws, phi.modes, ws.bg))
 
 
 def linearized_tbo_rhs(v: RealField, phi: RealField) -> RealField:
     """Linearization of the third-order flow around ``phi`` in direction ``v``."""
     ws = _workspace(same_grid(v, phi))
-    return _with_linear(v, ws, _lin_nl, product_fields(ws, phi.spectrum, ws.bg), v.spectrum)
+    return _with_linear(v, ws, _lin_nl, product_fields(ws, phi.modes, ws.bg), v.modes)
 
 
 def adjoint_linearized_rhs(w: RealField, phi: RealField) -> RealField:
     """Right-hand side of the backward adjoint of the linearized flow."""
     ws = _workspace(same_grid(w, phi))
-    return _with_linear(w, ws, _adj_nl, product_fields(ws, phi.spectrum, ws.bg), w.spectrum)
+    return _with_linear(w, ws, _adj_nl, product_fields(ws, phi.modes, ws.bg), w.modes)
 
 
 def spectral_tail_fraction(h) -> float:

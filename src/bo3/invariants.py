@@ -140,19 +140,18 @@ def l_nonlinear(phi: RealField, t: float) -> RealField:
 
 def fractional_derivative(v: RealField, power: float) -> RealField:
     """Apply ``|D|**power``: multiplier ``|xi|**power``, zero mode annihilated."""
-    grid = v.grid
-    out = np.zeros(grid.n, dtype=complex)
-    nz = grid.xi != 0.0
-    out[nz] = np.abs(grid.xi[nz]) ** power * v.spectrum[nz]
-    return RealField.from_spectrum(grid, out)
+    xi = v.wavenumbers
+    out = np.zeros(xi.size, dtype=complex)
+    nz = xi != 0.0
+    out[nz] = np.abs(xi[nz]) ** power * v.modes[nz]
+    return RealField.from_spectrum(v.grid, out)
 
 
 def _high_cut(fld: RealField, t: float) -> RealField:
     """Smooth projection onto wavenumbers above ``C_CUT * t**(-1/3)``."""
-    grid = fld.grid
     theta = C_CUT * t ** (-1.0 / 3.0)
-    mask = 1.0 - spectral.dyadic_bump(grid.xi / theta)
-    return RealField.from_spectrum(grid, mask * fld.spectrum)
+    mask = 1.0 - spectral.dyadic_bump(fld.wavenumbers / theta)
+    return RealField.from_spectrum(fld.grid, mask * fld.modes)
 
 
 @dataclass(frozen=True)
@@ -236,28 +235,24 @@ def _energies(ws, h) -> dict:
 
     Quadratic terms are Parseval sums over the half spectrum, each interior
     mode weighted 2 for its conjugate.  The cubic and quartic terms are those
-    of ``e1`` and ``e2``: phi^2 is formed on the 2n-point product grid by one
-    batched ``irfft`` and truncated to the band by one batched ``rfft`` (its
-    Nyquist mode dropped, as ``dealiased_product`` drops it), and each
-    integral against it is again a Parseval sum.  Cubic products of the band
-    then integrate exactly, and E2's quartic term squares the truncated phi^2.
+    of ``e1`` and ``e2``: phi^2 is the batched ``spectral.half_product`` that
+    ``dealiased_product`` forms (its Nyquist mode dropped), and each integral
+    against it is again a Parseval sum.  Cubic products of the band then
+    integrate exactly, and E2's quartic term squares the truncated phi^2.
     """
     grid, n, half = ws.grid, ws.n, ws.half
     scale = grid.length / n**2  # integral of |f|^2 = scale * sum over |f_k|^2
     weight = np.full(half + 1, 2.0)
     weight[0] = weight[half] = 1.0
     power = weight * (h.real**2 + h.imag**2)
-    pad = np.zeros((len(h), n + 1), dtype=complex)
-    pad[:, :half] = 2.0 * h[:, :half]  # an irfft of 2n points divides by 2n, the grid's by n
-    p = np.fft.irfft(pad, ws.big, axis=-1)
-    sq = np.fft.rfft(p * p, axis=-1)[:, :half] * 0.5  # the truncated phi^2, Nyquist dropped
+    sq = spectral.half_product(h, h)
 
-    def dot(a, b):  # integral of the product of two band fields, by their half spectra
-        return scale * np.sum(weight[:half] * (a * b.conj()).real, axis=1)
+    def dot(a, b):  # integral of the product of two real fields, by their half spectra
+        return scale * np.sum(weight * (a * b.conj()).real, axis=1)
 
     e0_ = scale * power.sum(axis=1)
-    cubic = dot(sq, h[:, :half])  # integral of phi^3
-    cross = dot(sq, ws.absk[:half] * h[:, :half])  # integral of phi^2 H phi_x
+    cubic = dot(sq, h)  # integral of phi^3
+    cross = dot(sq, ws.absk * h)  # integral of phi^2 H phi_x
     return {
         "E0": e0_,
         "E1": scale * (power @ ws.absk) - cubic / 3.0,

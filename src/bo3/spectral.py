@@ -1,8 +1,8 @@
 """Periodic pseudo-spectral core.
 
-Grids, grid functions with cached spectra, the Hilbert transform, derivatives
-and antiderivatives, dealiased products, smooth dyadic (Littlewood-Paley)
-projections, Sobolev norms and frequency envelopes.
+Grids, real and complex grid functions with their spectral modes, the Hilbert
+transform, derivatives and antiderivatives, dealiased products, smooth dyadic
+(Littlewood-Paley) projections, Sobolev norms and frequency envelopes.
 
 Conventions
 -----------
@@ -10,6 +10,9 @@ Conventions
   power of two.  Wavenumbers are the exact integer multiples of ``2*pi/L`` in
   FFT order, with the Nyquist mode tracked explicitly.
 * ``spectrum`` is the plain unnormalized DFT of ``values`` (numpy convention).
+  A real field stores only its half spectrum, the n/2+1 nonnegative modes
+  (``rfft``), and derives ``spectrum`` from it; multipliers act on those
+  modes, and real products go through ``half_product`` on the 2n-point grid.
 * Every multiplier with an odd symbol (and every symbol with nonzero imaginary
   part) zeroes the Nyquist mode so real fields stay real.
 * Norms carry the quadrature weight ``L/n`` so that ``sobolev_norm(f, 0)``
@@ -38,6 +41,7 @@ __all__ = [
     "derivative",
     "antiderivative",
     "dealiased_product",
+    "half_product",
     "refine",
     "smoothstep",
     "dyadic_bump",
@@ -82,7 +86,7 @@ MEAN_RTOL = 1e-10
 class SpectralGrid:
     """Uniform periodic grid on ``[-L/2, L/2)`` with cached wavenumbers."""
 
-    __slots__ = ("n", "length", "spacing", "x", "xi", "nyquist_index", "_sgn")
+    __slots__ = ("n", "length", "spacing", "x", "xi", "nyquist_index")
 
     def __init__(self, n: int, length: float):
         if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
@@ -98,8 +102,6 @@ class SpectralGrid:
         self.xi = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         self.xi.setflags(write=False)
         self.nyquist_index = n // 2
-        self._sgn = np.sign(self.xi)
-        self._sgn.setflags(write=False)
 
     @property
     def xi_max(self) -> float:
@@ -126,60 +128,78 @@ def make_grid(n: int, length: float) -> SpectralGrid:
 
 
 class _Field:
-    """Grid function with lazily cached spectrum.  Immutable after creation."""
+    """Grid function with lazily computed ``modes``, its spectrum in the field
+    type's layout: the first n/2+1 (real) or all n (complex) entries in FFT
+    order, at the ``wavenumbers``.  Immutable after creation."""
 
-    __slots__ = ("grid", "values", "_spectrum")
+    __slots__ = ("grid", "values", "_modes")
+    _dtype = complex
 
-    def __init__(self, grid: SpectralGrid, values, spectrum=None):
+    def __init__(self, grid: SpectralGrid, values, modes=None):
         self.grid = grid
-        v = np.asarray(values)
-        if v.shape != (grid.n,):
-            raise ValueError(f"expected {grid.n} samples, got shape {v.shape}")
-        self.values = v
+        self.values = np.asarray(values, dtype=self._dtype)
+        if self.values.shape != (grid.n,):
+            raise ValueError(f"expected {grid.n} samples, got shape {self.values.shape}")
         self.values.setflags(write=False)
-        self._spectrum = spectrum
-        if spectrum is not None:
-            self._spectrum.setflags(write=False)
+        self._modes = modes
+        if modes is not None:
+            self._modes.setflags(write=False)
+
+    @property
+    def modes(self):
+        # Lazy transform; safe under concurrent reads since the computed array
+        # is identical regardless of which thread stores it first.
+        if self._modes is None:
+            s = self._forward(self.values)
+            s.setflags(write=False)
+            self._modes = s
+        return self._modes
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        return self.grid.xi[: self.modes.size]
 
     @property
     def spectrum(self):
-        # Lazy DFT cache; safe under concurrent reads since the computed array
-        # is identical regardless of which thread stores it first.
-        if self._spectrum is None:
-            s = np.fft.fft(self.values)
-            s.setflags(write=False)
-            self._spectrum = s
-        return self._spectrum
+        return self.modes
 
 
 class RealField(_Field):
-    """Real-valued grid function; its spectrum is Hermitian-symmetric."""
+    """Real-valued grid function carried by its half spectrum (``rfft``)."""
 
-    def __init__(self, grid, values, spectrum=None):
-        v = np.asarray(values, dtype=float)
-        super().__init__(grid, v, spectrum)
+    _dtype = float
+
+    @staticmethod
+    def _forward(values):
+        return np.fft.rfft(values)
+
+    @property
+    def spectrum(self):
+        """The n-point spectrum, derived when read: exactly Hermitian."""
+        h = self.modes
+        return np.concatenate((h, np.conj(h[-2:0:-1])))
 
     @classmethod
-    def from_spectrum(cls, grid: SpectralGrid, spectrum) -> "RealField":
-        s = np.asarray(spectrum, dtype=complex)
-        v = np.fft.ifft(s)
-        # absolute floor keeps all-roundoff (empty) spectra acceptable
-        if np.max(np.abs(v.imag)) > 1e-8 * np.max(np.abs(v.real)) + 1e-13:
-            raise ValueError("spectrum is not Hermitian-symmetric to tolerance")
-        return cls(grid, v.real, s.copy())
+    def from_spectrum(cls, grid: SpectralGrid, half) -> "RealField":
+        """The real field with the half spectrum ``half`` (n/2+1 modes)."""
+        h = np.array(half, dtype=complex)
+        if h.shape != (grid.n // 2 + 1,):
+            raise ValueError(f"expected a half spectrum of {grid.n // 2 + 1} modes, "
+                             f"got shape {h.shape}")
+        return cls(grid, np.fft.irfft(h, grid.n), h)
 
 
 class ComplexField(_Field):
     """Complex-valued grid function (no symmetry constraint)."""
 
-    def __init__(self, grid, values, spectrum=None):
-        v = np.asarray(values, dtype=complex)
-        super().__init__(grid, v, spectrum)
+    @staticmethod
+    def _forward(values):
+        return np.fft.fft(values)
 
     @classmethod
     def from_spectrum(cls, grid: SpectralGrid, spectrum) -> "ComplexField":
-        s = np.asarray(spectrum, dtype=complex)
-        return cls(grid, np.fft.ifft(s), s.copy())
+        s = np.array(spectrum, dtype=complex)
+        return cls(grid, np.fft.ifft(s), s)
 
 
 def l2_norm(f) -> float:
@@ -187,13 +207,10 @@ def l2_norm(f) -> float:
     return float(np.sqrt(f.grid.spacing * np.sum(np.abs(f.values) ** 2)))
 
 
-def _mean_tolerance(f) -> float:
-    return MEAN_RTOL * l2_norm(f)
-
-
 def require_mean_free(f) -> None:
-    m = abs(np.mean(np.asarray(f.values)))
-    tol = _mean_tolerance(f)
+    """Raise MeanError unless |mean| <= ``MEAN_RTOL`` * RMS: a scale-free test."""
+    m = abs(np.mean(f.values))
+    tol = MEAN_RTOL * float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
     if m > tol:
         raise MeanError(float(m), tol)
 
@@ -207,26 +224,27 @@ def same_grid(*fields) -> SpectralGrid:
 
 
 # ---------------------------------------------------------------------------
-# Multipliers
+# Multipliers.  Each acts on a field's own modes, so one code path serves the
+# half spectrum of a real field and the full spectrum of a complex one.
+
+
+def _with_modes(f, modes, odd: bool = False):
+    """Field of f's type and grid with ``modes``; odd symbols zero the Nyquist."""
+    if odd:
+        modes[f.grid.nyquist_index] = 0.0
+    return type(f).from_spectrum(f.grid, modes)
 
 
 def hilbert(f: RealField) -> RealField:
     """Hilbert transform: multiplier ``-i*sgn(xi)``; kills the zero mode."""
-    grid = f.grid
-    out = (-1j * grid._sgn) * f.spectrum
-    out[grid.nyquist_index] = 0.0
-    return type(f).from_spectrum(grid, out)
+    return _with_modes(f, -1j * np.sign(f.wavenumbers) * f.modes, odd=True)
 
 
 def derivative(f, order: int = 1):
     """Spectral derivative of order 1..4; odd orders zero the Nyquist mode."""
     if order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {order}")
-    grid = f.grid
-    out = (1j * grid.xi) ** order * f.spectrum
-    if order % 2 == 1:
-        out[grid.nyquist_index] = 0.0
-    return type(f).from_spectrum(grid, out)
+    return _with_modes(f, (1j * f.wavenumbers) ** order * f.modes, odd=order % 2 == 1)
 
 
 def antiderivative(f: RealField) -> RealField:
@@ -236,34 +254,39 @@ def antiderivative(f: RealField) -> RealField:
     raises MeanError carrying the offending mean otherwise.
     """
     require_mean_free(f)
-    grid = f.grid
-    out = np.zeros(grid.n, dtype=complex)
-    nz = grid.xi != 0.0
-    out[nz] = f.spectrum[nz] / (1j * grid.xi[nz])
-    out[grid.nyquist_index] = 0.0
-    return type(f).from_spectrum(grid, out)
+    xi = f.wavenumbers
+    out = np.zeros(xi.size, dtype=complex)
+    nz = xi != 0.0
+    out[nz] = f.modes[nz] / (1j * xi[nz])
+    return _with_modes(f, out, odd=True)
 
 
 # ---------------------------------------------------------------------------
 # Dealiased products and spectral refinement
 
 
-def pad_spectrum(spec: np.ndarray, n: int, factor: int) -> np.ndarray:
-    """Zero-pad an n-point spectrum to ``factor*n`` bins (drops the Nyquist)."""
-    half = n // 2
-    out = np.zeros(factor * n, dtype=complex)
-    out[:half] = spec[:half] * factor
-    out[-half + 1:] = spec[-half + 1:] * factor
+def _regrid(spec: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Modes of an n-point grid on an m-point grid, in the same layout (last
+    axis n/2+1 or n), scaled so the samples agree; only the modes below both
+    Nyquists are kept."""
+    half = min(n, m) // 2
+    real = spec.shape[-1] == n // 2 + 1
+    out = np.zeros(spec.shape[:-1] + (m // 2 + 1 if real else m,), dtype=complex)
+    out[..., :half] = spec[..., :half] * (m / n)
+    if not real:
+        out[..., -half + 1:] = spec[..., -half + 1:] * (m / n)
     return out
 
 
-def truncate_spectrum(spec: np.ndarray, n: int, factor: int) -> np.ndarray:
-    """Inverse of pad_spectrum: keep the low ``n`` bins, zero the Nyquist."""
-    half = n // 2
-    out = np.zeros(n, dtype=complex)
-    out[:half] = spec[:half] / factor
-    out[-half + 1:] = spec[-half + 1:] / factor
-    return out
+def half_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half spectrum of the dealiased product of two real fields given by
+    their half spectra (last axis n/2+1, batched): padded, one ``irfft`` each
+    (one when ``b is a``) on 2n points, multiplied, and one ``rfft`` back,
+    truncated with the Nyquist mode dropped."""
+    n = 2 * (a.shape[-1] - 1)
+    pa = np.fft.irfft(_regrid(a, n, 2 * n), 2 * n)
+    pb = pa if b is a else np.fft.irfft(_regrid(b, n, 2 * n), 2 * n)
+    return _regrid(np.fft.rfft(pa * pb), 2 * n, n)
 
 
 def dealiased_product(f, g):
@@ -274,26 +297,17 @@ def dealiased_product(f, g):
     two-thirds rule.
     """
     grid = same_grid(f, g)
-    n = grid.n
-    pu = np.fft.ifft(pad_spectrum(f.spectrum, n, 2))
-    pv = np.fft.ifft(pad_spectrum(g.spectrum, n, 2))
-    real_out = isinstance(f, RealField) and isinstance(g, RealField)
-    if isinstance(f, RealField):
-        pu = pu.real
-    if isinstance(g, RealField):
-        pv = pv.real
-    big = np.fft.fft(pu * pv)
-    out = truncate_spectrum(big, n, 2)
-    if real_out:
-        return RealField.from_spectrum(grid, out)
-    return ComplexField.from_spectrum(grid, out)
+    if isinstance(f, RealField) and isinstance(g, RealField):
+        return RealField.from_spectrum(grid, half_product(f.modes, g.modes))
+    big = np.fft.fft(refine(f).values * refine(g).values)
+    return ComplexField.from_spectrum(grid, _regrid(big, 2 * grid.n, grid.n))
 
 
 def refine(f, factor: int = 2):
     """Trigonometric interpolation of a field onto a ``factor`` times finer grid."""
     grid = f.grid
     fine = SpectralGrid(factor * grid.n, grid.length)
-    return type(f).from_spectrum(fine, pad_spectrum(f.spectrum, grid.n, factor))
+    return type(f).from_spectrum(fine, _regrid(f.modes, grid.n, fine.n))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +387,10 @@ def half_multiplier(grid: SpectralGrid, half: str) -> np.ndarray:
 
 
 def _apply_mask(f, mask: np.ndarray, force_complex: bool):
-    return (ComplexField if force_complex else type(f)).from_spectrum(f.grid, mask * f.spectrum)
+    # mask is in FFT order; a field's own modes are a prefix of it
+    if force_complex:
+        return ComplexField.from_spectrum(f.grid, mask * f.spectrum)
+    return type(f).from_spectrum(f.grid, mask[: f.modes.size] * f.modes)
 
 
 def project_band(f, band):

@@ -76,8 +76,7 @@ class _Frames(Sequence):
     def __getitem__(self, i):
         traj = self._traj
         h = traj.spectra[i]  # an int index; IndexError ends iteration
-        ws = flows._workspace(traj.grid)
-        return float(traj.times[i]), RealField(traj.grid, np.fft.irfft(h, ws.n), ws.full(h))
+        return float(traj.times[i]), RealField.from_spectrum(traj.grid, h)
 
 
 @dataclass(eq=False)
@@ -184,7 +183,7 @@ def _march(ws, s0, t0, t_span, config, nl):
     nonlinear state.
     """
     m = ws.half + 1
-    s = np.array(np.asarray(s0)[..., :m], dtype=complex)
+    s = np.array(s0, dtype=complex)
     n_steps, h = _snapshot_plan(abs(t_span), config.dt)
     h = math.copysign(h, t_span)
     stride = config.snapshot_stride
@@ -220,7 +219,7 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Traj
     require_mean_free(f0)
     ws = flows._workspace(f0.grid)
     nl = lambda s, out: flows.nonlinear_spectrum(kind.tag, ws, s, out=out)
-    times, (spectra,), warns = _march(ws, f0.spectrum, 0.0, config.t_end, config, nl)
+    times, (spectra,), warns = _march(ws, f0.modes, 0.0, config.t_end, config, nl)
     return Trajectory(f0.grid, times, spectra, warns)
 
 
@@ -240,7 +239,7 @@ def _pair_march(phi, sec, tag, t_from, t_to, config):
         flows.nonlinear_spectrum("third_order_bo", ws, s[0], fields, out[0])
         flows.nonlinear_spectrum(tag, ws, s[1], fields, out[1])
 
-    s0 = np.stack((phi.spectrum, sec.spectrum))
+    s0 = np.stack((phi.modes, sec.modes))
     times, spectra, warns = _march(ws, s0, t_from, t_to - t_from, config, nl)
     order = slice(None, None, -1 if t_to < t_from else 1)
     return tuple(Trajectory(grid, times[order], rows[order], warns[order]) for rows in spectra)

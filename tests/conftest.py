@@ -53,7 +53,7 @@ def trajectory(frames):
     """Trajectory of ``(t, RealField)`` pairs on one grid, kept as half spectra."""
     grid = frames[0][1].grid
     times = np.array([t for t, _ in frames], dtype=float)
-    spectra = np.array([f.spectrum[: grid.n // 2 + 1] for _, f in frames])
+    spectra = np.array([f.modes for _, f in frames])
     return Trajectory(grid, times, spectra)
 
 
@@ -61,6 +61,6 @@ def linear_march(f, config):
     """The stepper's integrating-factor march of f with the nonlinear part
     switched off: the Airy flow as the third-order march carries it."""
     ws = flows._workspace(f.grid)
-    times, (spectra,), _ = stepper._march(ws, f.spectrum, 0.0, config.t_end, config,
+    times, (spectra,), _ = stepper._march(ws, f.modes, 0.0, config.t_end, config,
                                           lambda s, out: out.fill(0.0))
     return Trajectory(f.grid, times, spectra)

@@ -2,7 +2,10 @@
 
 Most of what is here avoids the package's FFT/padding code paths: direct
 O(n^2) DFT sums and explicit mode-pair convolutions, so agreement with the
-fast implementations is a real check rather than a tautology.  The flow
+fast implementations is a real check rather than a tautology.  The ``full_*``
+operators are the Hilbert transform, derivatives, antiderivative, real
+product and Airy propagator on the full n-point spectrum, with complex
+``fft``/``ifft``: the reference for the half-spectrum operators.  The flow
 right-hand sides at the end are the complex full-spectrum formulas, written
 with ``spectral.dealiased_product``, ``hilbert`` and ``derivative``; they pin
 the half-spectrum kernels of ``flows``.  Their nested products equal the
@@ -83,6 +86,81 @@ def hilbert_spectrum(grid, spec):
 
 def quad(grid, values):
     return grid.spacing * np.sum(values)
+
+
+# ---------------------------------------------------------------------------
+# real-field operators on the full n-point spectrum: the complex fft/ifft
+# formulas that the half-spectrum operators replaced, kept as their reference
+
+
+def real_from_full_spectrum(grid, spectrum):
+    """RealField of a Hermitian n-point spectrum, by one complex ifft."""
+    s = np.asarray(spectrum, dtype=complex)
+    v = np.fft.ifft(s)
+    # absolute floor keeps all-roundoff (empty) spectra acceptable
+    if np.max(np.abs(v.imag)) > 1e-8 * np.max(np.abs(v.real)) + 1e-13:
+        raise ValueError("spectrum is not Hermitian-symmetric to tolerance")
+    return RealField(grid, v.real)
+
+
+def full_hilbert(f):
+    grid = f.grid
+    out = (-1j * np.sign(grid.xi)) * np.fft.fft(f.values)
+    out[grid.nyquist_index] = 0.0
+    return real_from_full_spectrum(grid, out)
+
+
+def full_derivative(f, order=1):
+    grid = f.grid
+    out = (1j * grid.xi) ** order * np.fft.fft(f.values)
+    if order % 2 == 1:
+        out[grid.nyquist_index] = 0.0
+    return real_from_full_spectrum(grid, out)
+
+
+def full_antiderivative(f):
+    require_mean_free(f)
+    grid = f.grid
+    out = np.zeros(grid.n, dtype=complex)
+    nz = grid.xi != 0.0
+    out[nz] = np.fft.fft(f.values)[nz] / (1j * grid.xi[nz])
+    out[grid.nyquist_index] = 0.0
+    return real_from_full_spectrum(grid, out)
+
+
+def pad_spectrum(spec, n, factor):
+    """Zero-pad an n-point spectrum to ``factor*n`` bins (drops the Nyquist)."""
+    half = n // 2
+    out = np.zeros(factor * n, dtype=complex)
+    out[:half] = spec[:half] * factor
+    out[-half + 1:] = spec[-half + 1:] * factor
+    return out
+
+
+def truncate_spectrum(spec, n, factor):
+    """Inverse of pad_spectrum: keep the low ``n`` bins, zero the Nyquist."""
+    half = n // 2
+    out = np.zeros(n, dtype=complex)
+    out[:half] = spec[:half] / factor
+    out[-half + 1:] = spec[-half + 1:] / factor
+    return out
+
+
+def full_dealiased_product(f, g):
+    """Product of two real fields with 2x zero-padding of their full spectra."""
+    grid = same_grid(f, g)
+    n = grid.n
+    pu = np.fft.ifft(pad_spectrum(np.fft.fft(f.values), n, 2)).real
+    pv = np.fft.ifft(pad_spectrum(np.fft.fft(g.values), n, 2)).real
+    big = np.fft.fft(pu * pv)
+    return real_from_full_spectrum(grid, truncate_spectrum(big, n, 2))
+
+
+def full_airy_propagate(f, t):
+    grid = f.grid
+    sym = np.exp(-1j * grid.xi**3 * t)
+    sym[grid.nyquist_index] = 0.0
+    return real_from_full_spectrum(grid, sym * np.fft.fft(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +258,7 @@ def b0(phi: RealField) -> RealField:
     grid = phi.grid
 
     hi = RealField.from_spectrum(
-        grid, (1.0 - spectral.dyadic_bump(grid.xi)) * phi.spectrum
+        grid, ((1.0 - spectral.dyadic_bump(grid.xi)) * phi.spectrum)[: grid.n // 2 + 1]
     )
     dinv = antiderivative(hi)
     direct = project_band(dealiased_product(dinv, hilbert(phi)), 0).values

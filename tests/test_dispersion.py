@@ -273,8 +273,9 @@ def test_bilinear_ratio_matches_the_full_grid_oracle_on_the_canonical_rows():
 
 
 def test_bilinear_ratio_transform_lengths_on_the_canonical_rows(inverse_lengths):
-    # the two band projections are n-point ifft; then two inverse transforms
-    # per time sample, of the smallest power of two above the product's span:
+    # the two band projections are n-point irfft for real bands and ifft for
+    # complex halves; then two inverse transforms per time sample, of the
+    # smallest power of two above the product's span:
     # band 2 (modes up to 7) against band k (up to 2**(k+1) - 1) spans
     # 2 (7 + 2**(k+1) - 1), which passes n = 4096 at k = 10; the halves of
     # band 8 (modes 129 to 511) span 764
@@ -285,7 +286,7 @@ def test_bilinear_ratio_transform_lengths_on_the_canonical_rows(inverse_lengths)
         inverse_lengths.clear()
         bilinear_strichartz_ratio(j, k, f, g, t_end, halves=halves)
         name = "irfft" if halves == ("both", "both") else "ifft"
-        assert inverse_lengths == [("ifft", n)] * 2 + [(name, m)] * 128, (j, k, halves)
+        assert inverse_lengths == [(name, n)] * 2 + [(name, m)] * 128, (j, k, halves)
 
 
 def modes_field(grid, seed, top):
@@ -296,7 +297,7 @@ def modes_field(grid, seed, top):
     coeff = rng.normal(size=top) + 1j * rng.normal(size=top)
     spec = np.zeros(grid.n, dtype=complex)
     spec[q], spec[-q] = coeff, np.conj(coeff)
-    return RealField.from_spectrum(grid, spec)
+    return RealField.from_spectrum(grid, spec[: grid.n // 2 + 1])
 
 
 @pytest.mark.parametrize("n, length, j, k, top, halves, m", [
@@ -335,4 +336,5 @@ def test_bilinear_ratio_matches_the_full_grid_oracle(inverse_lengths, n, length,
     assert want > 0.1
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
     name = "irfft" if halves == ("both", "both") else "ifft"
-    assert inverse_lengths == [("ifft", n)] * 2 + [(name, m)] * 32
+    projections = [("irfft" if half == "both" else "ifft", n) for half in halves]
+    assert inverse_lengths == projections + [(name, m)] * 32

@@ -353,6 +353,9 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              ("scaling", "analysis.scale_factor=1e-120"),
                              ("scaling", "analysis.scale_factor=1e120"),
                              ("decay_profile", "solver.t_end=0.5"),
+                             # the paper's delta is a small positive exponent
+                             ("decay_profile", "analysis.delta=-1"),
+                             ("decay_profile", "analysis.delta=0"),
                              # initial data that cannot be built, or is not finite
                              ("strichartz", "data.bandlimit=0"),
                              ("conserve", "data.width=0"),
@@ -364,6 +367,18 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
         assert code == 3, assignment
         assert assignment.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("factor", ["1e20", "1e100"])
+def test_extreme_rescaling_ends_in_a_verdict_with_a_manifest(factor, tmp_path, capsys):
+    # the mean-free test compares |mean| with the RMS of the values, which the
+    # rescaling leaves alone; at 1e20 the rescaled run used to stop with a
+    # MeanError after the output directory existed
+    code = main(["run", str(CONFIG_DIR / "scaling.json"), "--set", "grid.n=64",
+                 "--set", "solver.t_end=0.01", "--set", f"analysis.scale_factor={factor}",
+                 "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2)
+    assert (tmp_path / "out" / "scaling" / "manifest.json").is_file()
 
 
 def test_data_is_checked_only_where_the_experiment_reads_it(tmp_path, capsys):

@@ -50,3 +50,52 @@ def _unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     unused = [entry for path in SOURCES for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _fft_bound_at_import(source: str) -> list:
+    """Lines where the source holds on to a numpy FFT function instead of
+    looking it up when it calls it.
+
+    That is ``from numpy.fft import ...`` anywhere, and any ``np.fft.<name>``
+    read outside a function body: at module level, in a class body, a
+    decorator or a default argument, all of which run once, at import.  Such
+    a caller keeps the old function when ``numpy.fft.<name>`` is replaced
+    later, as the benchmark's tracer replaces it.
+    """
+    tree = ast.parse(source)
+    deferred = set()  # nodes that run only when their function is called
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in node.body:
+                deferred.update(ast.walk(stmt))
+        elif isinstance(node, ast.Lambda):
+            deferred.update(ast.walk(node.body))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node not in deferred
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id in ("np", "numpy")):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_every_fft_is_looked_up_at_call_time():
+    bound = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src" / "bo3").glob("*.py"))
+             for line in _fft_bound_at_import(path.read_text())]
+    assert not bound, "numpy FFT functions bound at import:\n" + "\n".join(bound)
+
+
+def test_the_fft_binding_check_sees_each_form():
+    source = ("import numpy as np\n"
+              "from numpy.fft import rfft\n"
+              "FORWARD = np.fft.fft\n"
+              "class A:\n"
+              "    inverse = np.fft.ifft\n"
+              "def f(x, g=np.fft.irfft):\n"
+              "    inverse = np.fft.irfft if x else np.fft.ifft\n"
+              "    return inverse(x), np.fft.rfft(x), (lambda y: np.fft.fft(y))\n")
+    assert _fft_bound_at_import(source) == [2, 3, 5, 6]

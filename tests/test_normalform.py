@@ -234,7 +234,7 @@ def test_b0_two_mode_oracle():
     h_out = -1j * np.sign(xi) * (p0 * slow_product_spectrum(grid, dinv, s))
     h_out[grid.nyquist_index] = 0.0
     expected = 0.25 * (direct + h_out)
-    ref = RealField.from_spectrum(grid, expected)
+    ref = RealField.from_spectrum(grid, expected[: grid.n // 2 + 1])
     assert np.max(np.abs(got.values - ref.values)) <= 1e-10
 
 
@@ -242,12 +242,13 @@ def test_b0_quadratic_cancellation(grid):
     # B0 kills the quadratic coupling of the low block to high frequencies
     f = field_with_bands(grid, seed=7)
     s = f.spectrum
-    hi = RealField.from_spectrum(grid, (1.0 - dyadic_bump(grid.xi)) * s)
+    m = grid.n // 2 + 1
+    hi = RealField.from_spectrum(grid, ((1.0 - dyadic_bump(grid.xi)) * s)[:m])
     px, pxx = derivative(f), derivative(f, 2)
     hx = derivative(hi)
 
     def p0(v):
-        return RealField.from_spectrum(grid, dyadic_bump(grid.xi) * v.spectrum)
+        return RealField.from_spectrum(grid, (dyadic_bump(grid.xi) * v.spectrum)[:m])
 
     target = 0.75 * (
         p0(dealiased_product(hi, hilbert(pxx))).values

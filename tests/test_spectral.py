@@ -25,6 +25,7 @@ from bo3.spectral import (
     project_range,
     range_multiplier,
     refine,
+    require_mean_free,
     resolved_bands,
     same_grid,
     sobolev_norm,
@@ -33,6 +34,7 @@ from bo3.spectral import (
 from bo3 import dispersion, flows, invariants, normalform, stepper
 from bo3.flows import airy_propagate
 
+import oracles
 from conftest import random_bandlimited_field
 from oracles import quad, slow_dft, slow_product_spectrum
 
@@ -90,12 +92,40 @@ def test_real_field_hermitian_spectrum():
     assert np.max(np.abs(s - conj_flip)) <= 1e-10 * np.max(np.abs(s))
 
 
-def test_real_field_rejects_non_hermitian_spectrum():
-    grid = make_grid(32, 2.0 * np.pi)
-    spec = np.zeros(32, dtype=complex)
-    spec[3] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError):
-        RealField.from_spectrum(grid, spec)
+@pytest.mark.parametrize("n", [128, 1024])
+def test_half_spectrum_operators_match_the_full_spectrum_oracles(n):
+    # full-band data: every mode below the Nyquist carries energy
+    grid = make_grid(n, n * np.pi / 4.0)
+    f = random_bandlimited_field(grid, seed=60, bandlimit=grid.xi_max)
+    g = random_bandlimited_field(grid, seed=61, bandlimit=grid.xi_max)
+    cases = [(hilbert(f), oracles.full_hilbert(f)),
+             (antiderivative(f), oracles.full_antiderivative(f)),
+             (dealiased_product(f, g), oracles.full_dealiased_product(f, g)),
+             (airy_propagate(f, 0.37), oracles.full_airy_propagate(f, 0.37))]
+    cases += [(derivative(f, k), oracles.full_derivative(f, k)) for k in (1, 2, 3, 4)]
+    for got, want in cases:
+        assert type(got) is RealField
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+    # the n-point spectrum is derived from the half spectrum, so it is
+    # Hermitian to the bit; a length-n spectrum is not a real field's
+    s = f.spectrum
+    assert s.shape == (n,) and np.array_equal(s[: n // 2 + 1], f.modes)
+    assert np.array_equal(s[n // 2 + 1:], np.conj(s[1: n // 2])[::-1])
+    with pytest.raises(ValueError, match="half spectrum"):
+        RealField.from_spectrum(grid, s)
+
+
+def test_mean_free_check_is_scale_invariant():
+    # |mean| against the RMS of the values: rescaling the field or its
+    # domain moves neither side of the test
+    for length in (1e-3, 2.0 * np.pi, 1e6):
+        grid = make_grid(64, length)
+        wave = np.sin(2.0 * np.pi * grid.x / length)
+        for scale in (1e-100, 1.0, 1e100):
+            require_mean_free(RealField(grid, scale * (wave + 1e-12)))
+            with pytest.raises(MeanError):
+                require_mean_free(RealField(grid, scale * (wave + 1e-9)))
 
 
 def test_fields_are_immutable():
