@@ -29,8 +29,8 @@ from .flows import (FlowKind, adjoint_linearized_rhs, airy_propagate, linearized
 from .invariants import l2_norm
 from .spectral import BandError, RealField, check_band, make_grid, sobolev_norm
 from .spectral import envelope as spectral_envelope
-from .stepper import (BlowUpError, SolverConfig, integrate, integrate_linearized_pair,
-                      convergence_order)
+from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, integrate,
+                      integrate_linearized_pair, convergence_order)
 
 __all__ = [
     "ConfigError",
@@ -61,11 +61,12 @@ class ResolutionWarning(UserWarning):
     """An integration accumulated spectral-tail resolution flags."""
 
 
-def _flag_resolution(traj) -> None:
-    if traj.warnings:
-        t0 = traj.warnings[0][0]
+def _flag_resolution(warns) -> None:
+    """Warn once for a run's ``(time, kind)`` resolution flags, if any."""
+    if warns:
+        t0 = warns[0][0]
         _warnings.warn(
-            f"{len(traj.warnings)} resolution flags along the run "
+            f"{len(warns)} resolution flags along the run "
             f"(first at t = {t0:.4g})",
             ResolutionWarning,
             stacklevel=3,
@@ -454,14 +455,21 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
     spectra its trajectories hold, frames x (n/2+1) x 16 B per stacked row.  The
     frames (t = 0, every stride-th step and the last) are counted in floats, at
     most one over the stepper's plan, so an absurd step count cannot overflow.
+    A run that streams its march holds one block of ``stepper.FRAME_BLOCK``
+    frames of half spectra and 48 B a frame of reduced values: the time and
+    five channels.
     """
     n = cfg.grid.n
     total = 24.0 * (n + getattr(cfg.analysis, "conv_n", 0))
-    rows = EXPERIMENTS[cfg.experiment].marches
-    if rows:
+    exp = EXPERIMENTS[cfg.experiment]
+    if exp.marches:
         sol = cfg.solver
         frames = 2.0 + sol.t_end / sol.dt / sol.snapshot_stride
-        total += rows * frames * (n // 2 + 1) * 16.0
+        frame = exp.marches * (n // 2 + 1) * 16.0
+        if exp.streams:
+            total += min(frames, FRAME_BLOCK) * frame + 48.0 * frames
+        else:
+            total += frames * frame
     return total
 
 
@@ -510,11 +518,18 @@ def build_version() -> str:
 # handles warning capture and the manifest.
 
 
+def _block_energies(block):
+    """The conserve channels of one block of the march, and its warnings."""
+    return invariants.track(block, invariants.CHANNELS), block.warnings
+
+
 def _exp_conserve(cfg, out_dir):
     data = cfg.initial_data()
-    traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
-    _flag_resolution(traj)
-    series = invariants.track(traj, ["E0", "E1", "E2", "L2", "H1"])
+    # the energies are taken block by block as the march goes, so the run
+    # never holds more than one block of frames
+    blocks = integrate(FlowKind("third_order_bo"), data, cfg.solver, reduce=_block_energies)
+    _flag_resolution([w for _, warns in blocks for w in warns])
+    series = invariants.EnergySeries.join([part for part, _ in blocks])
     csv = out_dir / "energies.csv"
     snapshots.write_csv(csv, series.to_rows())
     metrics = {f"{name.lower()}_drift": series.drift(name) for name in ("E0", "E1", "E2")}
@@ -547,8 +562,8 @@ def _exp_scaling(cfg, out_dir):
 
     grid2, sol2 = _rescaled(data.grid, cfg.solver, lam)
     scaled = integrate(FlowKind("third_order_bo"), RealField(grid2, lam * data.values), sol2)
-    _flag_resolution(base)
-    _flag_resolution(scaled)
+    _flag_resolution(base.warnings)
+    _flag_resolution(scaled.warnings)
 
     devs = []
     for (t1, f1), (t2, f2) in zip(base.frames, scaled.frames):
@@ -673,7 +688,7 @@ def _linearized_run(cfg):
     v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=cfg.data.amplitude,
                                bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
     phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver)
-    _flag_resolution(phi_traj)
+    _flag_resolution(phi_traj.warnings)
     return phi0, v0, phi_traj, v_traj
 
 
@@ -751,7 +766,7 @@ def _exp_decay_profile(cfg, out_dir):
     data = cfg.initial_data()
     eps = cfg.data.amplitude
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
-    _flag_resolution(traj)
+    _flag_resolution(traj.warnings)
     ana = cfg.analysis
     frames = list(traj.frames)  # built once, read by both passes below
     report = dispersion.decay_weights(frames, delta=ana.delta, c_region=ana.c_region)
@@ -806,12 +821,14 @@ def _exp_decay_profile(cfg, out_dir):
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its body, the classes of the ``data`` and ``analysis`` sections
-    it reads (None: no analysis), and ``marches``, the half-spectrum rows its
-    trajectories hold at once (0: it does not march, that is, reads no ``solver``)."""
+    it reads (None: no analysis), ``marches``, the half-spectrum rows its
+    trajectories hold at once (0: it does not march, that is, reads no ``solver``),
+    and ``streams``: its march hands the frames to a reducer block by block."""
     body: typing.Callable
     data: type
     analysis: type | None = None
     marches: int = 1
+    streams: bool = False
 
     def sections(self) -> dict:
         """The class of each section, None for a section the experiment does not read."""
@@ -820,7 +837,7 @@ class Experiment:
 
 
 EXPERIMENTS = {
-    "conserve": Experiment(_exp_conserve, ProfileData, ConserveAnalysis),
+    "conserve": Experiment(_exp_conserve, ProfileData, ConserveAnalysis, streams=True),
     "scaling": Experiment(_exp_scaling, ProfileData, ScalingAnalysis, marches=2),
     "airy_decay": Experiment(_exp_airy_decay, ProfileData, AiryAnalysis, marches=0),
     "strichartz": Experiment(_exp_strichartz, WindowedData, StrichartzAnalysis, marches=0),

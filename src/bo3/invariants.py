@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flows, spectral
+from . import flows, spectral, stepper
 from .spectral import (
     RealField,
     dealiased_product,
@@ -204,6 +204,13 @@ class EnergySeries:
             if len(vals) != len(self.times):
                 raise ValueError(f"channel {name!r} length mismatch")
 
+    @classmethod
+    def join(cls, parts) -> "EnergySeries":
+        """One series of consecutive parts that share their channels."""
+        return cls(np.concatenate([p.times for p in parts]),
+                   {name: np.concatenate([p.channels[name] for p in parts])
+                    for name in parts[0].channels})
+
     def drift(self, name: str) -> float:
         """max |value - value(0)| / |value(0)|, or max |value| where value(0) is 0."""
         vals = np.asarray(self.channels[name], dtype=float)
@@ -219,9 +226,10 @@ class EnergySeries:
 
 CHANNELS = ("E0", "E1", "E2", "L2", "H1")
 
-# Frames per batched transform in ``track``: at n = 1024 a block's temporaries
-# stay near 4 MB however long the trajectory.
-TRACK_BLOCK = 64
+# Frames per batched transform in ``track``: the march's block, so a block the
+# march hands over is one transform.  At n = 1024 a block's temporaries stay
+# near 4 MB however long the trajectory.
+TRACK_BLOCK = stepper.FRAME_BLOCK
 
 
 def _check_channels(channels, known) -> None:
@@ -268,6 +276,10 @@ def track(traj, channels) -> EnergySeries:
     All frames are evaluated at once from the trajectory's half spectra, in
     blocks of ``TRACK_BLOCK``; the values agree with ``e0``, ``e1``, ``e2``,
     ``l2_norm`` and ``sobolev_norm(., 1)`` frame by frame up to round-off.
+    A trajectory may be one block of a streamed march (``stepper.integrate``
+    with ``reduce``): the blocks group the same frames as one whole-run call
+    does, so joining their series with ``EnergySeries.join`` gives the same
+    bits.
     """
     _check_channels(channels, CHANNELS)
     ws = flows._workspace(traj.grid)

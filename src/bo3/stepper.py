@@ -10,7 +10,9 @@ adjoint pairs, forward and backward in time.
 ``SolverConfig`` holds a march's settings; it is also the ``solver`` section
 of an experiment config.  One march, ``_march``, steps the state and keeps
 its frames: at the start, after every ``snapshot_stride``-th step and after
-the last.
+the last.  It keeps them all in one trajectory, or, given a reducer, hands
+them over in blocks of ``FRAME_BLOCK`` frames and holds only the block it
+fills.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ __all__ = [
     "integrate_adjoint_pair",
     "convergence_order",
     "ConvergenceResult",
+    "FRAME_BLOCK",
 ]
+
+# Frames per block of a march handed to a reducer, and per batched transform
+# of ``invariants.track``: at n = 1024 a block of half spectra is 0.5 MB.
+FRAME_BLOCK = 64
 
 
 class BlowUpError(RuntimeError):
@@ -171,25 +178,36 @@ def _snapshot_plan(t_end: float, dt: float):
     return n_steps, t_end / n_steps
 
 
-def _march(ws, s0, t0, t_span, config, nl):
+def _march(ws, s0, t0, t_span, config, nl, keep=None):
     """March the half spectra of s0 from t0 over t_span (of either sign).
 
     The state is one half spectrum ``(m,)`` or a stack ``(2, m)``;
     ``nl(s, out)`` writes the nonlinear part of s into out.  A frame is kept
     at t0, after every stride-th step and after the last, so a march of
-    n_steps keeps ``1 + ceil(n_steps / stride)`` frames.  Returns the frame
-    times ``(F,)``, the half spectra ``(rows, F, m)`` with one row per
-    stacked state, and the resolution warnings, which watch row 0, the
-    nonlinear state.
+    n_steps keeps ``1 + ceil(n_steps / stride)`` frames.  Each frame whose
+    tail (``flows.spectral_tail_fraction``) exceeds ``config.tail_tol`` in
+    any stacked row adds one resolution warning.
+
+    Without ``keep``, returns the frame times ``(F,)``, the half spectra
+    ``(rows, F, m)`` with one row per stacked state, and the warnings.  With
+    ``keep``, the frames fill blocks of ``FRAME_BLOCK`` (the last may be
+    shorter); each block goes to ``keep(times, spectra, warnings)`` as soon
+    as it is full, and the next is newly allocated, so a block handed over
+    is never written again.
     """
     m = ws.half + 1
     s = np.array(s0, dtype=complex)
     n_steps, h = _snapshot_plan(abs(t_span), config.dt)
     h = math.copysign(h, t_span)
     stride = config.snapshot_stride
-    times = np.empty(1 + math.ceil(n_steps / stride))
-    spectra = np.empty((s.size // m, len(times), m), dtype=complex)
-    warns = []
+    left = 1 + math.ceil(n_steps / stride)  # frames not yet in a block
+    size = left if keep is None else FRAME_BLOCK
+
+    def block():
+        k = min(size, left)
+        return np.empty(k), np.empty((s.size // m, k, m), dtype=complex), []
+
+    times, spectra, warns = block()
     rk4 = _IFRK4(s.shape, h, ws.lam, nl)
     i, t = 0, t0
     # a blowing-up state overflows before the finiteness check sees it; that
@@ -204,23 +222,40 @@ def _march(ws, s0, t0, t_span, config, nl):
             if j % stride == 0 or j == n_steps:
                 times[i] = t
                 spectra[:, i] = s.reshape(-1, m)
-                if flows.spectral_tail_fraction(spectra[0, i]) > config.tail_tol:
+                if any(flows.spectral_tail_fraction(row) > config.tail_tol
+                       for row in spectra[:, i]):
                     warns.append((t, "resolution"))
                 i += 1
+                if keep is not None and i == len(times):
+                    keep(times, spectra, warns)
+                    left -= i
+                    times, spectra, warns = block()
+                    i = 0
     return times, spectra, warns
 
 
-def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig) -> Trajectory:
+def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig, reduce=None):
     """Integrate the flow ``kind`` from mean-free initial data ``f0``.
 
     Non-finite values abort with the blow-up time; under-resolution only
-    accumulates warnings on the trajectory.
+    accumulates warnings on the trajectory.  Returns the trajectory or, with
+    ``reduce``, the list of ``reduce(block)`` over the march's consecutive
+    blocks of ``FRAME_BLOCK`` frames, each a ``Trajectory`` of its own, so
+    that no more than one block of frames is held at a time.
     """
     require_mean_free(f0)
     ws = flows._workspace(f0.grid)
     nl = lambda s, out: flows.nonlinear_spectrum(kind.tag, ws, s, out=out)
-    times, (spectra,), warns = _march(ws, f0.modes, 0.0, config.t_end, config, nl)
-    return Trajectory(f0.grid, times, spectra, warns)
+
+    def trajectory(times, spectra, warns):
+        return Trajectory(f0.grid, times, spectra[0], warns)
+
+    if reduce is None:
+        return trajectory(*_march(ws, f0.modes, 0.0, config.t_end, config, nl))
+    out = []
+    _march(ws, f0.modes, 0.0, config.t_end, config, nl,
+           keep=lambda *block: out.append(reduce(trajectory(*block))))
+    return out
 
 
 def _pair_march(phi, sec, tag, t_from, t_to, config):

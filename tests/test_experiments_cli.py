@@ -419,15 +419,28 @@ def test_unread_fields_are_config_errors(name, path, tmp_path, capsys):
 
 def test_run_bytes_counts_grids_and_trajectory_rows():
     # 24 B a grid point; 16 B a half-spectrum mode per frame and stacked row,
-    # at most one frame over the stepper's plan
-    for name, rows in (("conserve", 1), ("scaling", 2), ("lnl_conservation", 2)):
+    # at most one frame over the stepper's plan.  conserve streams its march
+    # into the energies: it holds at most one block of frames, and 48 B a
+    # frame of reduced values
+    block = stepper.FRAME_BLOCK
+    dense = ["solver.t_end=0.2", "solver.snapshot_stride=1"]  # 201 frames: over a block
+    for name, rows, overrides in (("conserve", 1, []), ("conserve", 1, dense),
+                                  ("scaling", 2, []), ("lnl_conservation", 2, [])):
         cfg = fast_config(name)
+        for assignment in overrides:
+            apply_override(cfg, assignment)
         n, m = cfg.grid.n, cfg.grid.n // 2 + 1
         grids = 24 * (n + getattr(cfg.analysis, "conv_n", 0))
         n_steps = stepper._snapshot_plan(cfg.solver.t_end, cfg.solver.dt)[0]
         frames = 1 + math.ceil(n_steps / cfg.solver.snapshot_stride)
         traj = experiments._run_bytes(cfg) - grids
-        assert rows * frames * m * 16 <= traj <= rows * (frames + 1) * m * 16, name
+        if EXPERIMENTS[name].streams:
+            lo = min(frames, block) * m * 16 + 48 * frames
+            hi = min(frames + 1, block) * m * 16 + 48 * (frames + 1)
+        else:
+            lo, hi = rows * frames * m * 16, rows * (frames + 1) * m * 16
+        assert lo <= traj <= hi, (name, overrides)
+    assert [name for name, exp in EXPERIMENTS.items() if exp.streams] == ["conserve"]
     cfg = shipped_config("strichartz")  # no march: the grid alone
     assert experiments._run_bytes(cfg) == 24 * cfg.grid.n
 
@@ -437,13 +450,19 @@ def test_oversized_runs_are_config_errors_before_any_grid(tmp_path, capsys, monk
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(experiments, "make_grid", no_grid)
-    conserve = str(CONFIG_DIR / "conserve.json")
-    # 2**30 points: 24 GiB of grid and 102 frames of 8 GiB; or 10**6 frames of 8 MB
-    for assignment, gib in (("grid.n=1073741824", "840"), ("solver.t_end=10000", "7.64")):
-        for command in (["validate", conserve], ["run", conserve, "--out", str(tmp_path / "out")]):
-            assert main(command + ["--set", assignment]) == 3
+    conserve, scaling = (str(CONFIG_DIR / f"{name}.json") for name in ("conserve", "scaling"))
+    dense = ["--set", "solver.snapshot_stride=1", "--set", "solver.t_end=20"]  # 200 001 frames
+    # 2**30 points: 24 GiB of grid and one block of 64 frames of 8 GiB; or two
+    # rows of 200 001 frames of 8 KB
+    for path, assignments, gib in ((conserve, ["--set", "grid.n=1073741824"], "536"),
+                                   (scaling, dense, "1.53")):
+        for command in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+            assert main(command + assignments) == 3
             assert f"the run needs about {gib} GiB" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # conserve holds one block of those frames, not all of them
+    monkeypatch.undo()
+    assert main(["validate", conserve] + dense) == 0
 
 
 def test_output_dir_is_an_unknown_field(tmp_path, capsys):

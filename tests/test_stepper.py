@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bo3 import flows, stepper
+from bo3 import flows, invariants, stepper
 from bo3.flows import FlowKind, airy_propagate, tbo_rhs
 from bo3.spectral import RealField, l2_norm, make_grid
 from bo3.stepper import (
@@ -352,6 +352,90 @@ def test_resolution_warnings_accumulate():
     traj = integrate(FlowKind("third_order_bo"), hot, cfg)
     assert traj.warnings
     assert all(kind == "resolution" for _, kind in traj.warnings)
+
+
+def test_tail_guard_watches_every_stacked_row(wide):
+    # a smooth background with a hot second row: the single march of phi
+    # raises nothing, either pair raises a flag at every frame
+    phi0 = small_state(wide, seed=35, eps=0.1, bandlimit=2.0)
+    hot = RealField(wide, 1e-3 * np.sin(14.0 * wide.x))  # 14 >= (2/3) xi_max = 10.7
+    cfg = SolverConfig(dt=1e-4, t_end=2e-3, snapshot_stride=10)
+    assert not integrate(FlowKind("third_order_bo"), phi0, cfg).warnings
+    for pair in (integrate_linearized_pair, integrate_adjoint_pair):
+        phi_traj, sec_traj = pair(phi0, hot, cfg)
+        assert [t for t, _ in phi_traj.warnings] == list(phi_traj.times)
+        assert sec_traj.warnings == phi_traj.warnings
+
+
+# ---------------------------------------------------------------------------
+# streamed marches: the frames handed to a reducer block by block
+
+
+def _energies(block):
+    return invariants.track(block, invariants.CHANNELS)
+
+
+@pytest.mark.parametrize("frames", [1, 64, 65, 201])
+def test_streamed_energies_match_the_whole_trajectory_bit_for_bit(wide, frames):
+    data = small_state(wide, seed=36, eps=0.2)
+    cfg = SolverConfig(dt=1e-3, t_end=(frames - 1) * 1e-3, snapshot_stride=1)
+    kind = FlowKind("third_order_bo")
+    blocks = integrate(kind, data, cfg, reduce=_energies)
+    assert [len(b.times) for b in blocks] == [
+        min(stepper.FRAME_BLOCK, frames - i) for i in range(0, frames, stepper.FRAME_BLOCK)]
+    streamed = invariants.EnergySeries.join(blocks)
+    whole = invariants.track(integrate(kind, data, cfg), invariants.CHANNELS)
+    assert np.array_equal(streamed.times, whole.times) and len(whole.times) == frames
+    for name in invariants.CHANNELS:
+        assert np.array_equal(streamed.channels[name], whole.channels[name]), name
+
+
+def test_streamed_blocks_hold_only_their_own_frames(wide):
+    # a reducer that keeps every block sees each frame once, in its own block,
+    # unchanged by the blocks that follow
+    data = small_state(wide, seed=37, eps=0.2)
+    cfg = SolverConfig(dt=1e-3, t_end=0.15, snapshot_stride=1)  # 151 frames: 64, 64, 23
+    kind = FlowKind("third_order_bo")
+    blocks = integrate(kind, data, cfg, reduce=lambda block: block)
+    whole = integrate(kind, data, cfg)
+    assert [len(b.times) for b in blocks] == [64, 64, 23]
+    assert np.array_equal(np.concatenate([b.times for b in blocks]), whole.times)
+    assert np.array_equal(np.concatenate([b.spectra for b in blocks]), whole.spectra)
+    bases = [b.spectra.base if b.spectra.base is not None else b.spectra for b in blocks]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bases) for b in bases[i + 1:])
+
+
+def test_streamed_blowup_stops_at_the_same_time():
+    grid = make_grid(64, 2.0 * np.pi)
+    wild = RealField(grid, 50.0 * np.sin(grid.x) + 30.0 * np.sin(7.0 * grid.x))
+    wild = RealField(grid, wild.values - np.mean(wild.values))
+    cfg = SolverConfig(dt=0.5, t_end=10.0, snapshot_stride=1)
+    times = []
+    for reduce in (None, _energies):
+        with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+            integrate(FlowKind("third_order_bo"), wild, cfg, reduce=reduce)
+        times.append(err.value.time)
+    assert times[0] == times[1]
+
+
+def test_streamed_march_memory_does_not_grow_with_its_frames():
+    # a stride-1 march reduced by track holds one block of frames: 2000
+    # frames peak where 200 do, though the 1800 more half spectra are 3.7 MB
+    g = make_grid(256, 16.0 * np.pi)
+    data = small_state(g, seed=38, eps=0.1)
+    kind = FlowKind("third_order_bo")
+    integrate(kind, data, SolverConfig(dt=1e-4, t_end=1e-4))  # builds the grid's workspace
+    peaks = []
+    for steps in (200, 2000):
+        cfg = SolverConfig(dt=1e-4, t_end=steps * 1e-4, snapshot_stride=1)
+        tracemalloc.start()
+        try:
+            blocks = integrate(kind, data, cfg, reduce=_energies)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(len(b.times) for b in blocks) == steps + 1
+    assert peaks[1] - peaks[0] < 0.25e6
 
 
 def test_mean_precondition(grid):
