@@ -2,10 +2,10 @@
 
 For positive times the line splits into a right-moving oscillatory region, a
 self-similar core of width ``t**(1/3)`` and a left elliptic region with
-enhanced decay.  This module classifies grid points accordingly, measures the
-Airy-scaled weighted amplitudes of a trajectory (globally and per region),
-fits the linear flow's sup-norm decay exponent, and evaluates the bilinear
-space-time smoothing ratio for frequency-separated waves.
+enhanced decay.  This module gives each region's boolean mask on the grid,
+measures the Airy-scaled weighted amplitudes of a trajectory (globally and
+per region), fits the linear flow's sup-norm decay exponent, and evaluates
+the bilinear space-time smoothing ratio for frequency-separated waves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .spectral import DyadicBand, RealField, derivative, l2_norm, project_band, 
 
 __all__ = [
     "jbracket",
-    "RegionMask",
     "classify",
     "DecayReport",
     "decay_weights",
@@ -45,26 +44,16 @@ def jbracket(x, t: float):
     return np.sqrt(np.asarray(x, dtype=float) ** 2 + t ** (2.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class RegionMask:
-    grid: spectral.SpectralGrid
-    t: float
-    c_region: float
-    labels: np.ndarray  # one of REGIONS per point
-
-    def mask(self, region: str) -> np.ndarray:
-        return self.labels == region
-
-
-def classify(grid: spectral.SpectralGrid, t: float, c_region: float = 1.0) -> RegionMask:
-    """Label every grid point by its region at time t."""
+def classify(grid: spectral.SpectralGrid, t: float, c_region: float = 1.0) -> dict:
+    """Boolean masks of the ``REGIONS`` at time t, in that order; they
+    partition the grid, as ``c_region > 0`` keeps the edges ``|x| = c t^(1/3)`` apart."""
     if t <= 0.0:
         raise ValueError(f"classify needs t > 0, got {t}")
+    if c_region <= 0.0:
+        raise ValueError(f"classify needs c_region > 0, got {c_region}")
     edge = c_region * t ** (1.0 / 3.0)
-    labels = np.full(grid.n, "self_similar", dtype=object)
-    labels[grid.x >= edge] = "hyperbolic"
-    labels[grid.x <= -edge] = "elliptic"
-    return RegionMask(grid, t, c_region, labels)
+    hyp, ell = grid.x >= edge, grid.x <= -edge
+    return {"hyperbolic": hyp, "self_similar": ~(hyp | ell), "elliptic": ell}
 
 
 def refined_sup(values: np.ndarray) -> float:
@@ -83,58 +72,45 @@ def refined_sup(values: np.ndarray) -> float:
 class DecayReport:
     """Weighted-amplitude suprema per frame and region, plus fitted exponents.
 
-    ``rows`` carry, for each frame and region (including ``global`` and the
-    alternate-exponent variants suffixed ``+delta``), the weighted sup of the
-    state and of its derivative, and in the elliptic region the log-normalized
-    channels.  ``exponents`` holds fitted time exponents of the plain sups in
-    the hyperbolic region.
+    ``rows`` carry, for each frame and nonempty region (then ``global``), the
+    weighted sups of the state and of its derivative with the weight exponents
+    lowered by ``delta``, then the same row suffixed ``+delta`` with them raised
+    by it.  Plain elliptic rows add the log-normalized channels (NaN in every
+    other row, or with no point at ``t^(-1/3) <x> >= 2``).  ``exponents`` holds
+    fitted time exponents of the plain sups in the hyperbolic region.
     """
 
-    delta: float
-    c_region: float
     rows: list
     exponents: dict
 
 
-def _weighted_channels(fld: RealField, fx, t: float, delta: float, mask_obj: RegionMask):
-    grid = fld.grid
-    jb = jbracket(grid.x, t)
-    phi_w = t**0.25 * jb ** (0.25 - delta) * np.abs(fld.values)
-    phix_w = t**0.75 * jb ** (-0.25 - delta) * np.abs(fx)
-    phi_w_alt = t**0.25 * jb ** (0.25 + delta) * np.abs(fld.values)
-    phix_w_alt = t**0.75 * jb ** (-0.25 + delta) * np.abs(fx)
+def _weighted_channels(fld: RealField, fx, t: float, delta: float, masks: dict):
+    phi, phix = np.abs(fld.values), np.abs(fx)
+    jb = jbracket(fld.grid.x, t)
+    # the weight exponents lowered by delta (plain rows), then raised ("+delta")
+    placements = [(suffix, t**0.25 * jb ** (0.25 + d) * phi, t**0.75 * jb ** (-0.25 + d) * phix)
+                  for suffix, d in (("", -delta), ("+delta", delta))]
     logarg = t ** (-1.0 / 3.0) * jb
     loggable = logarg >= 2.0
     rows = []
-    for region in REGIONS + ("global",):
-        sel = np.ones(grid.n, dtype=bool) if region == "global" else mask_obj.mask(region)
+    for region, sel in [*masks.items(), ("global", np.ones(fld.grid.n, dtype=bool))]:
         if not np.any(sel):
             continue
-        ell_phi = ell_phix = np.nan
-        if region == "elliptic":
-            esel = sel & loggable
-            if np.any(esel):
+        esel = sel & loggable
+        for suffix, phi_w, phix_w in placements:
+            ell_phi = ell_phix = np.nan
+            if region == "elliptic" and not suffix and np.any(esel):
                 logs = np.log(logarg[esel])
-                ell_phi = float(np.max(jb[esel] * np.abs(fld.values[esel]) / logs))
-                ell_phix = float(
-                    np.max(t**0.5 * jb[esel] ** 0.5 * np.abs(fx[esel]) / logs)
-                )
-        rows.append({
-            "t": t,
-            "region": region,
-            "weighted_phi_sup": float(np.max(phi_w[sel])),
-            "weighted_phix_sup": float(np.max(phix_w[sel])),
-            "elliptic_phi_over_log": ell_phi,
-            "elliptic_phix_over_log": ell_phix,
-        })
-        rows.append({
-            "t": t,
-            "region": region + "+delta",
-            "weighted_phi_sup": float(np.max(phi_w_alt[sel])),
-            "weighted_phix_sup": float(np.max(phix_w_alt[sel])),
-            "elliptic_phi_over_log": np.nan,
-            "elliptic_phix_over_log": np.nan,
-        })
+                ell_phi = float(np.max(jb[esel] * phi[esel] / logs))
+                ell_phix = float(np.max(t**0.5 * jb[esel] ** 0.5 * phix[esel] / logs))
+            rows.append({
+                "t": t,
+                "region": region + suffix,
+                "weighted_phi_sup": float(np.max(phi_w[sel])),
+                "weighted_phix_sup": float(np.max(phix_w[sel])),
+                "elliptic_phi_over_log": ell_phi,
+                "elliptic_phix_over_log": ell_phix,
+            })
     return rows
 
 
@@ -150,10 +126,10 @@ def decay_weights(frames, delta: float = 0.05, c_region: float = 1.0) -> DecayRe
     for t, fld in frames:
         if t <= 0.0:
             continue
-        mask_obj = classify(fld.grid, t, c_region)
+        masks = classify(fld.grid, t, c_region)
         fx = derivative(fld).values
-        rows.extend(_weighted_channels(fld, fx, t, delta, mask_obj))
-        sel = mask_obj.mask("hyperbolic")
+        rows.extend(_weighted_channels(fld, fx, t, delta, masks))
+        sel = masks["hyperbolic"]
         if np.any(sel):
             hyp_t.append(t)
             hyp_phi.append(np.max(np.abs(fld.values[sel])) + 1e-300)
@@ -163,7 +139,7 @@ def decay_weights(frames, delta: float = 0.05, c_region: float = 1.0) -> DecayRe
         lt = np.log(hyp_t)
         exponents["hyperbolic_phi"] = float(np.polyfit(lt, np.log(hyp_phi), 1)[0])
         exponents["hyperbolic_phix"] = float(np.polyfit(lt, np.log(hyp_phix), 1)[0])
-    return DecayReport(delta, c_region, rows, exponents)
+    return DecayReport(rows, exponents)
 
 
 class WrapAroundError(RuntimeError):

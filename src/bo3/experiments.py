@@ -212,7 +212,7 @@ class NormalformAnalysis:
 @dataclass
 class DecayAnalysis:
     delta: float = field(default=0.05, metadata={"range": "positive"})
-    c_region: float = 1.0
+    c_region: float = field(default=1.0, metadata={"range": "positive"})
     report_t_lo: float = 1.0
 
     def check(self, grid, solver) -> None:

@@ -131,14 +131,9 @@ class _Workspace:
         return np.add(spec[0], spec[1], out=out)
 
 
-_WORKSPACES: dict = {}
-
-
+@functools.cache
 def _workspace(grid: SpectralGrid) -> _Workspace:
-    ws = _WORKSPACES.get(grid)
-    if ws is None:
-        ws = _WORKSPACES[grid] = _Workspace(grid)
-    return ws
+    return _Workspace(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -226,11 +226,6 @@ class EnergySeries:
 
 CHANNELS = ("E0", "E1", "E2", "L2", "H1")
 
-# Frames per batched transform in ``track``: the march's block, so a block the
-# march hands over is one transform.  At n = 1024 a block's temporaries stay
-# near 4 MB however long the trajectory.
-TRACK_BLOCK = stepper.FRAME_BLOCK
-
 
 def _check_channels(channels, known) -> None:
     for name in channels:
@@ -273,9 +268,10 @@ def _energies(ws, h) -> dict:
 def track(traj, channels) -> EnergySeries:
     """Evaluate named channels of ``CHANNELS`` at every frame of a trajectory.
 
-    All frames are evaluated at once from the trajectory's half spectra, in
-    blocks of ``TRACK_BLOCK``; the values agree with ``e0``, ``e1``, ``e2``,
-    ``l2_norm`` and ``sobolev_norm(., 1)`` frame by frame up to round-off.
+    All frames are evaluated from the trajectory's half spectra in blocks of
+    ``stepper.FRAME_BLOCK`` (one transform per block the march hands over,
+    ~4 MB of temporaries at n = 1024); the values agree with ``e0``, ``e1``,
+    ``e2``, ``l2_norm`` and ``sobolev_norm(., 1)`` frame by frame up to round-off.
     A trajectory may be one block of a streamed march (``stepper.integrate``
     with ``reduce``): the blocks group the same frames as one whole-run call
     does, so joining their series with ``EnergySeries.join`` gives the same
@@ -283,8 +279,8 @@ def track(traj, channels) -> EnergySeries:
     """
     _check_channels(channels, CHANNELS)
     ws = flows._workspace(traj.grid)
-    blocks = [_energies(ws, traj.spectra[i: i + TRACK_BLOCK])
-              for i in range(0, len(traj.times), TRACK_BLOCK)]
+    blocks = [_energies(ws, traj.spectra[i: i + stepper.FRAME_BLOCK])
+              for i in range(0, len(traj.times), stepper.FRAME_BLOCK)]
     series = {name: np.concatenate([b[name] for b in blocks]) for name in channels}
     return EnergySeries(traj.times, series)
 

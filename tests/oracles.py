@@ -17,12 +17,15 @@ frames, the independent check of ``normalform.band_residual_gauged``.
 ``b0`` and ``bk_lin`` are the low-block and linearized normal forms, which
 only their cancellation tests use.  ``bilinear_strichartz_ratio_oracle`` sums
 every time sample on the full n-point grid, the reference for the kernel that
-sums on the smallest alias-free grid.
+sums on the smallest alias-free grid.  ``decay_rows`` is the decay table of
+``dispersion.decay_weights`` as first written: regions as an array of labels,
+each ``delta`` placement spelled out.
 """
 
 import numpy as np
 
 from bo3 import spectral
+from bo3.dispersion import REGIONS, jbracket
 from bo3.invariants import EnergySeries
 from bo3.normalform import _check_band, band_transform, bk_bilinear
 from bo3.spectral import (ComplexField, DyadicBand, RealField, antiderivative,
@@ -336,3 +339,57 @@ def bilinear_strichartz_ratio_oracle(
         vals.append(grid.spacing * np.sum(np.abs(uj * uk) ** 2))
     integral = float(np.trapezoid(vals, ts))
     return float(np.sqrt(integral) * 2.0 ** max(j, k) / (nj * nk))
+
+
+# ---------------------------------------------------------------------------
+# Weighted decay table
+
+
+def classify_labels(grid, t, c_region=1.0):
+    """One region label per grid point; elliptic wins a tie."""
+    edge = c_region * t ** (1.0 / 3.0)
+    labels = np.full(grid.n, "self_similar", dtype=object)
+    labels[grid.x >= edge] = "hyperbolic"
+    labels[grid.x <= -edge] = "elliptic"
+    return labels
+
+
+def decay_rows(frames, delta=0.05, c_region=1.0):
+    """Rows of ``dispersion.decay_weights`` for ``(t, field)`` frames."""
+    rows = []
+    for t, fld in frames:
+        if t <= 0.0:
+            continue
+        grid = fld.grid
+        labels = classify_labels(grid, t, c_region)
+        fx = derivative(fld).values
+        jb = jbracket(grid.x, t)
+        phi_w = t**0.25 * jb ** (0.25 - delta) * np.abs(fld.values)
+        phix_w = t**0.75 * jb ** (-0.25 - delta) * np.abs(fx)
+        phi_w_alt = t**0.25 * jb ** (0.25 + delta) * np.abs(fld.values)
+        phix_w_alt = t**0.75 * jb ** (-0.25 + delta) * np.abs(fx)
+        logarg = t ** (-1.0 / 3.0) * jb
+        loggable = logarg >= 2.0
+        for region in REGIONS + ("global",):
+            sel = np.ones(grid.n, dtype=bool) if region == "global" else labels == region
+            if not np.any(sel):
+                continue
+            ell_phi = ell_phix = np.nan
+            if region == "elliptic":
+                esel = sel & loggable
+                if np.any(esel):
+                    logs = np.log(logarg[esel])
+                    ell_phi = float(np.max(jb[esel] * np.abs(fld.values[esel]) / logs))
+                    ell_phix = float(
+                        np.max(t**0.5 * jb[esel] ** 0.5 * np.abs(fx[esel]) / logs))
+            rows.append({"t": t, "region": region,
+                         "weighted_phi_sup": float(np.max(phi_w[sel])),
+                         "weighted_phix_sup": float(np.max(phix_w[sel])),
+                         "elliptic_phi_over_log": ell_phi,
+                         "elliptic_phix_over_log": ell_phix})
+            rows.append({"t": t, "region": region + "+delta",
+                         "weighted_phi_sup": float(np.max(phi_w_alt[sel])),
+                         "weighted_phix_sup": float(np.max(phix_w_alt[sel])),
+                         "elliptic_phi_over_log": np.nan,
+                         "elliptic_phix_over_log": np.nan})
+    return rows

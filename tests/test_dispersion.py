@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bo3.dispersion import (
+    REGIONS,
     WrapAroundError,
     airy_decay_fit,
     bilinear_strichartz_ratio,
@@ -17,7 +18,7 @@ from bo3.profiles import make_profile
 from bo3.spectral import RealField, make_grid
 
 from conftest import random_bandlimited_field, shipped_config
-from oracles import bilinear_strichartz_ratio_oracle
+from oracles import bilinear_strichartz_ratio_oracle, decay_rows
 
 
 # ---------------------------------------------------------------------------
@@ -64,39 +65,51 @@ def test_jbracket_dominates_both_scales(x, t):
 
 def test_classify_boundaries():
     grid = make_grid(256, 64.0 * np.pi)
-    mask = classify(grid, t=1.0, c_region=1.0)
-    assert np.all(mask.labels[grid.x >= 1.0] == "hyperbolic")
-    assert np.all(mask.labels[grid.x <= -1.0] == "elliptic")
-    assert np.all(mask.labels[np.abs(grid.x) < 1.0] == "self_similar")
+    masks = classify(grid, t=1.0, c_region=1.0)
+    assert list(masks) == list(REGIONS)
+    assert all(m.dtype == bool for m in masks.values())
+    np.testing.assert_array_equal(masks["hyperbolic"], grid.x >= 1.0)
+    np.testing.assert_array_equal(masks["elliptic"], grid.x <= -1.0)
+    np.testing.assert_array_equal(masks["self_similar"], np.abs(grid.x) < 1.0)
 
 
 def test_classify_scaled_boundary():
     grid = make_grid(256, 64.0 * np.pi)
-    mask = classify(grid, t=8.0, c_region=2.0)  # boundary at |x| = 4
-    assert np.all(mask.labels[np.abs(grid.x) < 4.0] == "self_similar")
-    assert np.all(mask.labels[grid.x >= 4.0] == "hyperbolic")
+    masks = classify(grid, t=8.0, c_region=2.0)  # boundary at |x| = 4
+    np.testing.assert_array_equal(masks["self_similar"], np.abs(grid.x) < 4.0)
+    np.testing.assert_array_equal(masks["hyperbolic"], grid.x >= 4.0)
 
 
 def test_classify_huge_time_is_all_self_similar():
     grid = make_grid(128, 2.0 * np.pi)
-    mask = classify(grid, t=1e9, c_region=1.0)
-    assert np.all(mask.labels == "self_similar")
+    masks = classify(grid, t=1e9, c_region=1.0)
+    assert np.all(masks["self_similar"])
+    assert not np.any(masks["hyperbolic"] | masks["elliptic"])
 
 
 @given(t=st.floats(min_value=1e-3, max_value=1e6),
        c=st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=50, deadline=None)
 def test_classify_partitions_grid(t, c):
+    # the three masks are disjoint and cover the grid
     grid = make_grid(128, 32.0 * np.pi)
-    mask = classify(grid, t, c)
-    counts = sum(int(np.sum(mask.mask(r))) for r in ("hyperbolic", "self_similar", "elliptic"))
-    assert counts == grid.n
+    masks = np.array(list(classify(grid, t, c).values()))
+    np.testing.assert_array_equal(masks.sum(axis=0), np.ones(grid.n))
 
 
 def test_classify_needs_positive_time():
     grid = make_grid(128, 2.0 * np.pi)
     with pytest.raises(ValueError):
         classify(grid, 0.0)
+
+
+@pytest.mark.parametrize("c_region", [0.0, -1.0])
+def test_classify_needs_positive_region_constant(c_region):
+    # at c = 0 the hyperbolic and elliptic regions would share x = 0 and
+    # leave no self-similar core
+    grid = make_grid(128, 2.0 * np.pi)
+    with pytest.raises(ValueError, match="c_region"):
+        classify(grid, 1.0, c_region)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +138,28 @@ def test_decay_weights_skips_time_zero_and_labels_variants():
     for row in report.rows:
         if np.isfinite(row["weighted_phi_sup"]):
             assert row["weighted_phi_sup"] >= 0.0
+
+
+def test_decay_weights_rows_match_the_label_oracle_bit_for_bit():
+    # with c = 0.5 at t = 8 the elliptic region is x <= -1, but its log
+    # channels need t^(-1/3) <x> >= 2, that is |x| >= 2 sqrt(3), beyond this
+    # domain's half-width pi: they are NaN.  At t = 1e6 the grid lies inside
+    # the core: a self-similar frame only
+    grid = make_grid(256, 2.0 * np.pi)
+    data = make_profile("airy_packet", grid, amplitude=1.0, width=0.5, bandlimit=8.0)
+    frames = [(t, airy_propagate(data, t)) for t in (0.0, 0.01, 0.1, 0.5, 8.0, 1e6)]
+    rows = decay_weights(frames, delta=0.05, c_region=0.5).rows
+    expected = decay_rows(frames, delta=0.05, c_region=0.5)
+    assert [(r["t"], r["region"]) for r in rows] == [(r["t"], r["region"]) for r in expected]
+    for row, ref in zip(rows, expected):
+        assert row.keys() == ref.keys()
+        for key, val in row.items():
+            assert val == ref[key] or (np.isnan(val) and np.isnan(ref[key])), (row, key)
+    regions_at = {t: {r["region"] for r in rows if r["t"] == t} for t, _ in frames[1:]}
+    assert regions_at[1e6] == {"self_similar", "self_similar+delta", "global", "global+delta"}
+    ell = next(r for r in rows if r["t"] == 8.0 and r["region"] == "elliptic")
+    assert np.isnan(ell["elliptic_phi_over_log"])
+    assert any(np.isfinite(r["elliptic_phi_over_log"]) for r in rows if r["region"] == "elliptic")
 
 
 def test_decay_weights_fits_hyperbolic_exponents():

@@ -356,6 +356,9 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              # the paper's delta is a small positive exponent
                              ("decay_profile", "analysis.delta=-1"),
                              ("decay_profile", "analysis.delta=0"),
+                             # the region constant c of |x| >= c t^(1/3) is positive
+                             ("decay_profile", "analysis.c_region=0"),
+                             ("decay_profile", "analysis.c_region=-1"),
                              # initial data that cannot be built, or is not finite
                              ("strichartz", "data.bandlimit=0"),
                              ("conserve", "data.width=0"),

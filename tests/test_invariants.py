@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bo3 import invariants
+from bo3 import invariants, stepper
 from bo3.flows import FlowKind, airy_propagate
 from bo3.invariants import (
     CHANNELS,
@@ -277,7 +277,7 @@ def test_batched_channels_match_per_frame_functions_on_full_band_data():
     # over more frames than one block; largest difference measured: 5.3e-16 (E2)
     grid = make_grid(1024, 256.0 * np.pi)
     rng = np.random.default_rng(0)
-    fields = [RealField(grid, rng.normal(size=grid.n)) for _ in range(invariants.TRACK_BLOCK + 6)]
+    fields = [RealField(grid, rng.normal(size=grid.n)) for _ in range(stepper.FRAME_BLOCK + 6)]
     traj = trajectory([(float(i), f) for i, f in enumerate(fields)])
     diffs = _largest_channel_difference(traj, fields)
     assert max(diffs.values()) <= 1e-14, diffs
