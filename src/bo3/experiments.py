@@ -456,8 +456,10 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
     frames (t = 0, every stride-th step and the last) are counted in floats, at
     most one over the stepper's plan, so an absurd step count cannot overflow.
     A run that streams its march holds one block of ``stepper.FRAME_BLOCK``
-    frames of half spectra and 48 B a frame of reduced values: the time and
-    five channels.
+    frames of half spectra, the energy tracker's working set on that block
+    (``invariants.track_bytes``), and 48 B a frame of reduced values: the time
+    and five channels.  The other experiments' analysis temporaries are not
+    counted.
     """
     n = cfg.grid.n
     total = 24.0 * (n + getattr(cfg.analysis, "conv_n", 0))
@@ -467,7 +469,8 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
         frames = 2.0 + sol.t_end / sol.dt / sol.snapshot_stride
         frame = exp.marches * (n // 2 + 1) * 16.0
         if exp.streams:
-            total += min(frames, FRAME_BLOCK) * frame + 48.0 * frames
+            rows = min(frames, FRAME_BLOCK)
+            total += rows * frame + invariants.track_bytes(n, rows) + 48.0 * frames
         else:
             total += frames * frame
     return total

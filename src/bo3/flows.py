@@ -72,15 +72,19 @@ class _Workspace:
     and not thread-safe.  Each buffer has one role, so none is overwritten
     while another kernel still reads it:
 
-    * ``pad``: the padded half spectrum that ``to_phys`` transforms;
+    * ``pad``: the padded half spectrum that ``to_phys`` transforms, whose
+      first n/2 modes ``pad_lo`` it fills;
     * ``bg``: phi and H phi_x of the background (``product_fields``);
     * ``sec``: the two rows of the second state of a pair;
     * ``prod``: the two products that go back to the half spectrum;
     * ``tmp``: one product-grid row of scratch;
-    * ``spec``: the ``rfft`` of ``prod``.
+    * ``spec``: the ``rfft`` of ``prod``, whose first n/2+1 modes are
+      ``spec_lo``.
 
-    ``lam`` is the linear symbol on the half spectrum.  ``out_tbo``,
-    ``out_lin`` and ``out_adj`` are each flow's pair of output
+    ``table_fields`` and ``table_derivs`` are the two pairs of table rows
+    that ``to_phys`` applies (see ``product_fields``, ``_lin_nl`` and
+    ``_adj_nl``).  ``lam`` is the linear symbol on the half spectrum.
+    ``out_tbo``, ``out_lin`` and ``out_adj`` are each flow's pair of output
     multipliers: the half spectrum of the flow's nonlinear part is
     ``mult[0] * rfft(prod[0]) + mult[1] * rfft(prod[1])`` on the first n/2+1
     modes.  Each pair folds in the 1/2 that undoes the twice longer
@@ -88,8 +92,9 @@ class _Workspace:
     Nyquist mode.
     """
 
-    __slots__ = ("grid", "n", "half", "big", "table", "absk", "lam", "pad", "bg", "sec",
-                 "prod", "tmp", "spec", "out_tbo", "out_lin", "out_adj")
+    __slots__ = ("grid", "n", "half", "big", "table_fields", "table_derivs", "absk", "lam",
+                 "pad", "pad_lo", "bg", "sec", "prod", "tmp", "spec", "spec_lo", "out_tbo",
+                 "out_lin", "out_adj")
 
     def __init__(self, grid: SpectralGrid):
         n = grid.n
@@ -102,32 +107,35 @@ class _Workspace:
         ik = 1j * k * odd
         self.absk = k * odd
         self.lam = linear_symbol(grid)[: half + 1].copy()
-        # table rows (see _FIELDS and _DERIVS): phi = s, H phi_x = |k| s,
-        # phi_x = ik s and H phi_xx = i k|k| s; the padding keeps the modes
-        # below the Nyquist, and the 2 undoes the 1/big of the twice longer irfft
-        table = np.stack((np.ones(half + 1), self.absk, ik, 1j * k * k))
-        self.table = 2.0 * table[:, :half]
+        # table rows: phi = s, H phi_x = |k| s, phi_x = ik s and
+        # H phi_xx = i k|k| s; the padding keeps the modes below the Nyquist,
+        # and the 2 undoes the 1/big of the twice longer irfft
+        table = 2.0 * np.stack((np.ones(half + 1), self.absk, ik, 1j * k * k))[:, :half]
+        self.table_fields, self.table_derivs = table[:2], table[2:]
         self.pad = np.zeros((2, n + 1), dtype=complex)
+        self.pad_lo = self.pad[:, :half]
         self.bg, self.sec, self.prod = (np.empty((2, self.big)) for _ in range(3))
         self.tmp = np.empty(self.big)
         self.spec = np.empty((2, n + 1), dtype=complex)
-        # see _tbo_nl, _lin_nl and _adj_nl for the products they multiply
-        self.out_tbo = np.stack((0.5 * ik, 0.1875 * ik * self.absk))
+        self.spec_lo = self.spec[:, : half + 1]
+        # see _tbo_nl, _lin_nl and _adj_nl for the products they multiply;
+        # _tbo_nl forms 4 times its flux, hence 1/8 where 1/2 would do
+        self.out_tbo = np.stack((0.125 * ik, 0.1875 * ik * self.absk))
         self.out_lin = np.stack((0.375 * ik, 0.375 * ik * self.absk))
         self.out_adj = np.stack((0.375 * odd, 0.375 * self.absk)).astype(complex)
 
     def to_phys(self, spec, rows, out):
-        """Product-grid samples of the table rows ``rows`` (a slice of two)
-        applied to a half spectrum, written into ``out`` (2, 2n).  The
-        Nyquist mode of ``spec`` is not read."""
-        np.multiply(self.table[rows], spec[: self.half], out=self.pad[:, : self.half])
+        """Product-grid samples of the table rows ``rows`` (``table_fields`` or
+        ``table_derivs``) applied to a half spectrum, written into ``out`` (2, 2n).
+        The Nyquist mode of ``spec`` is not read."""
+        np.multiply(rows, spec[: self.half], out=self.pad_lo)
         return np.fft.irfft(self.pad, self.big, axis=-1, out=out)
 
     def from_prod(self, mult, out):
         """``mult[0]`` times the half spectrum of ``prod[0]`` plus ``mult[1]``
         times that of ``prod[1]``, written into ``out`` (n/2+1,)."""
-        spec = np.fft.rfft(self.prod, axis=-1, out=self.spec)[:, : self.half + 1]
-        np.multiply(mult, spec, out=spec)
+        np.fft.rfft(self.prod, axis=-1, out=self.spec)
+        spec = np.multiply(mult, self.spec_lo, out=self.spec_lo)
         return np.add(spec[0], spec[1], out=out)
 
 
@@ -143,26 +151,23 @@ def _workspace(grid: SpectralGrid) -> _Workspace:
 # batched rfft of two products, formed in the workspace's buffers; the
 # result is written into ``out``.  H d_x has the symbol |k|.
 
-_FIELDS = slice(0, 2)  # table rows phi, H phi_x
-_DERIVS = slice(2, 4)  # table rows phi_x, H phi_xx
-
 
 def product_fields(ws: _Workspace, s, out=None):
     """phi and H phi_x of the spectrum s on the product grid, written into
     ``out`` (2, 2n), a new array when omitted."""
-    return ws.to_phys(s, _FIELDS, np.empty((2, ws.big)) if out is None else out)
+    return ws.to_phys(s, ws.table_fields, np.empty((2, ws.big)) if out is None else out)
 
 
 def _tbo_nl(ws: _Workspace, fields, out):
     # d_x [phi ((3/4) H phi_x - (1/4) phi^2) + (3/8) H d_x (phi^2)]:
-    # prod holds the flux and phi^2
+    # prod holds 4 times the flux, phi (3 H phi_x - phi^2), and phi^2; the 4,
+    # a power of two, changes no bit of what out_tbo's 1/8 takes back out
     p, hx = fields
     flux, sq = ws.prod
     tmp = ws.tmp
     np.multiply(p, p, out=sq)
-    np.multiply(hx, 0.75, out=tmp)
-    np.multiply(sq, 0.25, out=flux)
-    np.subtract(tmp, flux, out=tmp)
+    np.multiply(hx, 3.0, out=tmp)
+    np.subtract(tmp, sq, out=tmp)
     np.multiply(p, tmp, out=flux)
     return ws.from_prod(ws.out_tbo, out)
 
@@ -172,7 +177,7 @@ def _lin_nl(ws: _Workspace, fields, s_v, out):
     # (3/4) d_x [v H phi_x + phi H v_x - phi^2 v + H d_x (phi v)];
     # prod holds the flux v H phi_x + phi (H v_x - phi v) and phi v
     p, hx = fields
-    v, vh = ws.to_phys(s_v, _FIELDS, ws.sec)
+    v, vh = ws.to_phys(s_v, ws.table_fields, ws.sec)
     flux, pv = ws.prod
     tmp = ws.tmp
     np.multiply(p, v, out=pv)
@@ -189,7 +194,7 @@ def _adj_nl(ws: _Workspace, fields, s_w, out):
     #             = (3/4)[w_x (H phi_x - phi^2) + phi H w_xx + H d_x (w_x phi)];
     # prod holds w_x (H phi_x - phi^2) + phi H w_xx and w_x phi
     p, hx = fields
-    wx, whxx = ws.to_phys(s_w, _DERIVS, ws.sec)
+    wx, whxx = ws.to_phys(s_w, ws.table_derivs, ws.sec)
     direct, wxp = ws.prod
     tmp = ws.tmp
     np.multiply(p, p, out=tmp)

@@ -39,6 +39,7 @@ __all__ = [
     "fractional_derivative",
     "EnergySeries",
     "track",
+    "track_bytes",
     "track_pair",
     "CHANNELS",
     "PAIR_CHANNELS",
@@ -233,6 +234,26 @@ def _check_channels(channels, known) -> None:
             raise KeyError(f"unknown channel {name!r}")
 
 
+# Product-grid points per phi^2 transform in ``_energies``: rows of a block
+# are squared this many points at a time, ~1 MiB of temporaries.
+_CHUNK_POINTS = 2**14
+
+
+def _chunk_rows(n: int) -> int:
+    """Frames per phi^2 transform at n points: at least one."""
+    return max(1, _CHUNK_POINTS // n)
+
+
+def track_bytes(n: int, rows: int) -> float:
+    """Bytes ``track`` allocates beyond a block of ``rows`` half spectra at n
+    points: three Parseval arrays over the whole block, 24 B a mode, and one
+    chunk of phi^2 rows, at most ``max(n, _CHUNK_POINTS)`` points of 64 B (the
+    padded spectrum, the product-grid samples, their square and its
+    transform, 16 B a point each).  No division: ``experiments._run_bytes``
+    calls it before the grid's n is checked."""
+    return 24.0 * rows * (n // 2 + 1) + 64.0 * min(rows * n, max(n, _CHUNK_POINTS))
+
+
 def _energies(ws, h) -> dict:
     """E0, E1, E2, L2 and H1 of a block of half spectra ``h`` (B, n/2+1).
 
@@ -242,24 +263,35 @@ def _energies(ws, h) -> dict:
     ``dealiased_product`` forms (its Nyquist mode dropped), and each integral
     against it is again a Parseval sum.  Cubic products of the band then
     integrate exactly, and E2's quartic term squares the truncated phi^2.
+
+    phi^2 and the sums against it are formed ``_chunk_rows(n)`` rows at a
+    time, so their temporaries stay near ``_CHUNK_POINTS`` points whatever the
+    block size.  Each of those operations works row by row, so the chunks
+    change no bit.  E0 and the ``power @ ...`` products stay on the whole
+    block: a matrix-vector product's bits depend on how many rows it is given.
     """
     grid, n, half = ws.grid, ws.n, ws.half
     scale = grid.length / n**2  # integral of |f|^2 = scale * sum over |f_k|^2
     weight = np.full(half + 1, 2.0)
     weight[0] = weight[half] = 1.0
     power = weight * (h.real**2 + h.imag**2)
-    sq = spectral.half_product(h, h)
 
     def dot(a, b):  # integral of the product of two real fields, by their half spectra
         return scale * np.sum(weight * (a * b.conj()).real, axis=1)
 
+    cubic, cross, quart = (np.empty(len(h)) for _ in range(3))
+    step = _chunk_rows(n)
+    for i in range(0, len(h), step):
+        rows = h[i: i + step]
+        sq = spectral.half_product(rows, rows)
+        cubic[i: i + step] = dot(sq, rows)  # integral of phi^3
+        cross[i: i + step] = dot(sq, ws.absk * rows)  # integral of phi^2 H phi_x
+        quart[i: i + step] = dot(sq, sq)  # integral of phi^4
     e0_ = scale * power.sum(axis=1)
-    cubic = dot(sq, h)  # integral of phi^3
-    cross = dot(sq, ws.absk * h)  # integral of phi^2 H phi_x
     return {
         "E0": e0_,
         "E1": scale * (power @ ws.absk) - cubic / 3.0,
-        "E2": scale * (power @ ws.absk**2) - 0.75 * cross + 0.125 * dot(sq, sq),
+        "E2": scale * (power @ ws.absk**2) - 0.75 * cross + 0.125 * quart,
         "L2": np.sqrt(e0_),
         "H1": np.sqrt(scale * (power @ (1.0 + grid.xi[: half + 1] ** 2))),
     }
@@ -269,9 +301,11 @@ def track(traj, channels) -> EnergySeries:
     """Evaluate named channels of ``CHANNELS`` at every frame of a trajectory.
 
     All frames are evaluated from the trajectory's half spectra in blocks of
-    ``stepper.FRAME_BLOCK`` (one transform per block the march hands over,
-    ~4 MB of temporaries at n = 1024); the values agree with ``e0``, ``e1``,
-    ``e2``, ``l2_norm`` and ``sobolev_norm(., 1)`` frame by frame up to round-off.
+    ``stepper.FRAME_BLOCK``, the blocks the march hands over, with at most
+    ``track_bytes`` of temporaries (1.8 MB for a full block at n = 1024, and
+    from n = 2**14 on about 1.5 times the block's own bytes); the values agree
+    with ``e0``, ``e1``, ``e2``, ``l2_norm`` and ``sobolev_norm(., 1)`` frame
+    by frame up to round-off.
     A trajectory may be one block of a streamed march (``stepper.integrate``
     with ``reduce``): the blocks group the same frames as one whole-run call
     does, so joining their series with ``EnergySeries.join`` gives the same

@@ -418,6 +418,16 @@ def project_range(f, ks):
 # Norms and envelopes
 
 
+def _mode_power(f) -> np.ndarray:
+    """|mode|^2 of each of f's own modes, each interior mode of a real field's
+    half spectrum weighted 2 for its conjugate: a sum over ``f.modes`` with
+    these weights is the Plancherel sum over the n-point spectrum."""
+    power = np.abs(f.modes) ** 2
+    if isinstance(f, RealField):
+        power[1:-1] *= 2.0
+    return power
+
+
 def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
     """Sobolev norm from the weighted Plancherel sum.
 
@@ -426,25 +436,25 @@ def sobolev_norm(f, s: float, homogeneous: bool = False) -> float:
     homogeneous norm with s <= 0 requires a mean-free field.
     """
     grid = f.grid
-    power = np.abs(f.spectrum) ** 2
+    power, xi = _mode_power(f), f.wavenumbers
     if homogeneous:
         if s <= 0.0:
             require_mean_free(f)
-        nz = grid.xi != 0.0
-        total = np.sum(np.abs(grid.xi[nz]) ** (2.0 * s) * power[nz])
+        nz = xi != 0.0
+        total = np.sum(np.abs(xi[nz]) ** (2.0 * s) * power[nz])
     else:
-        total = np.sum((1.0 + grid.xi**2) ** s * power)
+        total = np.sum((1.0 + xi**2) ** s * power)
     return float(np.sqrt(grid.length * total)) / grid.n
 
 
 def band_l2_norms(f) -> np.ndarray:
     """L2 norms of every resolved Littlewood-Paley piece."""
     grid = f.grid
-    power = np.abs(f.spectrum) ** 2
+    power = _mode_power(f)
     scale = grid.length / grid.n**2
     out = []
     for k in resolved_bands(grid):
-        m = band_multiplier(grid, k)
+        m = band_multiplier(grid, k)[: power.size]  # f's own modes are a prefix
         out.append(np.sqrt(scale * np.sum(m**2 * power)))
     return np.asarray(out)
 

@@ -19,7 +19,9 @@ only their cancellation tests use.  ``bilinear_strichartz_ratio_oracle`` sums
 every time sample on the full n-point grid, the reference for the kernel that
 sums on the smallest alias-free grid.  ``decay_rows`` is the decay table of
 ``dispersion.decay_weights`` as first written: regions as an array of labels,
-each ``delta`` placement spelled out.
+each ``delta`` placement spelled out.  ``energies_block`` is the tracker's
+block of channels with phi^2 formed over the whole block, the bitwise
+reference for the chunked ``invariants._energies``.
 """
 
 import numpy as np
@@ -393,3 +395,33 @@ def decay_rows(frames, delta=0.05, c_region=1.0):
                          "elliptic_phi_over_log": np.nan,
                          "elliptic_phix_over_log": np.nan})
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Energy channels of one block
+
+
+def energies_block(ws, h) -> dict:
+    """``invariants._energies`` as first written: phi^2 and every sum against
+    it over the whole block at once, the bitwise reference for the chunked
+    tracker."""
+    grid, n, half = ws.grid, ws.n, ws.half
+    scale = grid.length / n**2  # integral of |f|^2 = scale * sum over |f_k|^2
+    weight = np.full(half + 1, 2.0)
+    weight[0] = weight[half] = 1.0
+    power = weight * (h.real**2 + h.imag**2)
+    sq = spectral.half_product(h, h)
+
+    def dot(a, b):  # integral of the product of two real fields, by their half spectra
+        return scale * np.sum(weight * (a * b.conj()).real, axis=1)
+
+    e0_ = scale * power.sum(axis=1)
+    cubic = dot(sq, h)  # integral of phi^3
+    cross = dot(sq, ws.absk * h)  # integral of phi^2 H phi_x
+    return {
+        "E0": e0_,
+        "E1": scale * (power @ ws.absk) - cubic / 3.0,
+        "E2": scale * (power @ ws.absk**2) - 0.75 * cross + 0.125 * dot(sq, sq),
+        "L2": np.sqrt(e0_),
+        "H1": np.sqrt(scale * (power @ (1.0 + grid.xi[: half + 1] ** 2))),
+    }

@@ -423,9 +423,15 @@ def test_unread_fields_are_config_errors(name, path, tmp_path, capsys):
 def test_run_bytes_counts_grids_and_trajectory_rows():
     # 24 B a grid point; 16 B a half-spectrum mode per frame and stacked row,
     # at most one frame over the stepper's plan.  conserve streams its march
-    # into the energies: it holds at most one block of frames, and 48 B a
-    # frame of reduced values
+    # into the energies: it holds at most one block of frames, the tracker's
+    # working set on that block (24 B a mode of the block and 64 B a point of
+    # one chunk of max(1, 2**14 // n) rows), and 48 B a frame of reduced values
     block = stepper.FRAME_BLOCK
+
+    def streamed(frames, n, m):
+        rows = min(frames, block)
+        return rows * m * (16 + 24) + 64 * min(rows, max(1, 2**14 // n)) * n + 48 * frames
+
     dense = ["solver.t_end=0.2", "solver.snapshot_stride=1"]  # 201 frames: over a block
     for name, rows, overrides in (("conserve", 1, []), ("conserve", 1, dense),
                                   ("scaling", 2, []), ("lnl_conservation", 2, [])):
@@ -438,8 +444,7 @@ def test_run_bytes_counts_grids_and_trajectory_rows():
         frames = 1 + math.ceil(n_steps / cfg.solver.snapshot_stride)
         traj = experiments._run_bytes(cfg) - grids
         if EXPERIMENTS[name].streams:
-            lo = min(frames, block) * m * 16 + 48 * frames
-            hi = min(frames + 1, block) * m * 16 + 48 * (frames + 1)
+            lo, hi = streamed(frames, n, m), streamed(frames + 1, n, m)
         else:
             lo, hi = rows * frames * m * 16, rows * (frames + 1) * m * 16
         assert lo <= traj <= hi, (name, overrides)
@@ -455,9 +460,9 @@ def test_oversized_runs_are_config_errors_before_any_grid(tmp_path, capsys, monk
     monkeypatch.setattr(experiments, "make_grid", no_grid)
     conserve, scaling = (str(CONFIG_DIR / f"{name}.json") for name in ("conserve", "scaling"))
     dense = ["--set", "solver.snapshot_stride=1", "--set", "solver.t_end=20"]  # 200 001 frames
-    # 2**30 points: 24 GiB of grid and one block of 64 frames of 8 GiB; or two
-    # rows of 200 001 frames of 8 KB
-    for path, assignments, gib in ((conserve, ["--set", "grid.n=1073741824"], "536"),
+    # 2**30 points: 24 GiB of grid, one block of 64 frames of 8 GiB and the
+    # tracker's 768 + 64 GiB on it; or two rows of 200 001 frames of 8 KB
+    for path, assignments, gib in ((conserve, ["--set", "grid.n=1073741824"], "1.37e+03"),
                                    (scaling, dense, "1.53")):
         for command in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
             assert main(command + assignments) == 3

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bo3 import invariants, stepper
+from bo3 import flows, invariants, stepper
 from bo3.flows import FlowKind, airy_propagate
 from bo3.invariants import (
     CHANNELS,
@@ -24,6 +24,7 @@ from bo3.profiles import make_profile
 from bo3.spectral import RealField, derivative, l2_norm, make_grid, sobolev_norm
 from bo3.stepper import SolverConfig, Trajectory, integrate, integrate_linearized_pair
 
+import oracles
 from conftest import random_bandlimited_field, shipped_config, trajectory
 
 
@@ -297,6 +298,44 @@ def test_track_allocates_blocks_not_the_whole_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _noise_trajectory(n, frames, seed=2):
+    """``frames`` half spectra of white noise at n points: every mode filled."""
+    grid = make_grid(n, 256.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    spectra = np.fft.rfft(rng.normal(size=(frames, n)), axis=1)
+    return Trajectory(grid, np.arange(float(frames)), spectra)
+
+
+@pytest.mark.parametrize("n, frames", [(64, 64), (1024, 64), (1024, 1), (2**14, 64)])
+def test_chunked_channels_equal_the_whole_block_oracle(n, frames):
+    # one chunk covers the block at n = 64, four chunks of 16 rows at n = 1024,
+    # and one row a chunk at n = 2**14: every channel keeps its bits
+    traj = _noise_trajectory(n, frames)
+    ws = flows._workspace(traj.grid)
+    series = track(traj, CHANNELS)
+    want = oracles.energies_block(ws, traj.spectra)
+    for name in CHANNELS:
+        assert np.array_equal(series.channels[name], want[name]), name
+    assert invariants._chunk_rows(n) == {64: 256, 1024: 16, 2**14: 1}[n]
+
+
+@pytest.mark.parametrize("n", [1024, 2**14])
+def test_track_working_set_is_bounded_by_its_estimate(n):
+    # a full block: the product-grid temporaries of phi^2 are one chunk's, so
+    # the peak is about the block's own bytes (52 MiB against an 8 MiB block
+    # at n = 2**14 when phi^2 was formed over the whole block)
+    traj = _noise_trajectory(n, stepper.FRAME_BLOCK)
+    flows._workspace(traj.grid)  # the grid's cached symbols are not the tracker's
+    tracemalloc.start()
+    try:
+        track(traj, CHANNELS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj.spectra.nbytes + 2**20
+    assert peak <= invariants.track_bytes(n, stepper.FRAME_BLOCK)
 
 
 def test_track_pair_evaluates_the_modified_energy_once_per_frame(monkeypatch):

@@ -434,6 +434,29 @@ def test_parseval(grid2pi):
     assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
 
 
+def test_norms_on_own_modes_equal_the_n_point_plancherel_sums():
+    # white noise fills every mode, the Nyquist mode included: a half spectrum
+    # weights its interior modes 2, a full one weights every mode 1
+    grid = make_grid(256, 16.0 * np.pi)
+    rng = np.random.default_rng(17)
+    noise = rng.normal(size=(2, grid.n))
+    real = RealField(grid, noise[0] - np.mean(noise[0]))
+    cplx = ComplexField(grid, noise[0] + 1j * noise[1])
+    for f in (real, cplx):
+        power = np.abs(f.spectrum) ** 2
+        for s in (-0.5, 0.0, 0.5, 1.0):
+            full = np.sum((1.0 + grid.xi**2) ** s * power)
+            assert sobolev_norm(f, s) == pytest.approx(
+                np.sqrt(grid.length * full) / grid.n, rel=1e-14)
+        nz = grid.xi != 0.0
+        full = np.sum(np.abs(grid.xi[nz]) * power[nz])
+        assert sobolev_norm(f, 0.5, homogeneous=True) == pytest.approx(
+            np.sqrt(grid.length * full) / grid.n, rel=1e-14)
+        bands = [np.sqrt(grid.length * np.sum(band_multiplier(grid, k) ** 2 * power)) / grid.n
+                 for k in resolved_bands(grid)]
+        np.testing.assert_allclose(band_l2_norms(f), bands, rtol=1e-14, atol=0.0)
+
+
 def test_homogeneous_negative_norm_needs_mean_free(grid2pi):
     f = RealField(grid2pi, 1.0 + np.sin(grid2pi.x))
     with pytest.raises(MeanError):
