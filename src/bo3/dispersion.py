@@ -136,9 +136,8 @@ def decay_weights(frames, delta: float = 0.05, c_region: float = 1.0) -> DecayRe
             hyp_phix.append(np.max(np.abs(fx[sel])) + 1e-300)
     exponents = {}
     if len(hyp_t) >= 3:
-        lt = np.log(hyp_t)
-        exponents["hyperbolic_phi"] = float(np.polyfit(lt, np.log(hyp_phi), 1)[0])
-        exponents["hyperbolic_phix"] = float(np.polyfit(lt, np.log(hyp_phix), 1)[0])
+        exponents["hyperbolic_phi"] = spectral.loglog_slope(hyp_t, hyp_phi)
+        exponents["hyperbolic_phix"] = spectral.loglog_slope(hyp_t, hyp_phix)
     return DecayReport(rows, exponents)
 
 
@@ -176,8 +175,7 @@ def airy_decay_fit(f0: RealField, times):
         if frac > threshold:
             raise WrapAroundError(t, frac)
         sups.append(refined_sup(u.values))
-    slope = float(np.polyfit(np.log(times), np.log(sups), 1)[0])
-    return slope, np.asarray(times), np.asarray(sups)
+    return spectral.loglog_slope(times, sups), np.asarray(times), np.asarray(sups)
 
 
 def bilinear_strichartz_ratio(

@@ -457,9 +457,9 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
     most one over the stepper's plan, so an absurd step count cannot overflow.
     A run that streams its march holds one block of ``stepper.FRAME_BLOCK``
     frames of half spectra, the energy tracker's working set on that block
-    (``invariants.track_bytes``), and 48 B a frame of reduced values: the time
-    and five channels.  The other experiments' analysis temporaries are not
-    counted.
+    (``invariants.track_bytes``: one chunk of frames, whatever the block), and
+    48 B a frame of reduced values: the time and five channels.  The other
+    experiments' analysis temporaries are not counted.
     """
     n = cfg.grid.n
     total = 24.0 * (n + getattr(cfg.analysis, "conv_n", 0))

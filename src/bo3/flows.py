@@ -105,7 +105,7 @@ class _Workspace:
         odd = np.ones(half + 1)  # odd symbols zero the Nyquist mode
         odd[half] = 0.0
         ik = 1j * k * odd
-        self.absk = k * odd
+        self.absk = half_absk(grid)
         self.lam = linear_symbol(grid)[: half + 1].copy()
         # table rows: phi = s, H phi_x = |k| s, phi_x = ik s and
         # H phi_xx = i k|k| s; the padding keeps the modes below the Nyquist,
@@ -227,6 +227,19 @@ def nonlinear_spectrum(tag: str, ws: _Workspace, s, fields=None, out=None):
 
 
 @functools.cache
+def half_absk(grid: SpectralGrid) -> np.ndarray:
+    """``|xi|`` on the half spectrum with the Nyquist mode zeroed: the symbol
+    of ``H d_x`` on a real field's own modes.
+
+    Built once per grid; the shared array is read-only.
+    """
+    k = np.abs(grid.xi[: grid.n // 2 + 1])
+    k[-1] = 0.0
+    k.setflags(write=False)
+    return k
+
+
+@functools.cache
 def linear_symbol(grid: SpectralGrid) -> np.ndarray:
     """Exact symbol ``(i xi)^3`` of the linear part phi_xxx (diagonal in Fourier).
 
@@ -249,9 +262,10 @@ def xi_cubed(grid: SpectralGrid) -> np.ndarray:
     return cube
 
 
-def airy_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
-    """Unimodular multiplier ``exp(-i xi^3 t)`` with the Nyquist mode zeroed."""
-    sym = np.exp(-1j * xi_cubed(grid) * t)
+def airy_symbol(grid: SpectralGrid, t: float, modes: int | None = None) -> np.ndarray:
+    """Unimodular multiplier ``exp(-i xi^3 t)`` with the Nyquist mode zeroed, on
+    the first ``modes`` wavenumbers in FFT order (all n when omitted)."""
+    sym = np.exp(-1j * xi_cubed(grid)[:modes] * t)
     sym[grid.nyquist_index] = 0.0
     return sym
 
@@ -262,8 +276,7 @@ def airy_symbol(grid: SpectralGrid, t: float) -> np.ndarray:
 
 def airy_propagate(f, t: float):
     """Exact solution of ``phi_t = phi_xxx`` after time t."""
-    sym = airy_symbol(f.grid, t)[: f.modes.size]  # on the field's own modes
-    return type(f).from_spectrum(f.grid, sym * f.modes)
+    return type(f).from_spectrum(f.grid, airy_symbol(f.grid, t, f.modes.size) * f.modes)
 
 
 def _with_linear(f, ws: _Workspace, kernel, *args) -> RealField:

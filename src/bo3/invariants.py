@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flows, spectral, stepper
+from . import flows, spectral
 from .spectral import (
     RealField,
     dealiased_product,
@@ -234,8 +234,8 @@ def _check_channels(channels, known) -> None:
             raise KeyError(f"unknown channel {name!r}")
 
 
-# Product-grid points per phi^2 transform in ``_energies``: rows of a block
-# are squared this many points at a time, ~1 MiB of temporaries.
+# Product-grid points per phi^2 transform in ``_energies``: frames are
+# squared this many points at a time, ~1 MiB of temporaries.
 _CHUNK_POINTS = 2**14
 
 
@@ -245,17 +245,17 @@ def _chunk_rows(n: int) -> int:
 
 
 def track_bytes(n: int, rows: int) -> float:
-    """Bytes ``track`` allocates beyond a block of ``rows`` half spectra at n
-    points: three Parseval arrays over the whole block, 24 B a mode, and one
-    chunk of phi^2 rows, at most ``max(n, _CHUNK_POINTS)`` points of 64 B (the
+    """Bytes ``track`` allocates beyond ``rows`` half spectra at n points: the
+    five channels, 40 B a frame, three mode weights, 24 B a mode, and one
+    chunk of frames, at most ``max(n, _CHUNK_POINTS)`` points of 64 B (the
     padded spectrum, the product-grid samples, their square and its
     transform, 16 B a point each).  No division: ``experiments._run_bytes``
     calls it before the grid's n is checked."""
-    return 24.0 * rows * (n // 2 + 1) + 64.0 * min(rows * n, max(n, _CHUNK_POINTS))
+    return 40.0 * rows + 24.0 * (n // 2 + 1) + 64.0 * min(rows * n, max(n, _CHUNK_POINTS))
 
 
-def _energies(ws, h) -> dict:
-    """E0, E1, E2, L2 and H1 of a block of half spectra ``h`` (B, n/2+1).
+def _energies(grid, h) -> dict:
+    """E0, E1, E2, L2 and H1 of frames of half spectra ``h`` (B, n/2+1).
 
     Quadratic terms are Parseval sums over the half spectrum, each interior
     mode weighted 2 for its conjugate.  The cubic and quartic terms are those
@@ -264,59 +264,61 @@ def _energies(ws, h) -> dict:
     against it is again a Parseval sum.  Cubic products of the band then
     integrate exactly, and E2's quartic term squares the truncated phi^2.
 
-    phi^2 and the sums against it are formed ``_chunk_rows(n)`` rows at a
-    time, so their temporaries stay near ``_CHUNK_POINTS`` points whatever the
-    block size.  Each of those operations works row by row, so the chunks
-    change no bit.  E0 and the ``power @ ...`` products stay on the whole
-    block: a matrix-vector product's bits depend on how many rows it is given.
+    Frames are taken ``_chunk_rows(n)`` at a time, so the temporaries stay
+    near ``_CHUNK_POINTS`` points whatever the number of frames.  Every sum is
+    a row-wise ``np.sum``, so each channel's bits depend only on its own frame:
+    not on the chunks, the number of frames, or a BLAS kernel.
     """
-    grid, n, half = ws.grid, ws.n, ws.half
+    n, half = grid.n, grid.n // 2
     scale = grid.length / n**2  # integral of |f|^2 = scale * sum over |f_k|^2
     weight = np.full(half + 1, 2.0)
     weight[0] = weight[half] = 1.0
-    power = weight * (h.real**2 + h.imag**2)
+    absk = flows.half_absk(grid)
+    absk2, sobolev = absk**2, 1.0 + grid.xi[: half + 1] ** 2
 
-    def dot(a, b):  # integral of the product of two real fields, by their half spectra
+    def integral(a, b):  # integral of the product of two real fields, by their half spectra
         return scale * np.sum(weight * (a * b.conj()).real, axis=1)
 
-    cubic, cross, quart = (np.empty(len(h)) for _ in range(3))
+    def weighted(power, w):  # scale * sum over power * w, frame by frame
+        return scale * np.sum(power * w, axis=1)
+
+    def chunk(rows):  # the CHANNELS of a few frames; their temporaries go on return
+        power = weight * (rows.real**2 + rows.imag**2)
+        sq = spectral.half_product(rows, rows)
+        e0_ = scale * power.sum(axis=1)
+        cubic = integral(sq, rows)  # integral of phi^3
+        cross = integral(sq, absk * rows)  # integral of phi^2 H phi_x
+        quart = integral(sq, sq)  # integral of phi^4
+        return (e0_,
+                weighted(power, absk) - cubic / 3.0,
+                weighted(power, absk2) - 0.75 * cross + 0.125 * quart,
+                np.sqrt(e0_),
+                np.sqrt(weighted(power, sobolev)))
+
+    out = {name: np.empty(len(h)) for name in CHANNELS}
     step = _chunk_rows(n)
     for i in range(0, len(h), step):
-        rows = h[i: i + step]
-        sq = spectral.half_product(rows, rows)
-        cubic[i: i + step] = dot(sq, rows)  # integral of phi^3
-        cross[i: i + step] = dot(sq, ws.absk * rows)  # integral of phi^2 H phi_x
-        quart[i: i + step] = dot(sq, sq)  # integral of phi^4
-    e0_ = scale * power.sum(axis=1)
-    return {
-        "E0": e0_,
-        "E1": scale * (power @ ws.absk) - cubic / 3.0,
-        "E2": scale * (power @ ws.absk**2) - 0.75 * cross + 0.125 * quart,
-        "L2": np.sqrt(e0_),
-        "H1": np.sqrt(scale * (power @ (1.0 + grid.xi[: half + 1] ** 2))),
-    }
+        for name, vals in zip(CHANNELS, chunk(h[i: i + step])):
+            out[name][i: i + step] = vals
+    return out
 
 
 def track(traj, channels) -> EnergySeries:
     """Evaluate named channels of ``CHANNELS`` at every frame of a trajectory.
 
-    All frames are evaluated from the trajectory's half spectra in blocks of
-    ``stepper.FRAME_BLOCK``, the blocks the march hands over, with at most
-    ``track_bytes`` of temporaries (1.8 MB for a full block at n = 1024, and
-    from n = 2**14 on about 1.5 times the block's own bytes); the values agree
-    with ``e0``, ``e1``, ``e2``, ``l2_norm`` and ``sobolev_norm(., 1)`` frame
-    by frame up to round-off.
-    A trajectory may be one block of a streamed march (``stepper.integrate``
-    with ``reduce``): the blocks group the same frames as one whole-run call
-    does, so joining their series with ``EnergySeries.join`` gives the same
-    bits.
+    All frames are evaluated from the trajectory's half spectra, with at most
+    ``track_bytes`` of temporaries: one chunk of ``_energies`` (about 1 MiB
+    from n = 2**14 on, less below) and 40 B a frame for the channels.  The
+    values agree with ``e0``, ``e1``, ``e2``, ``l2_norm`` and
+    ``sobolev_norm(., 1)`` frame by frame up to round-off.  Each frame's
+    values depend on that frame alone, so a trajectory may be one block of a
+    streamed march (``stepper.integrate`` with ``reduce``): joining the
+    blocks' series with ``EnergySeries.join`` gives the bits of one whole-run
+    call.
     """
     _check_channels(channels, CHANNELS)
-    ws = flows._workspace(traj.grid)
-    blocks = [_energies(ws, traj.spectra[i: i + stepper.FRAME_BLOCK])
-              for i in range(0, len(traj.times), stepper.FRAME_BLOCK)]
-    series = {name: np.concatenate([b[name] for b in blocks]) for name in channels}
-    return EnergySeries(traj.times, series)
+    values = _energies(traj.grid, traj.spectra)
+    return EnergySeries(traj.times, {name: values[name] for name in channels})
 
 
 PAIR_CHANNELS = ("v_l2", "y_l2", "modified_energy", "modified_energy_cubic")

@@ -189,7 +189,7 @@ def _fit_slope(eps, vals):
     vals = np.asarray(vals)
     if np.all(vals < 1e-13):
         return ScalingResult.EXACT
-    return float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
+    return spectral.loglog_slope(eps, vals)
 
 
 def cubic_scaling_test(profile: RealField, amplitudes, k: int, t_probe: float,

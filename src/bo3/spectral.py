@@ -47,16 +47,15 @@ __all__ = [
     "dyadic_bump",
     "band_multiplier",
     "below_multiplier",
-    "range_multiplier",
     "half_multiplier",
     "resolved_bands",
     "check_band",
     "project_band",
     "project_below",
-    "project_range",
     "l2_norm",
     "sobolev_norm",
     "envelope",
+    "loglog_slope",
 ]
 
 
@@ -373,11 +372,6 @@ def below_multiplier(grid: SpectralGrid, k: int) -> np.ndarray:
     return mask
 
 
-def range_multiplier(grid: SpectralGrid, k1: int, k2: int) -> np.ndarray:
-    """Projector onto bands strictly between k1 and k2."""
-    return below_multiplier(grid, k2) - below_multiplier(grid, k1 + 1)
-
-
 def half_multiplier(grid: SpectralGrid, half: str) -> np.ndarray:
     if half == "both":
         return np.ones(grid.n)
@@ -406,12 +400,6 @@ def project_band(f, band):
 def project_below(f, k: int):
     """Cumulative projection onto bands < k."""
     return _apply_mask(f, below_multiplier(f.grid, k), force_complex=False)
-
-
-def project_range(f, ks):
-    """Projection onto bands strictly between ks[0] and ks[1]."""
-    k1, k2 = ks
-    return _apply_mask(f, range_multiplier(f.grid, k1, k2), force_complex=False)
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +464,25 @@ def envelope(f, delta: float) -> FrequencyEnvelope:
     weights = 2.0 ** (-delta * np.abs(ks[:, None] - ks[None, :]))
     c = np.max(weights * norms[None, :], axis=1)
     return FrequencyEnvelope(delta, c)
+
+
+# ---------------------------------------------------------------------------
+# Scaling exponents
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x, in closed form.
+
+    ``sum(dx * dy) / sum(dx * dx)`` over the logs centred on their means,
+    built from elementwise operations and ``np.sum`` alone, so its bits do not
+    depend on a BLAS or LAPACK kernel.  NaN when a sample is not positive and
+    finite: such a sample has no logarithm.
+    """
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.all(np.isfinite(x) & (x > 0.0)) and np.all(np.isfinite(y) & (y > 0.0))):
+        return float("nan")
+    dx = np.log(x)
+    dx -= np.mean(dx)
+    dy = np.log(y)
+    dy -= np.mean(dy)
+    return float(np.sum(dx * dy) / np.sum(dx * dx))

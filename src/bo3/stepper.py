@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flows
-from .spectral import RealField, SpectralGrid, require_mean_free, same_grid
+from .spectral import RealField, SpectralGrid, loglog_slope, require_mean_free, same_grid
 
 __all__ = [
     "SolverConfig",
@@ -324,5 +324,4 @@ def convergence_order(f0: RealField, t_end: float, dt_list) -> ConvergenceResult
         return ConvergenceResult(math.inf, tuple(dts), tuple(errors))
     if np.any(np.diff(errors_arr) <= 0.0):
         return ConvergenceResult(math.nan, tuple(dts), tuple(errors))
-    slope = float(np.polyfit(np.log(dts), np.log(errors_arr), 1)[0])
-    return ConvergenceResult(slope, tuple(dts), tuple(errors))
+    return ConvergenceResult(loglog_slope(dts, errors_arr), tuple(dts), tuple(errors))

@@ -15,24 +15,25 @@ every stage, the reference for the stepper's in-place march.
 ``airy_residual`` measures the gauged band residual by differencing stored
 frames, the independent check of ``normalform.band_residual_gauged``.
 ``b0`` and ``bk_lin`` are the low-block and linearized normal forms, which
-only their cancellation tests use.  ``bilinear_strichartz_ratio_oracle`` sums
+only their cancellation tests use, and ``project_range`` the band-range
+projection that ``bk_lin`` builds on.  ``bilinear_strichartz_ratio_oracle`` sums
 every time sample on the full n-point grid, the reference for the kernel that
 sums on the smallest alias-free grid.  ``decay_rows`` is the decay table of
 ``dispersion.decay_weights`` as first written: regions as an array of labels,
 each ``delta`` placement spelled out.  ``energies_block`` is the tracker's
-block of channels with phi^2 formed over the whole block, the bitwise
-reference for the chunked ``invariants._energies``.
+block of channels with phi^2 and its row-wise sums formed over the whole
+block, the bitwise reference for the chunked ``invariants._energies``.
 """
 
 import numpy as np
 
-from bo3 import spectral
+from bo3 import flows, spectral
 from bo3.dispersion import REGIONS, jbracket
 from bo3.invariants import EnergySeries
 from bo3.normalform import _check_band, band_transform, bk_bilinear
 from bo3.spectral import (ComplexField, DyadicBand, RealField, antiderivative,
                           dealiased_product, derivative, hilbert, l2_norm, project_band,
-                          project_range, require_mean_free, same_grid)
+                          require_mean_free, same_grid)
 
 
 def slow_dft(values):
@@ -271,6 +272,17 @@ def b0(phi: RealField) -> RealField:
     return RealField(grid, 0.25 * (direct + twisted))
 
 
+def range_multiplier(grid, k1: int, k2: int) -> np.ndarray:
+    """Projector onto bands strictly between k1 and k2, a new array every call."""
+    return spectral.below_multiplier(grid, k2) - spectral.below_multiplier(grid, k1 + 1)
+
+
+def project_range(f, ks):
+    """Projection onto bands strictly between ks[0] and ks[1], on f's own modes."""
+    mask = range_multiplier(f.grid, *ks)
+    return type(f).from_spectrum(f.grid, mask[: f.modes.size] * f.modes)
+
+
 def bk_lin(phi: RealField, v: RealField, k: int) -> ComplexField:
     """Linearized band normal form.
 
@@ -401,27 +413,28 @@ def decay_rows(frames, delta=0.05, c_region=1.0):
 # Energy channels of one block
 
 
-def energies_block(ws, h) -> dict:
-    """``invariants._energies`` as first written: phi^2 and every sum against
-    it over the whole block at once, the bitwise reference for the chunked
-    tracker."""
-    grid, n, half = ws.grid, ws.n, ws.half
+def energies_block(grid, h) -> dict:
+    """``invariants._energies`` on the whole block at once: phi^2 and every
+    row-wise sum formed over all frames together, the bitwise reference for
+    the chunked tracker."""
+    n, half = grid.n, grid.n // 2
     scale = grid.length / n**2  # integral of |f|^2 = scale * sum over |f_k|^2
     weight = np.full(half + 1, 2.0)
     weight[0] = weight[half] = 1.0
+    absk = flows.half_absk(grid)
     power = weight * (h.real**2 + h.imag**2)
     sq = spectral.half_product(h, h)
 
-    def dot(a, b):  # integral of the product of two real fields, by their half spectra
+    def integral(a, b):  # integral of the product of two real fields, by their half spectra
         return scale * np.sum(weight * (a * b.conj()).real, axis=1)
 
     e0_ = scale * power.sum(axis=1)
-    cubic = dot(sq, h)  # integral of phi^3
-    cross = dot(sq, ws.absk * h)  # integral of phi^2 H phi_x
+    cubic = integral(sq, h)  # integral of phi^3
+    cross = integral(sq, absk * h)  # integral of phi^2 H phi_x
     return {
         "E0": e0_,
-        "E1": scale * (power @ ws.absk) - cubic / 3.0,
-        "E2": scale * (power @ ws.absk**2) - 0.75 * cross + 0.125 * dot(sq, sq),
+        "E1": scale * np.sum(power * absk, axis=1) - cubic / 3.0,
+        "E2": scale * np.sum(power * absk**2, axis=1) - 0.75 * cross + 0.125 * integral(sq, sq),
         "L2": np.sqrt(e0_),
-        "H1": np.sqrt(scale * (power @ (1.0 + grid.xi[: half + 1] ** 2))),
+        "H1": np.sqrt(scale * np.sum(power * (1.0 + grid.xi[: half + 1] ** 2), axis=1)),
     }

@@ -424,13 +424,15 @@ def test_run_bytes_counts_grids_and_trajectory_rows():
     # 24 B a grid point; 16 B a half-spectrum mode per frame and stacked row,
     # at most one frame over the stepper's plan.  conserve streams its march
     # into the energies: it holds at most one block of frames, the tracker's
-    # working set on that block (24 B a mode of the block and 64 B a point of
-    # one chunk of max(1, 2**14 // n) rows), and 48 B a frame of reduced values
+    # working set on that block (40 B a frame of the block, 24 B a mode and
+    # 64 B a point of one chunk of max(1, 2**14 // n) rows), and 48 B a frame
+    # of reduced values
     block = stepper.FRAME_BLOCK
 
     def streamed(frames, n, m):
         rows = min(frames, block)
-        return rows * m * (16 + 24) + 64 * min(rows, max(1, 2**14 // n)) * n + 48 * frames
+        tracker = 40 * rows + 24 * m + 64 * min(rows, max(1, 2**14 // n)) * n
+        return rows * m * 16 + tracker + 48 * frames
 
     dense = ["solver.t_end=0.2", "solver.snapshot_stride=1"]  # 201 frames: over a block
     for name, rows, overrides in (("conserve", 1, []), ("conserve", 1, dense),
@@ -461,8 +463,8 @@ def test_oversized_runs_are_config_errors_before_any_grid(tmp_path, capsys, monk
     conserve, scaling = (str(CONFIG_DIR / f"{name}.json") for name in ("conserve", "scaling"))
     dense = ["--set", "solver.snapshot_stride=1", "--set", "solver.t_end=20"]  # 200 001 frames
     # 2**30 points: 24 GiB of grid, one block of 64 frames of 8 GiB and the
-    # tracker's 768 + 64 GiB on it; or two rows of 200 001 frames of 8 KB
-    for path, assignments, gib in ((conserve, ["--set", "grid.n=1073741824"], "1.37e+03"),
+    # tracker's 12 + 64 GiB on it; or two rows of 200 001 frames of 8 KB
+    for path, assignments, gib in ((conserve, ["--set", "grid.n=1073741824"], "612"),
                                    (scaling, dense, "1.53")):
         for command in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
             assert main(command + assignments) == 3

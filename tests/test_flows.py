@@ -83,7 +83,8 @@ def test_linear_symbol_is_shared_and_read_only(grid):
 @pytest.mark.parametrize("n", [128, 4096])
 def test_airy_symbol_reads_one_shared_cube(n):
     # xi**3 is built once per grid, read-only, and the Airy phase formed from
-    # it has the bits of the phase formed from a fresh xi**3
+    # it, on all n modes or on a prefix, has the bits of the phase formed from
+    # a fresh xi**3
     grid = make_grid(n, 0.1 * n)
     cube = flows.xi_cubed(grid)
     assert flows.xi_cubed(make_grid(n, 0.1 * n)) is cube
@@ -93,6 +94,8 @@ def test_airy_symbol_reads_one_shared_cube(n):
         expected = np.exp(-1j * grid.xi**3 * t)
         expected[grid.nyquist_index] = 0.0
         assert np.array_equal(flows.airy_symbol(grid, t), expected)
+        # a real field's n/2+1 modes: the same bits, Nyquist mode zeroed
+        assert np.array_equal(flows.airy_symbol(grid, t, n // 2 + 1), expected[: n // 2 + 1])
 
 
 # ---------------------------------------------------------------------------

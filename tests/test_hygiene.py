@@ -99,3 +99,50 @@ def test_the_fft_binding_check_sees_each_form():
               "    inverse = np.fft.irfft if x else np.fft.ifft\n"
               "    return inverse(x), np.fft.rfft(x), (lambda y: np.fft.fft(y))\n")
     assert _fft_bound_at_import(source) == [2, 3, 5, 6]
+
+
+# numpy names that reach BLAS or LAPACK, whose bits depend on the kernel the
+# library picks at run time
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "polyfit", "linalg"}
+
+
+def _blas_uses(source: str) -> list:
+    """Lines where the source multiplies matrices with ``@`` or names one of
+    ``_BLAS_NAMES``: as an attribute (``np.dot``, ``np.linalg.norm``), a bare
+    name, or in an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif ((isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES)
+              or (isinstance(node, ast.Name) and node.id in _BLAS_NAMES)):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any(part in _BLAS_NAMES for name in names for part in name.split(".")):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_run_reaches_blas_or_lapack():
+    used = [f"{path.relative_to(ROOT)}:{line}"
+            for path in sorted((ROOT / "src" / "bo3").glob("*.py"))
+            for line in _blas_uses(path.read_text())]
+    assert not used, "BLAS or LAPACK reached from src/bo3:\n" + "\n".join(used)
+
+
+def test_the_blas_check_sees_each_form():
+    source = ("import numpy as np\n"
+              "import numpy.linalg\n"
+              "from numpy import einsum\n"
+              "from numpy.linalg import norm\n"
+              "a = x @ y\n"
+              "a @= y\n"
+              "b = np.dot(x, y) + x.dot(y)\n"
+              "c = np.linalg.norm(x)\n"
+              "d = np.polyfit(x, y, 1)[0]\n"
+              "e = inner(x, y)\n"
+              "f = np.sum(x * y, axis=1) + np.tensordot\n")
+    assert _blas_uses(source) == [2, 3, 4, 5, 6, 7, 7, 8, 9, 10, 11]

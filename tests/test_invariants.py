@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,24 +289,26 @@ def test_batched_channels_match_per_frame_functions_on_full_band_data():
 
 
 def test_track_allocates_blocks_not_the_whole_trajectory():
-    # 2001 frames at n = 1024 hold 16 MB of half spectra; one unblocked batch
-    # would allocate about 125 MB of temporaries
+    # 2001 frames at n = 1024 hold 16 MB of half spectra; one unchunked batch
+    # would allocate about 125 MB of temporaries, and the tracker's working
+    # set is one chunk of 16 frames whatever the number of frames
     grid = make_grid(1024, 256.0 * np.pi)
     rng = np.random.default_rng(1)
     spectra = rng.normal(size=(2001, 513)) + 1j * rng.normal(size=(2001, 513))
     traj = Trajectory(grid, np.arange(2001.0), spectra)
+    flows.half_absk(grid)  # cached per grid, not part of the working set
     tracemalloc.start()
     try:
         track(traj, CHANNELS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak <= invariants.track_bytes(1024, 2001) < 2**21
 
 
-def _noise_trajectory(n, frames, seed=2):
+def _noise_trajectory(n, frames, seed=2, length=256.0 * np.pi):
     """``frames`` half spectra of white noise at n points: every mode filled."""
-    grid = make_grid(n, 256.0 * np.pi)
+    grid = make_grid(n, length)
     rng = np.random.default_rng(seed)
     spectra = np.fft.rfft(rng.normal(size=(frames, n)), axis=1)
     return Trajectory(grid, np.arange(float(frames)), spectra)
@@ -313,9 +319,8 @@ def test_chunked_channels_equal_the_whole_block_oracle(n, frames):
     # one chunk covers the block at n = 64, four chunks of 16 rows at n = 1024,
     # and one row a chunk at n = 2**14: every channel keeps its bits
     traj = _noise_trajectory(n, frames)
-    ws = flows._workspace(traj.grid)
     series = track(traj, CHANNELS)
-    want = oracles.energies_block(ws, traj.spectra)
+    want = oracles.energies_block(traj.grid, traj.spectra)
     for name in CHANNELS:
         assert np.array_equal(series.channels[name], want[name]), name
     assert invariants._chunk_rows(n) == {64: 256, 1024: 16, 2**14: 1}[n]
@@ -323,11 +328,11 @@ def test_chunked_channels_equal_the_whole_block_oracle(n, frames):
 
 @pytest.mark.parametrize("n", [1024, 2**14])
 def test_track_working_set_is_bounded_by_its_estimate(n):
-    # a full block: the product-grid temporaries of phi^2 are one chunk's, so
-    # the peak is about the block's own bytes (52 MiB against an 8 MiB block
-    # at n = 2**14 when phi^2 was formed over the whole block)
+    # a full block: the temporaries are one chunk's, so the peak is about
+    # 1 MiB (52 MiB against an 8 MiB block at n = 2**14 when phi^2 was formed
+    # over the whole block, 8 MiB when its Parseval arrays were)
     traj = _noise_trajectory(n, stepper.FRAME_BLOCK)
-    flows._workspace(traj.grid)  # the grid's cached symbols are not the tracker's
+    flows.half_absk(traj.grid)  # cached per grid, not part of the working set
     tracemalloc.start()
     try:
         track(traj, CHANNELS)
@@ -336,6 +341,50 @@ def test_track_working_set_is_bounded_by_its_estimate(n):
         tracemalloc.stop()
     assert peak < 1.5 * traj.spectra.nbytes + 2**20
     assert peak <= invariants.track_bytes(n, stepper.FRAME_BLOCK)
+
+
+def test_track_builds_no_flow_workspace():
+    # the tracker reads one cached |k| symbol: on a grid that has not marched
+    # it builds none of the march's buffers (4.4 MiB at n = 2**14)
+    traj = _noise_trajectory(2**10, 1, length=1.0 + np.pi)  # a grid no other test builds
+    before = flows._workspace.cache_info().currsize
+    track(traj, CHANNELS)
+    assert flows._workspace.cache_info().currsize == before
+    assert flows._workspace(traj.grid).absk is flows.half_absk(traj.grid)
+
+
+_BITS_SOURCE = """
+import hashlib
+import numpy as np
+from bo3 import invariants, spectral
+from bo3.spectral import make_grid
+
+
+def bits():
+    rng = np.random.default_rng(5)
+    grid = make_grid(1024, 256.0 * np.pi)
+    spectra = np.fft.rfft(rng.normal(size=(64, grid.n)), axis=1)
+    values = invariants._energies(grid, spectra)
+    xs, ys = rng.uniform(0.1, 10.0, size=(2, 8))
+    out = b"".join(values[name].tobytes() for name in invariants.CHANNELS)
+    out += np.float64(spectral.loglog_slope(xs, ys)).tobytes()
+    return hashlib.sha256(out).hexdigest()
+"""
+
+
+def test_channels_and_slopes_keep_their_bits_under_another_blas_kernel():
+    # OPENBLAS_CORETYPE takes effect only when a process starts.  Under the
+    # Prescott kernel E1, E2 and H1 took other bits when their quadratic sums
+    # were matrix-vector products, and so did a slope fitted by np.polyfit
+    namespace = {}
+    exec(_BITS_SOURCE, namespace)
+    src = str(Path(invariants.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _BITS_SOURCE + "print(bits())"], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == namespace["bits"]()
 
 
 def test_track_pair_evaluates_the_modified_energy_once_per_frame(monkeypatch):

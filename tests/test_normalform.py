@@ -27,12 +27,11 @@ from bo3.spectral import (
     make_grid,
     project_band,
     project_below,
-    project_range,
 )
 from bo3.stepper import SolverConfig, integrate
 
 from conftest import random_bandlimited_field, trajectory
-from oracles import airy_residual, b0, bk_lin, slow_product_spectrum
+from oracles import airy_residual, b0, bk_lin, project_range, slow_product_spectrum
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +21,10 @@ from bo3.spectral import (
     envelope,
     hilbert,
     l2_norm,
+    loglog_slope,
     make_grid,
     project_band,
     project_below,
-    project_range,
-    range_multiplier,
     refine,
     require_mean_free,
     resolved_bands,
@@ -36,7 +37,7 @@ from bo3.flows import airy_propagate
 
 import oracles
 from conftest import random_bandlimited_field
-from oracles import quad, slow_dft, slow_product_spectrum
+from oracles import project_range, quad, range_multiplier, slow_dft, slow_product_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -516,3 +517,32 @@ def test_envelope_rejects_bad_delta(grid2pi):
     for bad in (0.0, 0.6, -0.1):
         with pytest.raises(ValueError):
             envelope(f, bad)
+
+
+# ---------------------------------------------------------------------------
+# scaling exponents
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_loglog_slope_matches_the_least_squares_fit(seed):
+    # np.polyfit, a LAPACK least-squares solve, is the oracle here only
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(1e-3, 1e3, size=3 + seed)
+    ys = rng.uniform(1e-8, 1e2, size=xs.size)
+    want = np.polyfit(np.log(xs), np.log(ys), 1)[0]
+    assert loglog_slope(xs, ys) == pytest.approx(want, rel=1e-13)
+
+
+def test_loglog_slope_is_exact_on_a_power_law():
+    xs = 2.0 ** np.arange(-3, 4)
+    for power in (-1.0, 2.0, 3.0, -0.5):
+        assert loglog_slope(xs, 7.0 * xs**power) == power
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_loglog_slope_is_nan_without_a_logarithm(bad):
+    good = [1.0, 2.0, 4.0]
+    for xs, ys in (([bad, 2.0, 4.0], good), (good, [1.0, bad, 3.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(loglog_slope(xs, ys))
