@@ -34,7 +34,6 @@ from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, integrate,
 
 __all__ = [
     "ConfigError",
-    "ResolutionWarning",
     "GridParams",
     "Experiment",
     "ExperimentConfig",
@@ -55,22 +54,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
-
-
-class ResolutionWarning(UserWarning):
-    """An integration accumulated spectral-tail resolution flags."""
-
-
-def _flag_resolution(warns) -> None:
-    """Warn once for a run's ``(time, kind)`` resolution flags, if any."""
-    if warns:
-        t0 = warns[0][0]
-        _warnings.warn(
-            f"{len(warns)} resolution flags along the run "
-            f"(first at t = {t0:.4g})",
-            ResolutionWarning,
-            stacklevel=3,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +504,13 @@ def build_version() -> str:
 # handles warning capture and the manifest.
 
 
-def _block_energies(block):
-    """The conserve channels of one block of the march, and its warnings."""
-    return invariants.track(block, invariants.CHANNELS), block.warnings
-
-
 def _exp_conserve(cfg, out_dir):
     data = cfg.initial_data()
     # the energies are taken block by block as the march goes, so the run
     # never holds more than one block of frames
-    blocks = integrate(FlowKind("third_order_bo"), data, cfg.solver, reduce=_block_energies)
-    _flag_resolution([w for _, warns in blocks for w in warns])
-    series = invariants.EnergySeries.join([part for part, _ in blocks])
+    blocks = integrate(FlowKind("third_order_bo"), data, cfg.solver,
+                       reduce=lambda block: invariants.track(block, invariants.CHANNELS))
+    series = invariants.EnergySeries.join(blocks)
     csv = out_dir / "energies.csv"
     snapshots.write_csv(csv, series.to_rows())
     metrics = {f"{name.lower()}_drift": series.drift(name) for name in ("E0", "E1", "E2")}
@@ -565,8 +543,6 @@ def _exp_scaling(cfg, out_dir):
 
     grid2, sol2 = _rescaled(data.grid, cfg.solver, lam)
     scaled = integrate(FlowKind("third_order_bo"), RealField(grid2, lam * data.values), sol2)
-    _flag_resolution(base.warnings)
-    _flag_resolution(scaled.warnings)
 
     devs = []
     for (t1, f1), (t2, f2) in zip(base.frames, scaled.frames):
@@ -691,7 +667,6 @@ def _linearized_run(cfg):
     v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=cfg.data.amplitude,
                                bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
     phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver)
-    _flag_resolution(phi_traj.warnings)
     return phi0, v0, phi_traj, v_traj
 
 
@@ -769,7 +744,6 @@ def _exp_decay_profile(cfg, out_dir):
     data = cfg.initial_data()
     eps = cfg.data.amplitude
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
-    _flag_resolution(traj.warnings)
     ana = cfg.analysis
     frames = list(traj.frames)  # built once, read by both passes below
     report = dispersion.decay_weights(frames, delta=ana.delta, c_region=ana.c_region)

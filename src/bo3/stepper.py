@@ -12,14 +12,16 @@ of an experiment config.  One march, ``_march``, steps the state and keeps
 its frames: at the start, after every ``snapshot_stride``-th step and after
 the last.  It keeps them all in one trajectory, or, given a reducer, hands
 them over in blocks of ``FRAME_BLOCK`` frames and holds only the block it
-fills.
+fills.  A march whose kept frames are under-resolved ends with one
+``ResolutionWarning``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +32,24 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "BlowUpError",
+    "ResolutionWarning",
     "integrate",
     "integrate_linearized_pair",
     "integrate_adjoint_pair",
     "convergence_order",
     "ConvergenceResult",
     "FRAME_BLOCK",
+    "TAIL_TOL",
 ]
 
 # Frames per block of a march handed to a reducer, and per batched transform
 # of ``invariants.track``: at n = 1024 a block of half spectra is 0.5 MB.
 FRAME_BLOCK = 64
+
+# The largest share of a kept frame's spectral energy that may sit in the top
+# third of the wavenumbers (``flows.spectral_tail_fraction``) before the frame
+# counts as under-resolved.
+TAIL_TOL = 1e-8
 
 
 class BlowUpError(RuntimeError):
@@ -51,12 +60,21 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution lost finiteness at t = {time:.6g}")
 
 
+class ResolutionWarning(UserWarning):
+    """A march kept ``count`` frames whose tail exceeds ``TAIL_TOL`` in some
+    stacked row, the first of them, in the march's order, at t = ``first``."""
+
+    def __init__(self, count: int, first: float, n: int, dt: float):
+        self.count, self.first = count, first
+        super().__init__(f"{count} resolution flags along the march at n = {n}, dt = {dt:.6g} "
+                         f"(first at t = {first:.4g})")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 1e-4
     t_end: float = 1.0
     snapshot_stride: int = 100
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
@@ -100,7 +118,6 @@ class Trajectory:
     grid: SpectralGrid
     times: np.ndarray  # (F,), strictly increasing
     spectra: np.ndarray  # (F, n/2+1) complex
-    warnings: list = field(default_factory=list)  # list of (time, kind)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
@@ -178,22 +195,24 @@ def _snapshot_plan(t_end: float, dt: float):
     return n_steps, t_end / n_steps
 
 
-def _march(ws, s0, t0, t_span, config, nl, keep=None):
+def _march(ws, s0, t0, t_span, config, nl, keep=None, stacklevel=3):
     """March the half spectra of s0 from t0 over t_span (of either sign).
 
     The state is one half spectrum ``(m,)`` or a stack ``(2, m)``;
     ``nl(s, out)`` writes the nonlinear part of s into out.  A frame is kept
     at t0, after every stride-th step and after the last, so a march of
-    n_steps keeps ``1 + ceil(n_steps / stride)`` frames.  Each frame whose
-    tail (``flows.spectral_tail_fraction``) exceeds ``config.tail_tol`` in
-    any stacked row adds one resolution warning.
+    n_steps keeps ``1 + ceil(n_steps / stride)`` frames.  A kept frame whose
+    tail (``flows.spectral_tail_fraction``) exceeds ``TAIL_TOL`` in any
+    stacked row is flagged; if any is, the march ends with one
+    ``ResolutionWarning`` of their count and the first one's time, issued
+    ``stacklevel`` frames up (3: the caller of the function that called
+    ``_march``).
 
-    Without ``keep``, returns the frame times ``(F,)``, the half spectra
-    ``(rows, F, m)`` with one row per stacked state, and the warnings.  With
-    ``keep``, the frames fill blocks of ``FRAME_BLOCK`` (the last may be
-    shorter); each block goes to ``keep(times, spectra, warnings)`` as soon
-    as it is full, and the next is newly allocated, so a block handed over
-    is never written again.
+    Without ``keep``, returns the frame times ``(F,)`` and the half spectra
+    ``(rows, F, m)`` with one row per stacked state.  With ``keep``, the
+    frames fill blocks of ``FRAME_BLOCK`` (the last may be shorter); each
+    block goes to ``keep(times, spectra)`` as soon as it is full, and the
+    next is newly allocated, so a block handed over is never written again.
     """
     m = ws.half + 1
     s = np.array(s0, dtype=complex)
@@ -205,11 +224,12 @@ def _march(ws, s0, t0, t_span, config, nl, keep=None):
 
     def block():
         k = min(size, left)
-        return np.empty(k), np.empty((s.size // m, k, m), dtype=complex), []
+        return np.empty(k), np.empty((s.size // m, k, m), dtype=complex)
 
-    times, spectra, warns = block()
+    times, spectra = block()
     rk4 = _IFRK4(s.shape, h, ws.lam, nl)
     i, t = 0, t0
+    flagged, first = 0, None
     # a blowing-up state overflows before the finiteness check sees it; that
     # check, not NumPy's warnings, reports the blow-up
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,23 +242,27 @@ def _march(ws, s0, t0, t_span, config, nl, keep=None):
             if j % stride == 0 or j == n_steps:
                 times[i] = t
                 spectra[:, i] = s.reshape(-1, m)
-                if any(flows.spectral_tail_fraction(row) > config.tail_tol
-                       for row in spectra[:, i]):
-                    warns.append((t, "resolution"))
+                if any(flows.spectral_tail_fraction(row) > TAIL_TOL for row in spectra[:, i]):
+                    flagged += 1
+                    first = t if first is None else first
                 i += 1
                 if keep is not None and i == len(times):
-                    keep(times, spectra, warns)
+                    keep(times, spectra)
                     left -= i
-                    times, spectra, warns = block()
+                    times, spectra = block()
                     i = 0
-    return times, spectra, warns
+    if flagged:
+        warnings.warn(ResolutionWarning(flagged, first, ws.grid.n, config.dt),
+                      stacklevel=stacklevel)
+    return times, spectra
 
 
 def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig, reduce=None):
     """Integrate the flow ``kind`` from mean-free initial data ``f0``.
 
-    Non-finite values abort with the blow-up time; under-resolution only
-    accumulates warnings on the trajectory.  Returns the trajectory or, with
+    Non-finite values abort with the blow-up time.  Under-resolved frames
+    do not stop the march: it ends with one ``ResolutionWarning``, raised
+    at the caller, after the last block.  Returns the trajectory or, with
     ``reduce``, the list of ``reduce(block)`` over the march's consecutive
     blocks of ``FRAME_BLOCK`` frames, each a ``Trajectory`` of its own, so
     that no more than one block of frames is held at a time.
@@ -247,8 +271,8 @@ def integrate(kind: flows.FlowKind, f0: RealField, config: SolverConfig, reduce=
     ws = flows._workspace(f0.grid)
     nl = lambda s, out: flows.nonlinear_spectrum(kind.tag, ws, s, out=out)
 
-    def trajectory(times, spectra, warns):
-        return Trajectory(f0.grid, times, spectra[0], warns)
+    def trajectory(times, spectra):
+        return Trajectory(f0.grid, times, spectra[0])
 
     if reduce is None:
         return trajectory(*_march(ws, f0.modes, 0.0, config.t_end, config, nl))
@@ -275,9 +299,9 @@ def _pair_march(phi, sec, tag, t_from, t_to, config):
         flows.nonlinear_spectrum(tag, ws, s[1], fields, out[1])
 
     s0 = np.stack((phi.modes, sec.modes))
-    times, spectra, warns = _march(ws, s0, t_from, t_to - t_from, config, nl)
+    times, spectra = _march(ws, s0, t_from, t_to - t_from, config, nl, stacklevel=4)
     order = slice(None, None, -1 if t_to < t_from else 1)
-    return tuple(Trajectory(grid, times[order], rows[order], warns[order]) for rows in spectra)
+    return tuple(Trajectory(grid, times[order], rows[order]) for rows in spectra)
 
 
 def integrate_linearized_pair(phi0: RealField, v0: RealField, config: SolverConfig):

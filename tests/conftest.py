@@ -61,6 +61,6 @@ def linear_march(f, config):
     """The stepper's integrating-factor march of f with the nonlinear part
     switched off: the Airy flow as the third-order march carries it."""
     ws = flows._workspace(f.grid)
-    times, (spectra,), _ = stepper._march(ws, f.modes, 0.0, config.t_end, config,
-                                          lambda s, out: out.fill(0.0))
+    times, (spectra,) = stepper._march(ws, f.modes, 0.0, config.t_end, config,
+                                       lambda s, out: out.fill(0.0))
     return Trajectory(f.grid, times, spectra)

@@ -71,7 +71,7 @@ def test_shipped_configs_round_trip_and_validate():
         assert {key: list(raw[key]) for key in read} == read
         assert set(raw) == set(read) | {"experiment", "seed"}
         values += 1 + sum(len(fields) for fields in read.values())
-    assert values == 101
+    assert values == 96
 
 
 def test_analysis_list_defaults_are_lists():
@@ -222,15 +222,33 @@ def test_seed_changes_random_experiment_output(tmp_path):
 
 
 def test_under_resolved_run_is_degraded(tmp_path):
+    # random data up to xi = 3.5 put energy in the top third (xi >= 2.67) of
+    # the fast grid: every kept frame of the main march is flagged
     cfg = fast_config("conserve")
+    apply_override(cfg, "data.profile=random_bandlimited")
     apply_override(cfg, "data.bandlimit=3.5")
-    apply_override(cfg, "solver.tail_tol=0.0")
     res = run_experiment(cfg, base_dir=tmp_path)
     assert res.passed
     assert res.exit_code == 2  # pass with warnings
-    assert any("resolution" in w for w in res.warnings)
+    assert res.warnings == ["ResolutionWarning: 6 resolution flags along the march at n = 256, "
+                            "dt = 0.001 (first at t = 0)"]
     manifest = json.loads((tmp_path / "conserve" / "manifest.json").read_text())
-    assert manifest["warnings"]
+    assert manifest["warnings"] == res.warnings
+
+
+@pytest.mark.parametrize("name, assignment, marches", [
+    # the convergence study's three dts and its reference at the finest dt / 8
+    ("conserve", "analysis.conv_length=150", ["n = 128, dt = 0.000125", "n = 128, dt = 0.001",
+                                              "n = 128, dt = 0.002", "n = 128, dt = 0.004"]),
+    # one probe march per band and amplitude
+    ("normalform_scaling", "data.bandlimit=40", ["n = 1024, dt = 0.001"] * 8)])
+def test_every_march_of_a_run_reports_its_resolution(name, assignment, marches, tmp_path,
+                                                     capsys):
+    path = write_fast_config(tmp_path, name)
+    assert main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")]) == 2
+    manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
+    assert [re.search(r"n = \d+, dt = [\d.e-]+", w)[0] for w in manifest["warnings"]] == marches
+    assert all(w.startswith("ResolutionWarning: ") for w in manifest["warnings"])
 
 
 # ---------------------------------------------------------------------------

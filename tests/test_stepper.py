@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bo3.flows import FlowKind, airy_propagate, tbo_rhs
 from bo3.spectral import RealField, l2_norm, make_grid
 from bo3.stepper import (
     BlowUpError,
+    ResolutionWarning,
     SolverConfig,
     convergence_order,
     integrate,
@@ -31,6 +33,11 @@ def grid():
 def wide():
     # nonlinear runs need eps * xi_max^2 * dt well inside the stability region
     return make_grid(256, 16.0 * np.pi)
+
+
+# A test whose marches the tail guard flags, though it asserts on other
+# things: its ResolutionWarnings are expected and not shown.
+flagged = pytest.mark.filterwarnings("ignore::bo3.stepper.ResolutionWarning")
 
 
 def small_state(grid, seed=1, eps=0.1, bandlimit=6.0):
@@ -62,6 +69,7 @@ def test_trajectory_requires_increasing_times(grid):
         trajectory([(0.0, f), (0.0, f)])
 
 
+@flagged
 def test_lazy_frames_match_fields_built_from_the_full_spectrum(wide):
     data = small_state(wide, seed=3, eps=0.2)
     cfg = SolverConfig(dt=1e-3, t_end=0.05, snapshot_stride=10)
@@ -81,6 +89,7 @@ FRAME_CASES = [(0.025, 10, [0, 10, 20, 25]), (0.02, 10, [0, 10, 20]), (0.005, 10
                (0.003, 1, [0, 1, 2, 3]), (0.0, 10, [0])]
 
 
+@flagged
 def test_trajectory_len_at_and_final(wide):
     data = small_state(wide, seed=3)
     for t_end, stride, steps in FRAME_CASES:
@@ -109,6 +118,7 @@ def test_a_span_shorter_than_a_step_is_one_step(wide):
     assert list(traj.times) == [0.0, 1e-20]
 
 
+@flagged
 def test_adjoint_frames_run_forward_in_time(wide):
     phi_T = small_state(wide, seed=3)
     w_T = small_state(wide, seed=4)
@@ -225,6 +235,7 @@ def test_in_place_march_matches_the_reference_step(n):
             assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@flagged
 def test_march_keeps_its_data_and_emits_distinct_frames(wide):
     # the state is updated in place: each emitted frame is a copy, and the
     # initial data are not touched
@@ -243,6 +254,7 @@ def test_march_keeps_its_data_and_emits_distinct_frames(wide):
     assert np.array_equal(phi0.modes, before[0]) and np.array_equal(v0.modes, before[1])
 
 
+@flagged
 def test_march_allocates_no_stage_temporaries():
     # the peak of a march is its own arrays (the state, the stepper's
     # buffers and multipliers, the trajectory) plus less than one half
@@ -306,6 +318,7 @@ def test_convergence_needs_three_dts(grid):
 # conservation and reversal smoke checks (full-budget runs live in acceptance)
 
 
+@flagged
 def test_l2_is_conserved_on_short_run(wide):
     data = small_state(wide, seed=4, eps=0.1)
     cfg = SolverConfig(dt=5e-4, t_end=0.1, snapshot_stride=40)
@@ -317,6 +330,7 @@ def test_l2_is_conserved_on_short_run(wide):
         assert l2_norm(fld) == pytest.approx(n0, rel=1e-8)
 
 
+@flagged
 def test_time_reversal(wide):
     data = small_state(wide, seed=5, eps=0.2)
     t_end = 0.2
@@ -346,25 +360,46 @@ def test_blowup_detection():
 
 def test_resolution_warnings_accumulate():
     grid = make_grid(64, 2.0 * np.pi)
-    # top-third content from the start trips the tail guard at every snapshot
+    # top-third content from the start trips the tail guard at every kept
+    # frame; the march warns once, at its caller, for all six
     hot = RealField(grid, 0.1 * np.sin(24.0 * grid.x))
     cfg = SolverConfig(dt=1e-4, t_end=5e-3, snapshot_stride=10)
-    traj = integrate(FlowKind("third_order_bo"), hot, cfg)
-    assert traj.warnings
-    assert all(kind == "resolution" for _, kind in traj.warnings)
+    with pytest.warns(ResolutionWarning) as record:
+        traj = integrate(FlowKind("third_order_bo"), hot, cfg)
+    assert len(record) == 1 and record[0].filename == __file__
+    warning = record[0].message
+    assert (warning.count, warning.first) == (len(traj.times), 0.0) == (6, 0.0)
+    assert "resolution" in str(warning) and "n = 64, dt = 0.0001" in str(warning)
 
 
 def test_tail_guard_watches_every_stacked_row(wide):
     # a smooth background with a hot second row: the single march of phi
-    # raises nothing, either pair raises a flag at every frame
+    # raises nothing, either pair flags every frame, the first where its
+    # march starts
     phi0 = small_state(wide, seed=35, eps=0.1, bandlimit=2.0)
     hot = RealField(wide, 1e-3 * np.sin(14.0 * wide.x))  # 14 >= (2/3) xi_max = 10.7
     cfg = SolverConfig(dt=1e-4, t_end=2e-3, snapshot_stride=10)
-    assert not integrate(FlowKind("third_order_bo"), phi0, cfg).warnings
-    for pair in (integrate_linearized_pair, integrate_adjoint_pair):
-        phi_traj, sec_traj = pair(phi0, hot, cfg)
-        assert [t for t, _ in phi_traj.warnings] == list(phi_traj.times)
-        assert sec_traj.warnings == phi_traj.warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate(FlowKind("third_order_bo"), phi0, cfg)
+    for pair, start in ((integrate_linearized_pair, 0.0), (integrate_adjoint_pair, cfg.t_end)):
+        with pytest.warns(ResolutionWarning) as record:
+            phi_traj, _ = pair(phi0, hot, cfg)
+        assert len(record) == 1 and record[0].filename == __file__
+        assert (record[0].message.count, record[0].message.first) == (len(phi_traj.times), start)
+
+
+def test_streamed_march_warns_once_after_its_last_block():
+    grid = make_grid(64, 2.0 * np.pi)
+    hot = RealField(grid, 0.1 * np.sin(24.0 * grid.x))
+    cfg = SolverConfig(dt=1e-4, t_end=0.02, snapshot_stride=1)  # 201 frames: 64, 64, 64, 9
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        seen = integrate(FlowKind("third_order_bo"), hot, cfg,
+                         reduce=lambda block: (len(block.times), len(record)))
+    assert seen == [(64, 0), (64, 0), (64, 0), (9, 0)]
+    assert [w.category for w in record] == [ResolutionWarning]
+    assert (record[0].message.count, record[0].message.first) == (201, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +410,7 @@ def _energies(block):
     return invariants.track(block, invariants.CHANNELS)
 
 
+@flagged
 @pytest.mark.parametrize("frames", [1, 64, 65, 201])
 def test_streamed_energies_match_the_whole_trajectory_bit_for_bit(wide, frames):
     data = small_state(wide, seed=36, eps=0.2)
@@ -390,6 +426,7 @@ def test_streamed_energies_match_the_whole_trajectory_bit_for_bit(wide, frames):
         assert np.array_equal(streamed.channels[name], whole.channels[name]), name
 
 
+@flagged
 def test_streamed_blocks_hold_only_their_own_frames(wide):
     # a reducer that keeps every block sees each frame once, in its own block,
     # unchanged by the blocks that follow
@@ -418,6 +455,7 @@ def test_streamed_blowup_stops_at_the_same_time():
     assert times[0] == times[1]
 
 
+@flagged
 def test_streamed_march_memory_does_not_grow_with_its_frames():
     # a stride-1 march reduced by track holds one block of frames: 2000
     # frames peak where 200 do, though the 1800 more half spectra are 3.7 MB
@@ -458,6 +496,7 @@ def test_pair_with_zero_background_is_airy(wide):
         assert np.max(np.abs(fld.values - ref.values)) <= 1e-10
 
 
+@flagged
 def test_pair_with_zero_direction_stays_zero(wide):
     phi0 = small_state(wide, seed=7, eps=0.2)
     zero = RealField(wide, np.zeros(wide.n))
@@ -466,6 +505,7 @@ def test_pair_with_zero_direction_stays_zero(wide):
     assert np.max(np.abs(v_traj.final().values)) == 0.0
 
 
+@flagged
 def test_pair_approximates_difference_quotient(wide):
     # v(t) tracks (phi^h(t) - phi(t)) / h with O(h) relative error
     phi0 = small_state(wide, seed=8, eps=0.2)
@@ -481,6 +521,7 @@ def test_pair_approximates_difference_quotient(wide):
     assert rel <= 10.0 * h / 1e-4 * 1e-3  # O(h) with a generous constant
 
 
+@flagged
 def test_pair_phi_row_is_the_single_march(wide):
     phi0 = small_state(wide, seed=20, eps=0.15)
     v0 = small_state(wide, seed=21, eps=0.5)
@@ -492,6 +533,7 @@ def test_pair_phi_row_is_the_single_march(wide):
         assert np.array_equal(a.values, b.values)
 
 
+@flagged
 def test_transform_budget_per_stage(wide, monkeypatch):
     # rows per batched transform: a third-order stage takes phi and H phi_x
     # to the product grid and brings two products back; a pair stage adds
@@ -532,6 +574,7 @@ def test_linearized_background_validation(wide):
             pair(phi0, v_other, cfg)
 
 
+@flagged
 def test_adjoint_pairing_constant_along_flow(wide):
     # <v(t), w(t)> is invariant when w solves the backward adjoint equation
     phi0 = small_state(wide, seed=10, eps=0.15)
