@@ -217,7 +217,8 @@ def bilinear_strichartz_ratio(
     n = grid.n
     modes = np.arange(n)
     modes[n // 2:] -= n
-    live_j, live_k = pj.spectrum != 0.0, pk.spectrum != 0.0
+    spec_j, spec_k = pj.spectrum, pk.spectrum  # a real field derives it on every read
+    live_j, live_k = spec_j != 0.0, spec_k != 0.0
     live_j[grid.nyquist_index] = live_k[grid.nyquist_index] = False
     if nj == 0.0 or nk == 0.0 or not (live_j.any() and live_k.any()):
         return 0.0
@@ -235,7 +236,7 @@ def bilinear_strichartz_ratio(
     cubed = -1j * xi_cubed(grid)[idx]
     # the factor m/n (a power of two, so exact) makes a length-m inverse
     # transform give the n-point one's values at the coarse points
-    sj, sk = (m / n) * pj.spectrum[idx], (m / n) * pk.spectrum[idx]
+    sj, sk = (m / n) * spec_j[idx], (m / n) * spec_k[idx]
     pos = modes[idx] % m
     inverse = np.fft.irfft if real else np.fft.ifft
     width = m // 2 + 1 if real else m

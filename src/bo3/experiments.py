@@ -60,7 +60,7 @@ class ConfigError(ValueError):
 # Config sections.  ``grid`` and ``solver`` (``stepper.SolverConfig``) are
 # shared; each experiment reads its initial data through one of the ``data``
 # classes and its own settings through one of the ``analysis`` classes, which
-# range-check their fields in ``check(grid, solver)``.
+# range-check their fields in ``check(grid, cfg)``.
 
 
 @dataclass
@@ -119,21 +119,30 @@ class ConserveAnalysis:
     conv_length: float = 16.0 * math.pi
     conv_amplitude: float = 0.5
 
-    def check(self, grid, solver) -> None:
+    def study_data(self, seed) -> RealField:
+        """The initial data of the convergence study."""
+        grid = make_grid(self.conv_n, self.conv_length)
+        return profiles.make_profile("random_bandlimited", grid, amplitude=self.conv_amplitude,
+                                     bandlimit=2.0, seed=seed)
+
+    def check(self, grid, cfg) -> None:
         _grid("analysis.conv_", self.conv_n, self.conv_length)
         if len(set(self.conv_dts)) < 3 or min(self.conv_dts) <= 0:
             raise ConfigError("analysis.conv_dts must hold at least three distinct positive "
                               f"steps, got {list(self.conv_dts)}")
+        _check_data(", ".join(f"analysis.{k}={getattr(self, k)!r}"
+                              for k in ("conv_n", "conv_length", "conv_amplitude")),
+                    lambda: self.study_data(cfg.seed))
 
 
 @dataclass
 class ScalingAnalysis:
     scale_factor: float = field(default=2.0, metadata={"range": "positive"})
 
-    def check(self, grid, solver) -> None:
+    def check(self, grid, cfg) -> None:
         if self.scale_factor == 1:  # the rescaled run would be the run itself
             raise ConfigError("analysis.scale_factor must not be 1")
-        _rescaled(grid, solver, self.scale_factor)
+        _rescaled(grid, cfg.solver, self.scale_factor)
 
 
 def _rescaled(grid, solver, lam):
@@ -155,7 +164,7 @@ class AiryAnalysis:
     vf_t_hi: float = field(default=20.0, metadata={"range": "positive"})
     vf_points: int = field(default=9, metadata={"range": "at least 2"})
 
-    def check(self, grid, solver) -> None:
+    def check(self, grid, cfg) -> None:
         if not 0 < self.fit_t_lo < self.fit_t_hi:
             raise ConfigError("analysis.fit_t_lo and analysis.fit_t_hi must satisfy "
                               f"0 < fit_t_lo < fit_t_hi, got {self.fit_t_lo} and {self.fit_t_hi}")
@@ -168,7 +177,7 @@ class StrichartzAnalysis:
     window_factor: float = field(default=0.125, metadata={"range": "positive"})
     time_samples: int = field(default=64, metadata={"range": "at least 2"})
 
-    def check(self, grid, solver) -> None:
+    def check(self, grid, cfg) -> None:
         _check_bands("analysis.j_band", [self.j_band], grid)
         _check_bands("analysis.k_bands", self.k_bands, grid)
         if any(abs(k - self.j_band) <= 2 for k in self.k_bands):
@@ -183,7 +192,7 @@ class NormalformAnalysis:
     t_probe: float = field(default=0.1, metadata={"range": "nonnegative"})
     residual_dt: float = field(default=1e-3, metadata={"range": "positive"})
 
-    def check(self, grid, solver) -> None:
+    def check(self, grid, cfg) -> None:
         amps = self.amplitudes
         if len(amps) < 4 or not all(0 < a < b for a, b in zip(amps, amps[1:])):
             raise ConfigError("analysis.amplitudes must be at least four positive increasing "
@@ -198,10 +207,10 @@ class DecayAnalysis:
     c_region: float = field(default=1.0, metadata={"range": "positive"})
     report_t_lo: float = 1.0
 
-    def check(self, grid, solver) -> None:
-        if self.report_t_lo > solver.t_end:
+    def check(self, grid, cfg) -> None:
+        if self.report_t_lo > cfg.solver.t_end:
             raise ConfigError(f"analysis.report_t_lo = {self.report_t_lo} exceeds solver.t_end = "
-                              f"{solver.t_end}: no frame would be judged")
+                              f"{cfg.solver.t_end}: no frame would be judged")
 
 
 @dataclass
@@ -417,6 +426,20 @@ def _grid(prefix: str, n, length):
         raise ConfigError(f"{prefix}n={n!r}, {prefix}length={length!r}: {exc}") from None
 
 
+def _check_data(shown: str, build) -> None:
+    """Raise ConfigError, led by ``shown``, unless ``build()`` makes its data: a
+    field or a tuple of fields, none of them with a nonzero sample while the
+    sum of its squares is below the smallest normal float.  Every quadratic
+    quantity of such data, the RMS of the mean-free test too, underflows."""
+    try:
+        data = build()
+    except (KeyError, ValueError, OverflowError) as exc:  # KeyError: an unknown profile
+        raise ConfigError(f"{shown}: {exc}") from None
+    for f in data if isinstance(data, tuple) else (data,):
+        if np.any(f.values) and np.sum(f.values ** 2) < np.finfo(float).tiny:
+            raise ConfigError(f"{shown}: the data's sum of squares underflows")
+
+
 def _check_bands(name: str, bands, grid, check=check_band) -> None:
     """Raise ConfigError unless ``bands`` is a nonempty list that ``check(grid, k)`` passes."""
     if not bands:
@@ -472,13 +495,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"the run needs about {need / 2**30:.3g} GiB, over the "
                           f"{MEMORY_BUDGET / 2**30:g} GiB of experiments.MEMORY_BUDGET")
     grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
-    try:
-        cfg.initial_data()
-    except (KeyError, ValueError, OverflowError) as exc:  # KeyError: an unknown profile
-        shown = ", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
-        raise ConfigError(f"{shown}: {exc}") from None
+    _check_data(", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items()),
+                cfg.initial_data)
     if cfg.analysis is not None:
-        cfg.analysis.check(grid, cfg.solver)
+        cfg.analysis.check(grid, cfg)
 
 
 @functools.cache
@@ -516,12 +536,7 @@ def _exp_conserve(cfg, out_dir):
     metrics = {f"{name.lower()}_drift": series.drift(name) for name in ("E0", "E1", "E2")}
 
     ana = cfg.analysis
-    conv_grid = make_grid(ana.conv_n, ana.conv_length)
-    conv_data = profiles.make_profile(
-        "random_bandlimited", conv_grid, amplitude=ana.conv_amplitude,
-        bandlimit=2.0, seed=cfg.seed,
-    )
-    conv = convergence_order(conv_data, ana.conv_t_end, ana.conv_dts)
+    conv = convergence_order(ana.study_data(cfg.seed), ana.conv_t_end, ana.conv_dts)
     snapshots.write_csv(out_dir / "convergence.csv",
                         [["dt", "error"]] + [[d, e] for d, e in zip(conv.dts, conv.errors)])
     metrics["convergence_order"] = conv.order
@@ -570,13 +585,14 @@ def _exp_airy_decay(cfg, out_dir):
 
     # conservation of the vector-field norm while the support stays interior
     ref = l2_norm(invariants.l_vector_field(data, 0.0))
+    scale = ref if ref != 0.0 else 1.0  # zero data: the deviation is absolute
     vf_dev = 0.0
     vf_rows = [["t", "l_vf_norm"]]
     for t in np.linspace(0.0, ana.vf_t_hi, ana.vf_points):
         u = airy_propagate(data, float(t))
         val = l2_norm(invariants.l_vector_field(u, float(t)))
         vf_rows.append([float(t), val])
-        vf_dev = max(vf_dev, abs(val - ref) / ref)
+        vf_dev = max(vf_dev, abs(val - ref) / scale)
     vf_csv = out_dir / "vector_field_norm.csv"
     snapshots.write_csv(vf_csv, vf_rows)
 

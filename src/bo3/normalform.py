@@ -61,8 +61,8 @@ RESIDUAL_REFINE = 2
 
 
 def gauge_phase(phi: RealField) -> RealField:
-    """Phase with ``2 d_x Phi = phi``; removes the paradifferential terms."""
-    require_mean_free(phi)
+    """Phase with ``2 d_x Phi = phi``; removes the paradifferential terms.
+    ``antiderivative`` raises MeanError unless phi is mean-free."""
     return RealField(phi.grid, 0.5 * antiderivative(phi).values)
 
 
@@ -147,7 +147,7 @@ def _dt_band_transform(phi: RealField, k: int, F: RealField):
     # B_k is symmetric term by term, so B_k(phi, F) is B_k(F, phi) to the bit
     b = bk_bilinear(F, phi, k).values
     dt_tilde = project_band(F, band).values + b + b
-    dt_phase = project_below(RealField(phi.grid, 0.5 * antiderivative(F).values), k)
+    dt_phase = project_below(gauge_phase(F), k)
     return dt_tilde, dt_phase
 
 

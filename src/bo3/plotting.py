@@ -38,40 +38,20 @@ def _ticks(lo: float, hi: float, loglog: bool):
     return [i * step for i in range(first, last + 1)]
 
 
-def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
-                  title="", annotate=""):
-    """Write a simple multi-series line plot.
-
-    ``series`` is a list of (label, xs, ys).  With ``loglog`` both axes are
-    logarithmic and nonpositive points are dropped.
-    """
-    xlabel, ylabel, title, annotate = map(_escape, (xlabel, ylabel, title, annotate))
-    pts_all = []
-    clean = []
-    for label, xs, ys in series:
-        pairs = [
-            (float(x), float(y))
-            for x, y in zip(xs, ys)
-            if (not loglog or (x > 0 and y > 0)) and math.isfinite(x) and math.isfinite(y)
-        ]
-        if pairs:
-            clean.append((_escape(label), pairs))
-            pts_all.extend(pairs)
-    if not pts_all:
-        raise ValueError("nothing to plot")
-
+def _axes_and_lines(clean, loglog, pw, ph):
+    """The SVG elements of the ticks and the paths of the ``(label, pairs)``
+    series, scaled to fit every point into the ``pw`` x ``ph`` plot area."""
     def tx(v):
         return math.log10(v) if loglog else v
 
-    xs = [tx(p[0]) for p in pts_all]
-    ys = [tx(p[1]) for p in pts_all]
+    xs = [tx(x) for _, pairs in clean for x, _ in pairs]
+    ys = [tx(y) for _, pairs in clean for _, y in pairs]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(v):
         return _ML + (tx(v) - x0) / (x1 - x0) * pw
@@ -79,12 +59,7 @@ def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
     def py(v):
         return _MT + ph - (tx(v) - y0) / (y1 - y0) * ph
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
-    ]
+    out = []
     inv = (lambda v: 10.0**v) if loglog else (lambda v: v)
     for t in _ticks(inv(x0), inv(x1), loglog):
         if inv(x0) <= t <= inv(x1) * (1 + 1e-9):
@@ -106,6 +81,39 @@ def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
         out.append(
             f'<text x="{_ML + 10}" y="{_MT + 16 + 14 * i}" fill="{color}">{label}</text>'
         )
+    return out
+
+
+def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
+                  title="", annotate=""):
+    """Write a simple multi-series line plot.
+
+    ``series`` is a list of (label, xs, ys).  With ``loglog`` both axes are
+    logarithmic and nonpositive points are dropped.  A plot left with no
+    point to draw is the empty frame with a "no finite points" note.
+    """
+    xlabel, ylabel, title, annotate = map(_escape, (xlabel, ylabel, title, annotate))
+    clean = []
+    for label, xs, ys in series:
+        pairs = [
+            (float(x), float(y))
+            for x, y in zip(xs, ys)
+            if (not loglog or (x > 0 and y > 0)) and math.isfinite(x) and math.isfinite(y)
+        ]
+        if pairs:
+            clean.append((_escape(label), pairs))
+    pw, ph = _W - _ML - _MR, _H - _MT - _MB
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
+    ]
+    if clean:
+        out.extend(_axes_and_lines(clean, loglog, pw, ph))
+    else:
+        out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_MT + ph / 2:.0f}" '
+                   'text-anchor="middle">no finite points</text>')
     out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
     out.append(
         f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '

@@ -93,6 +93,9 @@ class SpectralGrid:
         length = float(length)
         if not np.isfinite(length) or length <= 0.0:
             raise GridError(f"domain length must be positive and finite, got {length!r}")
+        if not np.isfinite(np.pi * n / length):
+            raise GridError(f"domain length {length!r} is too short for {n} points: "
+                            "the largest wavenumber pi*n/L is not finite")
         self.n = int(n)
         self.length = length
         self.spacing = length / n
@@ -381,7 +384,9 @@ def half_multiplier(grid: SpectralGrid, half: str) -> np.ndarray:
 
 
 def _apply_mask(f, mask: np.ndarray, force_complex: bool):
-    # mask is in FFT order; a field's own modes are a prefix of it
+    # mask is in FFT order; a field's own modes are a prefix of it.  A half
+    # projection is complex and spans negative wavenumbers, so it needs all n
+    # modes, which a real field derives from its half spectrum.
     if force_complex:
         return ComplexField.from_spectrum(f.grid, mask * f.spectrum)
     return type(f).from_spectrum(f.grid, mask[: f.modes.size] * f.modes)

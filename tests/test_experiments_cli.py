@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
@@ -388,6 +389,47 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
         assert code == 3, assignment
         assert assignment.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, assignments", [
+    # data whose squares underflow: each once passed validation, made the
+    # output directory and stopped in the run on a MeanError or, for
+    # airy_decay, a ZeroDivisionError
+    ("conserve", ["data.amplitude=1e-300"]),
+    ("airy_decay", ["data.amplitude=1e-300", "grid.n=64"]),
+    # the convergence study's data: identically zero, or underflowing
+    ("conserve", ["analysis.conv_length=1.0"]),
+    ("conserve", ["analysis.conv_amplitude=1e-300"])])
+def test_data_no_run_can_use_is_a_config_error(name, assignments, tmp_path, capsys):
+    args = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "out")]
+    assert main(args + [arg for a in assignments for arg in ("--set", a)]) == 3
+    assert assignments[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_with_no_finite_wavenumber_is_a_config_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # once an overflow in np.fft.fftfreq
+        code = main(["validate", str(CONFIG_DIR / "conserve.json"),
+                     "--set", "grid.length=1e-306"])
+    assert code == 3
+    assert ("grid.length=1e-306: domain length 1e-306 is too short for 1024 points"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name, assignment, code, svg", [
+    # one frame at t = 0: no drift to draw
+    ("conserve", "solver.t_end=0", 0, "energies.svg"),
+    # every sup is 0, so no point on log axes, and the NaN slope fails
+    ("airy_decay", "data.amplitude=0", 1, "airy_decay.svg")])
+def test_a_plot_with_no_point_ends_the_run_with_a_manifest(name, assignment, code, svg,
+                                                           tmp_path, capsys):
+    path = write_fast_config(tmp_path, name)
+    assert main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")]) == code
+    out = tmp_path / "out" / name
+    assert svg in json.loads((out / "manifest.json").read_text())["outputs"]
+    assert "no finite points" in (out / svg).read_text()
+    ElementTree.parse(out / svg)
 
 
 @pytest.mark.parametrize("factor", ["1e20", "1e100"])

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ElementTree
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,15 @@ def test_line_plot_svg(tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert "slope -1/2" in text
+
+
+def test_line_plot_svg_without_a_point_draws_the_frame(tmp_path):
+    out = tmp_path / "plot.svg"
+    line_plot_svg([("zeros", [1.0, 2.0], [0.0, 0.0]), ("nan", [1.0], [np.nan])], out,
+                  loglog=True, title="t<1")
+    text = out.read_text()
+    assert "no finite points" in text and "<path" not in text and "t&lt;1" in text
+    ElementTree.parse(out)
 
 
 def test_plot_csv(tmp_path):
