@@ -27,7 +27,7 @@ from . import dispersion, invariants, normalform, plotting, profiles, snapshots
 from .flows import (FlowKind, adjoint_linearized_rhs, airy_propagate, linearized_tbo_rhs,
                     tbo_rhs)
 from .invariants import l2_norm
-from .spectral import BandError, RealField, check_band, make_grid, sobolev_norm
+from .spectral import RealField, check_band, make_grid, sobolev_norm
 from .spectral import envelope as spectral_envelope
 from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, integrate,
                       integrate_linearized_pair, convergence_order)
@@ -59,8 +59,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config sections.  ``grid`` and ``solver`` (``stepper.SolverConfig``) are
 # shared; each experiment reads its initial data through one of the ``data``
-# classes and its own settings through one of the ``analysis`` classes, which
-# range-check their fields in ``check(grid, cfg)``.
+# classes.  conserve and normalform_scaling read the one measurement setting
+# they leave open through an ``analysis`` class; their other settings are
+# class constants there, and those of the other experiments are module
+# constants next to TOLERANCES.
 
 
 @dataclass
@@ -91,6 +93,16 @@ class ProfileData(ShapeData):
 
 
 @dataclass
+class PairData(ProfileData):
+    """The data (phi0, v0) of the pair (phi, v): the profile, and v0 random of its size and band."""
+
+    def build(self, grid, seed) -> tuple:
+        phi0 = super().build(grid, seed)
+        return phi0, profiles.make_profile("random_bandlimited", grid, amplitude=self.amplitude,
+                                           bandlimit=self.bandlimit, seed=seed + 1)
+
+
+@dataclass
 class WindowedData:
     """Two mean-free random fields under a centred Gaussian window."""
     bandlimit: float = 1.0
@@ -107,110 +119,28 @@ class WindowedData:
 
 
 # The ranges a field can declare; validate_config checks them with the types.
-_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
-           "at least 2": lambda v: v >= 2}
+_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
 @dataclass
 class ConserveAnalysis:
-    conv_dts: list[float] = field(default_factory=lambda: [4e-3, 2e-3, 1e-3])
+    """The horizon of the convergence study; its steps, grid and data are fixed."""
     conv_t_end: float = field(default=0.5, metadata={"range": "positive"})
-    conv_n: int = 128
-    conv_length: float = 16.0 * math.pi
-    conv_amplitude: float = 0.5
-
-    def study_data(self, seed) -> RealField:
-        """The initial data of the convergence study."""
-        grid = make_grid(self.conv_n, self.conv_length)
-        return profiles.make_profile("random_bandlimited", grid, amplitude=self.conv_amplitude,
-                                     bandlimit=2.0, seed=seed)
-
-    def check(self, grid, cfg) -> None:
-        _grid("analysis.conv_", self.conv_n, self.conv_length)
-        if len(set(self.conv_dts)) < 3 or min(self.conv_dts) <= 0:
-            raise ConfigError("analysis.conv_dts must hold at least three distinct positive "
-                              f"steps, got {list(self.conv_dts)}")
-        _check_data(", ".join(f"analysis.{k}={getattr(self, k)!r}"
-                              for k in ("conv_n", "conv_length", "conv_amplitude")),
-                    lambda: self.study_data(cfg.seed))
-
-
-@dataclass
-class ScalingAnalysis:
-    scale_factor: float = field(default=2.0, metadata={"range": "positive"})
-
-    def check(self, grid, cfg) -> None:
-        if self.scale_factor == 1:  # the rescaled run would be the run itself
-            raise ConfigError("analysis.scale_factor must not be 1")
-        _rescaled(grid, cfg.solver, self.scale_factor)
-
-
-def _rescaled(grid, solver, lam):
-    """The grid and solver settings of the run rescaled by ``lam``: the domain
-    shrinks by lam and the times by lam**3.  A factor whose rescaled run cannot
-    be built (lam**3 under- or overflows) is a ConfigError."""
-    try:
-        return (make_grid(grid.n, grid.length / lam),
-                dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:  # ValueError: a GridError too
-        raise ConfigError(f"analysis.scale_factor={lam!r}: {exc}") from None
-
-
-@dataclass
-class AiryAnalysis:
-    fit_t_lo: float = 1.0
-    fit_t_hi: float = 100.0
-    fit_points: int = field(default=40, metadata={"range": "at least 2"})
-    vf_t_hi: float = field(default=20.0, metadata={"range": "positive"})
-    vf_points: int = field(default=9, metadata={"range": "at least 2"})
-
-    def check(self, grid, cfg) -> None:
-        if not 0 < self.fit_t_lo < self.fit_t_hi:
-            raise ConfigError("analysis.fit_t_lo and analysis.fit_t_hi must satisfy "
-                              f"0 < fit_t_lo < fit_t_hi, got {self.fit_t_lo} and {self.fit_t_hi}")
-
-
-@dataclass
-class StrichartzAnalysis:
-    j_band: int = 2
-    k_bands: list[int] = field(default_factory=lambda: [5, 6, 7, 8, 9, 10])
-    window_factor: float = field(default=0.125, metadata={"range": "positive"})
-    time_samples: int = field(default=64, metadata={"range": "at least 2"})
-
-    def check(self, grid, cfg) -> None:
-        _check_bands("analysis.j_band", [self.j_band], grid)
-        _check_bands("analysis.k_bands", self.k_bands, grid)
-        if any(abs(k - self.j_band) <= 2 for k in self.k_bands):
-            raise ConfigError(f"analysis.k_bands must keep |k - j_band| > 2 for "
-                              f"j_band = {self.j_band}, got {list(self.k_bands)}")
+    # class constants, not fields
+    conv_dts = (4e-3, 2e-3, 1e-3)
+    conv_n = 128
+    conv_length = 16.0 * math.pi
+    conv_amplitude = 0.5
 
 
 @dataclass
 class NormalformAnalysis:
-    bands: list[int] = field(default_factory=lambda: [1, 2])
-    amplitudes: list[float] = field(default_factory=lambda: [0.01, 0.02, 0.04, 0.08])
+    """The time of the normal-form probe; its bands, amplitudes and step are fixed."""
     t_probe: float = field(default=0.1, metadata={"range": "nonnegative"})
-    residual_dt: float = field(default=1e-3, metadata={"range": "positive"})
-
-    def check(self, grid, cfg) -> None:
-        amps = self.amplitudes
-        if len(amps) < 4 or not all(0 < a < b for a, b in zip(amps, amps[1:])):
-            raise ConfigError("analysis.amplitudes must be at least four positive increasing "
-                              f"numbers, got {amps}")
-        # the bands the body hands to the band normal form, under its own rule
-        _check_bands("analysis.bands", self.bands, grid, normalform._check_band)
-
-
-@dataclass
-class DecayAnalysis:
-    delta: float = field(default=0.05, metadata={"range": "positive"})
-    c_region: float = field(default=1.0, metadata={"range": "positive"})
-    report_t_lo: float = 1.0
-
-    def check(self, grid, cfg) -> None:
-        if self.report_t_lo > cfg.solver.t_end:
-            raise ConfigError(f"analysis.report_t_lo = {self.report_t_lo} exceeds solver.t_end = "
-                              f"{cfg.solver.t_end}: no frame would be judged")
+    # class constants, not fields
+    bands = (1, 2)
+    amplitudes = (0.01, 0.02, 0.04, 0.08)
+    residual_dt = 1e-3
 
 
 @dataclass
@@ -289,6 +219,21 @@ TOLERANCES = {
     "lnl_half_over_eps": ("lnl_half_over_eps", "<=", 20.0),
 }
 
+# What each experiment measures is fixed for the same reason: the band
+# ladder, the fit windows, delta, c, lambda and the amplitude sweep.  Those of
+# conserve and normalform_scaling are class constants of ConserveAnalysis and
+# NormalformAnalysis; these are the others.
+SCALE_FACTOR = 2.0  # scaling: lambda of the rescaled run
+AIRY_FIT = (1.0, 100.0, 40)  # airy_decay: the sup fitted at 40 log-spaced t in [1, 100]
+AIRY_VF = (20.0, 9)  # airy_decay: the vector-field norm at 9 t in [0, 20]
+STRICHARTZ_J = 2  # strichartz: band j against each band k, then the halves of the middle k
+STRICHARTZ_K = (5, 6, 7, 8, 9, 10)
+STRICHARTZ_WINDOW = 0.125  # a pair (j, k) is sampled over t in [0, 0.125 L 4**-max(j, k)]
+STRICHARTZ_SAMPLES = 64  # at this many times
+DECAY_DELTA = 0.05  # decay_profile: the paper's small exponent delta
+DECAY_C_REGION = 1.0  # the c of the regions' edge |x| = c t^(1/3)
+DECAY_T_LO = 1.0  # the first time whose frame is judged
+
 # Signed distance of a value v to a bound b, >= 0 exactly when v passes; a NaN
 # value gives a NaN margin and fails every test.
 _MARGINS = {
@@ -345,7 +290,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         unread = [f"{key}.{k}" for k in sub if k not in known]
         if unread:
             raise ConfigError(f"{name} reads no {', '.join(unread)}")
-        # the analysis lists stay JSON lists; validate_config checks them
         try:
             return cls(**sub) if cls else None
         except (TypeError, ValueError, OverflowError) as exc:  # SolverConfig's own checks
@@ -378,8 +322,7 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
     vars(cfg).update(vars(config_from_dict(d)))
 
 
-_KINDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
-          str: ("a string", "strings")}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _fits(x, kind) -> bool:
@@ -399,31 +342,17 @@ def _fits(x, kind) -> bool:
 
 def _check_fields(prefix: str, obj, names=None) -> None:
     """Raise ConfigError unless each named field of a dataclass fits its annotation
-    (a ``list[kind]`` field takes a list of such values) and its declared range."""
+    and its declared range."""
     hints = typing.get_type_hints(type(obj))
     for fld in dataclasses.fields(obj):
         if names and fld.name not in names:
             continue
         name, rule = fld.name, fld.metadata.get("range")
         hint, value = hints[name], getattr(obj, name)
-        if typing.get_origin(hint) is list:
-            kind = typing.get_args(hint)[0]
-            ok = isinstance(value, list) and all(_fits(x, kind) for x in value)
-            what = "a list of " + _KINDS[kind][1]
-        else:
-            ok, what = _fits(value, hint), _KINDS[hint][0]
-        if not ok:
-            raise ConfigError(f"{prefix}{name} must be {what}, got {value!r}")
+        if not _fits(value, hint):
+            raise ConfigError(f"{prefix}{name} must be {_KINDS[hint]}, got {value!r}")
         if rule and not _RANGES[rule](value):
             raise ConfigError(f"{prefix}{name} must be {rule}, got {value!r}")
-
-
-def _grid(prefix: str, n, length):
-    """The grid of the fields ``<prefix>n`` and ``<prefix>length``."""
-    try:
-        return make_grid(n, length)
-    except ValueError as exc:  # a GridError, or NumPy refusing an array of n points
-        raise ConfigError(f"{prefix}n={n!r}, {prefix}length={length!r}: {exc}") from None
 
 
 def _check_data(shown: str, build) -> None:
@@ -440,15 +369,29 @@ def _check_data(shown: str, build) -> None:
             raise ConfigError(f"{shown}: the data's sum of squares underflows")
 
 
-def _check_bands(name: str, bands, grid, check=check_band) -> None:
-    """Raise ConfigError unless ``bands`` is a nonempty list that ``check(grid, k)`` passes."""
-    if not bands:
-        raise ConfigError(f"{name} must not be empty")
-    for k in bands:
-        try:
-            check(grid, k)
-        except BandError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
+def _check_fixed(cfg: ExperimentConfig, grid, shown: str) -> None:
+    """Raise ConfigError, led by ``shown``, unless the fixed settings fit the grid and
+    solver: the bands are resolved, the rescaled run builds, the decay report
+    judges a frame, and the duality fields are data by ``_check_data``'s rules."""
+    name = cfg.experiment
+    try:
+        if name == "strichartz":
+            for k in (STRICHARTZ_J, *STRICHARTZ_K):
+                check_band(grid, k)
+        elif name == "normalform_scaling":
+            for k in NormalformAnalysis.bands:
+                normalform._check_band(grid, k)
+        elif name == "scaling":
+            shown += f": the run rescaled by {SCALE_FACTOR:g}"
+            _rescaled(grid, cfg.solver)
+        elif name == "decay_profile" and cfg.solver.t_end < DECAY_T_LO:
+            raise ValueError(f"solver.t_end={cfg.solver.t_end!r} ends before t = {DECAY_T_LO:g}, "
+                             "where the decay report starts to judge")
+    except ValueError as exc:  # a BandError, a GridError or a step the solver refuses
+        raise ConfigError(f"{shown}: {exc}") from None
+    if name == "linearized_l2":
+        _check_data(f"{shown}: the duality fields (bandlimit 2.0)",
+                    lambda: _duality_fields(grid, cfg.data.amplitude, cfg.seed))
 
 
 # The most memory a run may ask for, in bytes as ``_run_bytes`` estimates them.
@@ -457,7 +400,8 @@ MEMORY_BUDGET = 2**30
 
 def _run_bytes(cfg: ExperimentConfig) -> float:
     """Estimated bytes of a run's largest arrays: x, xi and sign(xi) of each grid
-    it builds (``grid.n`` and ``analysis.conv_n``), 24 B a point, and the half
+    it builds (``grid.n`` and, for conserve, the study's fixed
+    ``ConserveAnalysis.conv_n``), 24 B a point, and the half
     spectra its trajectories hold, frames x (n/2+1) x 16 B per stacked row.  The
     frames (t = 0, every stride-th step and the last) are counted in floats, at
     most one over the stepper's plan, so an absurd step count cannot overflow.
@@ -485,7 +429,8 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check every precondition knowable before any compute starts: the common fields,
     the field types of every section, the run's memory, the grid, the data and the
-    analysis.  config_from_dict checked the experiment and the solver's values."""
+    fixed settings against the settable ones.  config_from_dict checked the
+    experiment and the solver's values."""
     _check_fields("", cfg, ["seed"])
     for key, cls in EXPERIMENTS[cfg.experiment].sections().items():
         if cls is not None:
@@ -494,11 +439,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if need > MEMORY_BUDGET:
         raise ConfigError(f"the run needs about {need / 2**30:.3g} GiB, over the "
                           f"{MEMORY_BUDGET / 2**30:g} GiB of experiments.MEMORY_BUDGET")
-    grid = _grid("grid.", cfg.grid.n, cfg.grid.length)
+    shown = f"grid.n={cfg.grid.n!r}, grid.length={cfg.grid.length!r}"
+    try:
+        grid = make_grid(cfg.grid.n, cfg.grid.length)
+    except ValueError as exc:  # a GridError, or NumPy refusing an array of n points
+        raise ConfigError(f"{shown}: {exc}") from None
     _check_data(", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items()),
                 cfg.initial_data)
-    if cfg.analysis is not None:
-        cfg.analysis.check(grid, cfg)
+    _check_fixed(cfg, grid, shown)
 
 
 @functools.cache
@@ -536,7 +484,9 @@ def _exp_conserve(cfg, out_dir):
     metrics = {f"{name.lower()}_drift": series.drift(name) for name in ("E0", "E1", "E2")}
 
     ana = cfg.analysis
-    conv = convergence_order(ana.study_data(cfg.seed), ana.conv_t_end, ana.conv_dts)
+    study = profiles.make_profile("random_bandlimited", make_grid(ana.conv_n, ana.conv_length),
+                                  amplitude=ana.conv_amplitude, bandlimit=2.0, seed=cfg.seed)
+    conv = convergence_order(study, ana.conv_t_end, ana.conv_dts)
     snapshots.write_csv(out_dir / "convergence.csv",
                         [["dt", "error"]] + [[d, e] for d, e in zip(conv.dts, conv.errors)])
     metrics["convergence_order"] = conv.order
@@ -551,12 +501,20 @@ def _exp_conserve(cfg, out_dir):
     return metrics, [csv, out_dir / "convergence.csv", svg]
 
 
+def _rescaled(grid, solver):
+    """The grid and solver settings of the run rescaled by ``SCALE_FACTOR``: the
+    domain shrinks by lam and the times by lam**3."""
+    lam = SCALE_FACTOR
+    return (make_grid(grid.n, grid.length / lam),
+            dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
+
+
 def _exp_scaling(cfg, out_dir):
-    lam = cfg.analysis.scale_factor
+    lam = SCALE_FACTOR
     data = cfg.initial_data()
     base = integrate(FlowKind("third_order_bo"), data, cfg.solver)
 
-    grid2, sol2 = _rescaled(data.grid, cfg.solver, lam)
+    grid2, sol2 = _rescaled(data.grid, cfg.solver)
     scaled = integrate(FlowKind("third_order_bo"), RealField(grid2, lam * data.values), sol2)
 
     devs = []
@@ -571,9 +529,7 @@ def _exp_scaling(cfg, out_dir):
 
 def _exp_airy_decay(cfg, out_dir):
     data = cfg.initial_data()
-    ana = cfg.analysis
-    times = np.geomspace(ana.fit_t_lo, ana.fit_t_hi, ana.fit_points)
-    slope, ts, sups = dispersion.airy_decay_fit(data, times)
+    slope, ts, sups = dispersion.airy_decay_fit(data, np.geomspace(*AIRY_FIT))
     csv = out_dir / "airy_decay.csv"
     snapshots.write_csv(csv, [["t", "sup_abs"]] + [[t, s] for t, s in zip(ts, sups)])
     svg = out_dir / "airy_decay.svg"
@@ -588,7 +544,7 @@ def _exp_airy_decay(cfg, out_dir):
     scale = ref if ref != 0.0 else 1.0  # zero data: the deviation is absolute
     vf_dev = 0.0
     vf_rows = [["t", "l_vf_norm"]]
-    for t in np.linspace(0.0, ana.vf_t_hi, ana.vf_points):
+    for t in np.linspace(0.0, *AIRY_VF):
         u = airy_propagate(data, float(t))
         val = l2_norm(invariants.l_vector_field(u, float(t)))
         vf_rows.append([float(t), val])
@@ -601,15 +557,14 @@ def _exp_airy_decay(cfg, out_dir):
 
 def _exp_strichartz(cfg, out_dir):
     f, g = cfg.initial_data()
-    ana = cfg.analysis
-    j, k_eq = ana.j_band, ana.k_bands[len(ana.k_bands) // 2]
+    j, ks = STRICHARTZ_J, STRICHARTZ_K
+    k_eq = ks[len(ks) // 2]
     rows = [["j", "k", "halves", "t_end", "ratio"]]
-    # band j against each of k_bands, then the two halves of the middle band
-    for a, b, halves in ([(j, k, ("both", "both")) for k in ana.k_bands]
-                         + [(k_eq, k_eq, ("plus", "minus"))]):
-        t_end = ana.window_factor * f.grid.length * 4.0 ** (-max(a, b))
+    # band j against each band k, then the two halves of the middle band
+    for a, b, halves in [(j, k, ("both", "both")) for k in ks] + [(k_eq, k_eq, ("plus", "minus"))]:
+        t_end = STRICHARTZ_WINDOW * f.grid.length * 4.0 ** (-max(a, b))
         r = dispersion.bilinear_strichartz_ratio(a, b, f, g, t_end, halves=halves,
-                                                 samples=ana.time_samples)
+                                                 samples=STRICHARTZ_SAMPLES)
         rows.append([a, b, "/".join(halves), t_end, r])
     ratios = [row[-1] for row in rows[1:]]
     csv = out_dir / "strichartz.csv"
@@ -677,13 +632,16 @@ def _pairing(a: RealField, b: RealField) -> float:
 
 
 def _linearized_run(cfg):
-    """The data phi0, a random perturbation v0 of the same size and band, and
-    the trajectories of the pair (phi, v) marched from (phi0, v0)."""
-    phi0 = cfg.initial_data()
-    v0 = profiles.make_profile("random_bandlimited", phi0.grid, amplitude=cfg.data.amplitude,
-                               bandlimit=cfg.data.bandlimit, seed=cfg.seed + 1)
-    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver)
-    return phi0, v0, phi_traj, v_traj
+    """The data (phi0, v0) and the trajectories of the pair (phi, v) marched from them."""
+    phi0, v0 = cfg.initial_data()
+    return (phi0, v0, *integrate_linearized_pair(phi0, v0, cfg.solver))
+
+
+def _duality_fields(grid, eps, seed) -> tuple:
+    """The fields v_0 .. v_19, w_0 .. w_19 of the duality test: random, size eps, band 2.0."""
+    return tuple(profiles.make_profile("random_bandlimited", grid, amplitude=eps, bandlimit=2.0,
+                                       seed=seed + offset + trial)
+                 for offset in (100, 200) for trial in range(20))
 
 
 def _exp_linearized(cfg, out_dir):
@@ -693,11 +651,8 @@ def _exp_linearized(cfg, out_dir):
 
     # instantaneous duality of the linearized and adjoint right-hand sides
     duality = 0.0
-    for trial in range(20):
-        v = profiles.make_profile("random_bandlimited", grid, amplitude=eps,
-                                  bandlimit=2.0, seed=cfg.seed + 100 + trial)
-        w = profiles.make_profile("random_bandlimited", grid, amplitude=eps,
-                                  bandlimit=2.0, seed=cfg.seed + 200 + trial)
+    fields = _duality_fields(grid, eps, cfg.seed)
+    for v, w in zip(fields[:20], fields[20:]):
         lv = linearized_tbo_rhs(v, phi0)
         aw = adjoint_linearized_rhs(w, phi0)
         defect = abs(_pairing(lv, w) + _pairing(v, aw))
@@ -760,9 +715,8 @@ def _exp_decay_profile(cfg, out_dir):
     data = cfg.initial_data()
     eps = cfg.data.amplitude
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
-    ana = cfg.analysis
     frames = list(traj.frames)  # built once, read by both passes below
-    report = dispersion.decay_weights(frames, delta=ana.delta, c_region=ana.c_region)
+    report = dispersion.decay_weights(frames, delta=DECAY_DELTA, c_region=DECAY_C_REGION)
     cols = ["t", "region", "weighted_phi_sup", "weighted_phix_sup",
             "elliptic_phi_over_log", "elliptic_phix_over_log"]
     rows = [cols] + [[r[c] for c in cols] for r in report.rows]
@@ -783,7 +737,7 @@ def _exp_decay_profile(cfg, out_dir):
     k_phi = k_phix = k_ell = 0.0
     lnl_max = 0.0
     for r in report.rows:
-        if r["t"] < ana.report_t_lo or r["region"].endswith("+delta"):
+        if r["t"] < DECAY_T_LO or r["region"].endswith("+delta"):
             continue
         if r["region"] == "global":
             k_phi = max(k_phi, r["weighted_phi_sup"] / eps)
@@ -792,7 +746,7 @@ def _exp_decay_profile(cfg, out_dir):
             k_ell = max(k_ell, r["elliptic_phi_over_log"] / eps,
                         r["elliptic_phix_over_log"] / eps)
     for t, fld in frames:
-        if t >= ana.report_t_lo:
+        if t >= DECAY_T_LO:
             val = sobolev_norm(invariants.l_nonlinear(fld, t), 0.5, homogeneous=True)
             lnl_max = max(lnl_max, val / eps)
 
@@ -800,8 +754,8 @@ def _exp_decay_profile(cfg, out_dir):
         "exponents": report.exponents,
         "constants": {"weighted_phi": k_phi, "weighted_phix": k_phix,
                       "elliptic_log": k_ell, "lnl_half": lnl_max},
-        "delta": ana.delta,
-        "c_region": ana.c_region,
+        "delta": DECAY_DELTA,
+        "c_region": DECAY_C_REGION,
     }
     fit_path = out_dir / "decay_fit.json"
     fit_path.write_text(json.dumps(fit, indent=2) + "\n")
@@ -814,9 +768,10 @@ def _exp_decay_profile(cfg, out_dir):
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its body, the classes of the ``data`` and ``analysis`` sections
-    it reads (None: no analysis), ``marches``, the half-spectrum rows its
-    trajectories hold at once (0: it does not march, that is, reads no ``solver``),
-    and ``streams``: its march hands the frames to a reducer block by block."""
+    it reads (None: no analysis; every measurement setting is fixed), ``marches``,
+    the half-spectrum rows its trajectories hold at once (0: it does not march,
+    that is, reads no ``solver``), and ``streams``: its march hands the frames to
+    a reducer block by block."""
     body: typing.Callable
     data: type
     analysis: type | None = None
@@ -831,14 +786,14 @@ class Experiment:
 
 EXPERIMENTS = {
     "conserve": Experiment(_exp_conserve, ProfileData, ConserveAnalysis, streams=True),
-    "scaling": Experiment(_exp_scaling, ProfileData, ScalingAnalysis, marches=2),
-    "airy_decay": Experiment(_exp_airy_decay, ProfileData, AiryAnalysis, marches=0),
-    "strichartz": Experiment(_exp_strichartz, WindowedData, StrichartzAnalysis, marches=0),
+    "scaling": Experiment(_exp_scaling, ProfileData, marches=2),
+    "airy_decay": Experiment(_exp_airy_decay, ProfileData, marches=0),
+    "strichartz": Experiment(_exp_strichartz, WindowedData, marches=0),
     "normalform_scaling": Experiment(_exp_normalform, ShapeData, NormalformAnalysis,
                                      marches=0),
-    "linearized_l2": Experiment(_exp_linearized, ProfileData, marches=2),
-    "lnl_conservation": Experiment(_exp_lnl_conservation, ProfileData, marches=2),
-    "decay_profile": Experiment(_exp_decay_profile, ProfileData, DecayAnalysis),
+    "linearized_l2": Experiment(_exp_linearized, PairData, marches=2),
+    "lnl_conservation": Experiment(_exp_lnl_conservation, PairData, marches=2),
+    "decay_profile": Experiment(_exp_decay_profile, ProfileData),
 }
 
 

@@ -210,11 +210,19 @@ def l2_norm(f) -> float:
 
 
 def require_mean_free(f) -> None:
-    """Raise MeanError unless |mean| <= ``MEAN_RTOL`` * RMS: a scale-free test."""
-    m = abs(np.mean(f.values))
-    tol = MEAN_RTOL * float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
+    """Raise MeanError unless |mean| <= ``MEAN_RTOL`` * RMS: a scale-free test.
+
+    Both sides are formed on the values over their largest magnitude, so the
+    squares of tiny data do not underflow to a tolerance of 0.
+    """
+    peak = float(np.max(np.abs(f.values)))
+    if peak == 0.0:
+        return
+    unit = f.values / peak
+    m = abs(float(np.mean(unit)))
+    tol = MEAN_RTOL * float(np.sqrt(np.mean(np.abs(unit) ** 2)))
     if m > tol:
-        raise MeanError(float(m), tol)
+        raise MeanError(m * peak, tol * peak)
 
 
 def same_grid(*fields) -> SpectralGrid:

@@ -336,7 +336,7 @@ def test_canonical_artifacts_match_the_goldens(name, request):
     every metric and number of decay_fit.json within 1e-10 relative.
     strichartz.csv, which no march feeds, is byte-identical.  One exception:
     the ``error`` column of conserve/convergence.csv holds differences of
-    samples of size ``analysis.conv_amplitude``, down to ~3e-11, which
+    samples of size ``ConserveAnalysis.conv_amplitude``, down to ~3e-11, which
     round-off moves on the scale of the samples, not of the column; it is
     compared on that scale.
 

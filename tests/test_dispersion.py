@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bo3 import experiments
 from bo3.dispersion import (
     REGIONS,
     WrapAroundError,
@@ -289,14 +290,13 @@ def inverse_lengths(monkeypatch):
 
 def canonical_strichartz_rows():
     """The data and the (j, k, halves, t_end) rows of the canonical strichartz run."""
-    cfg = shipped_config("strichartz")
-    f, g = cfg.initial_data()
-    ana = cfg.analysis
-    k_eq = ana.k_bands[len(ana.k_bands) // 2]
-    pairs = ([(ana.j_band, k, ("both", "both")) for k in ana.k_bands]
+    f, g = shipped_config("strichartz").initial_data()
+    ks = experiments.STRICHARTZ_K
+    k_eq = ks[len(ks) // 2]
+    pairs = ([(experiments.STRICHARTZ_J, k, ("both", "both")) for k in ks]
              + [(k_eq, k_eq, ("plus", "minus"))])
-    return f, g, [(a, b, halves, ana.window_factor * f.grid.length * 4.0 ** (-max(a, b)))
-                  for a, b, halves in pairs]
+    window = experiments.STRICHARTZ_WINDOW * f.grid.length
+    return f, g, [(a, b, halves, window * 4.0 ** (-max(a, b))) for a, b, halves in pairs]
 
 
 def test_bilinear_ratio_matches_the_full_grid_oracle_on_the_canonical_rows():

@@ -16,7 +16,6 @@ from bo3.cli import main
 from bo3.experiments import (
     EXPERIMENTS,
     ConfigError,
-    NormalformAnalysis,
     apply_override,
     config_from_dict,
     config_to_dict,
@@ -32,11 +31,8 @@ FAST_OVERRIDES = {
                  "analysis.conv_t_end=0.1"],
     "scaling": ["grid.n=256", "grid.length=201.06192982974676", "solver.dt=1e-3",
                 "solver.t_end=0.05", "solver.snapshot_stride=50"],
-    "airy_decay": ["grid.n=1024", "grid.length=804.247719318987",
-                   "analysis.fit_t_hi=20.0", "analysis.fit_points=12",
-                   "analysis.vf_t_hi=5.0", "analysis.vf_points=4"],
-    "strichartz": ["grid.n=1024", "analysis.k_bands=[5,6,7]",
-                   "analysis.time_samples=32"],
+    "airy_decay": [],  # the canonical runs take 0.02 s and 0.06 s
+    "strichartz": [],
     "normalform_scaling": ["analysis.t_probe=0.02"],
     "linearized_l2": ["solver.dt=1e-3", "solver.t_end=0.1", "solver.snapshot_stride=20"],
     "lnl_conservation": ["solver.dt=1e-3", "solver.t_end=0.1", "solver.snapshot_stride=20"],
@@ -72,18 +68,27 @@ def test_shipped_configs_round_trip_and_validate():
         assert {key: list(raw[key]) for key in read} == read
         assert set(raw) == set(read) | {"experiment", "seed"}
         values += 1 + sum(len(fields) for fields in read.values())
-    assert values == 96
+    assert values == 76
 
 
-def test_analysis_list_defaults_are_lists():
-    for experiment, names in (("normalform_scaling", ("bands", "amplitudes")),
-                              ("strichartz", ("k_bands",)), ("conserve", ("conv_dts",))):
-        cfg = config_from_dict({"experiment": experiment})
-        for name in names:
-            assert isinstance(getattr(cfg.analysis, name), list), name
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-    assert config_from_dict({"experiment": "normalform_scaling"}).analysis.bands == [1, 2]
-    assert NormalformAnalysis().bands is not NormalformAnalysis().bands
+# The measurement settings that are fixed, like TOLERANCES, by the analysis
+# field each once was.
+FIXED = {"conserve": ["conv_dts", "conv_n", "conv_length", "conv_amplitude"],
+         "scaling": ["scale_factor"],
+         "airy_decay": ["fit_t_lo", "fit_t_hi", "fit_points", "vf_t_hi", "vf_points"],
+         "strichartz": ["j_band", "k_bands", "window_factor", "time_samples"],
+         "normalform_scaling": ["bands", "amplitudes", "residual_dt"],
+         "decay_profile": ["delta", "c_region", "report_t_lo"]}
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name, fields in FIXED.items()
+                                         for field in fields])
+def test_a_fixed_measurement_setting_cannot_be_set(name, field, tmp_path, capsys):
+    path = CONFIG_DIR / f"{name}.json"
+    code = main(["run", str(path), "--set", f"analysis.{field}=1", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"config error: {name} reads no analysis.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unknown_fields():
@@ -100,12 +105,13 @@ def test_validate_catches_bad_parameters():
     cfg.grid.n = 100
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    # a fixed setting that the settable ones cannot serve
     cfg = shipped_config("normalform_scaling")
-    cfg.analysis.bands = [1, 9]
+    cfg.grid.n = 128  # resolves band 1 but not band 2
     with pytest.raises(ConfigError):
         validate_config(cfg)
-    cfg = shipped_config("normalform_scaling")
-    cfg.analysis.amplitudes = [0.08, 0.04, 0.02, 0.01]
+    cfg = shipped_config("decay_profile")
+    apply_override(cfg, "solver.t_end=0.5")  # before the first judged time
     with pytest.raises(ConfigError):
         validate_config(cfg)
 
@@ -150,8 +156,8 @@ def test_override_paths():
     apply_override(cfg, "data.profile=sech_bump")
     assert cfg.data.profile == "sech_bump"
     cfg = shipped_config("normalform_scaling")
-    apply_override(cfg, "analysis.bands=[1,2,3]")
-    assert cfg.analysis.bands == [1, 2, 3]
+    apply_override(cfg, "analysis.t_probe=0.05")
+    assert cfg.analysis.t_probe == 0.05
     with pytest.raises(ConfigError):
         apply_override(cfg, "solver.step=1")
     with pytest.raises(ConfigError):
@@ -237,14 +243,17 @@ def test_under_resolved_run_is_degraded(tmp_path):
     assert manifest["warnings"] == res.warnings
 
 
-@pytest.mark.parametrize("name, assignment, marches", [
-    # the convergence study's three dts and its reference at the finest dt / 8
-    ("conserve", "analysis.conv_length=150", ["n = 128, dt = 0.000125", "n = 128, dt = 0.001",
-                                              "n = 128, dt = 0.002", "n = 128, dt = 0.004"]),
+@pytest.mark.parametrize("name, assignment, tail_tol, marches", [
+    # the study's fixed data are resolved, so no tail is allowed: the main
+    # march, then the study's reference at the finest dt / 8 and its three dts
+    ("conserve", "analysis.conv_t_end=0.02", 0.0,
+     ["n = 256, dt = 0.001", "n = 128, dt = 0.000125", "n = 128, dt = 0.001",
+      "n = 128, dt = 0.002", "n = 128, dt = 0.004"]),
     # one probe march per band and amplitude
-    ("normalform_scaling", "data.bandlimit=40", ["n = 1024, dt = 0.001"] * 8)])
-def test_every_march_of_a_run_reports_its_resolution(name, assignment, marches, tmp_path,
-                                                     capsys):
+    ("normalform_scaling", "data.bandlimit=40", stepper.TAIL_TOL, ["n = 1024, dt = 0.001"] * 8)])
+def test_every_march_of_a_run_reports_its_resolution(name, assignment, tail_tol, marches,
+                                                     tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stepper, "TAIL_TOL", tail_tol)
     path = write_fast_config(tmp_path, name)
     assert main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")]) == 2
     manifest = json.loads((tmp_path / "out" / name / "manifest.json").read_text())
@@ -316,74 +325,44 @@ def test_cli_blowup_is_a_failed_verdict(tmp_path, capsys):
 
 
 def test_cli_wraparound_is_a_failed_verdict(tmp_path, capsys):
-    path = write_fast_config(tmp_path, "airy_decay")
-    code = main(["run", str(path), "--set", "analysis.fit_t_hi=1e5",
-                 "--out", str(tmp_path / "out")])
+    # a quarter of the canonical domain: the packet reaches the seam before t = 100
+    code = main(["run", str(CONFIG_DIR / "airy_decay.json"), "--set", "grid.n=1024",
+                 "--set", "grid.length=804.247719318987", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "FAIL  airy_decay.interior  (wraparound_time " in capsys.readouterr().out
     manifest = json.loads((tmp_path / "out" / "airy_decay" / "manifest.json").read_text())
     assert manifest["verdicts"] == {"interior": False}
-    assert 1.0 < manifest["metrics"]["wraparound_time"] <= 1e5
+    assert 1.0 < manifest["metrics"]["wraparound_time"] <= 100.0
     assert manifest["checks"]["interior"]["metric"] == "wraparound_time"
 
 
 def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
     # each field set on an experiment that reads it
-    for name, assignment in (("normalform_scaling", "analysis.bands=3"),
-                             ("conserve", "analysis.conv_dts=abc"),
-                             ("normalform_scaling", 'analysis.amplitudes=[0.01, "x"]'),
-                             ("strichartz", "analysis.k_bands=[5.5, 6]"),
+    for name, assignment in (("conserve", "analysis.conv_t_end=[0.5]"),
                              ("conserve", "data.amplitude=abc"), ("conserve", "data.width=NaN"),
                              ("conserve", "data.profile=3"), ("conserve", "seed=abc"),
                              ("conserve", "seed=1.5"), ("conserve", "seed=true"),
-                             ("airy_decay", "analysis.fit_points=abc"),
                              ("normalform_scaling", "analysis.t_probe=abc"),
-                             ("decay_profile", "analysis.delta=Infinity")):
+                             ("conserve", "analysis.conv_t_end=Infinity")):
         path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3
         field = assignment.split("=")[0]
         assert f"config error: {field} must be " in capsys.readouterr().err
     # values of the right type that no run can use are caught before compute too
-    for name, assignment in (("conserve", "analysis.conv_n=100"),
-                             ("conserve", "analysis.conv_length=-1"),
-                             ("conserve", "analysis.conv_dts=[1e-3,1e-3,2e-3]"),
-                             ("conserve", "solver.dealias=3"),
+    for name, assignment in (("conserve", "solver.dealias=3"),
                              ("conserve", "solver.snapshot_stride=1.5"),
-                             ("airy_decay", "analysis.fit_t_hi=0.5"),
-                             ("strichartz", "analysis.k_bands=[]"),
-                             ("strichartz", "analysis.k_bands=[3]"),
                              # each of these used to fail in compute, or pass a
                              # verdict on no measurement
                              ("strichartz", "seed=-1"),
-                             ("strichartz", "analysis.time_samples=1"),
-                             ("strichartz", "analysis.window_factor=0"),
-                             ("airy_decay", "analysis.fit_points=1"),
-                             ("airy_decay", "analysis.vf_points=0"),
-                             ("airy_decay", "analysis.vf_points=1"),
-                             ("airy_decay", "analysis.vf_t_hi=0"),
-                             ("normalform_scaling", "analysis.residual_dt=-1"),
-                             ("normalform_scaling", "analysis.amplitudes=[-0.02,0.01,0.02,0.04]"),
                              ("conserve", "analysis.conv_t_end=-1"),
                              ("conserve", "analysis.conv_t_end=0"),
-                             ("scaling", "analysis.scale_factor=0"),
-                             ("scaling", "analysis.scale_factor=1"),
-                             # lam**3 under- and overflows: no rescaled run to build
-                             ("scaling", "analysis.scale_factor=1e-120"),
-                             ("scaling", "analysis.scale_factor=1e120"),
                              ("decay_profile", "solver.t_end=0.5"),
-                             # the paper's delta is a small positive exponent
-                             ("decay_profile", "analysis.delta=-1"),
-                             ("decay_profile", "analysis.delta=0"),
-                             # the region constant c of |x| >= c t^(1/3) is positive
-                             ("decay_profile", "analysis.c_region=0"),
-                             ("decay_profile", "analysis.c_region=-1"),
                              # initial data that cannot be built, or is not finite
                              ("strichartz", "data.bandlimit=0"),
                              ("conserve", "data.width=0"),
                              ("conserve", "data.bandlimit=0"),
-                             ("normalform_scaling", "analysis.t_probe=-1"),
-                             ("normalform_scaling", "analysis.bands=[0]")):
+                             ("normalform_scaling", "analysis.t_probe=-1")):
         path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3, assignment
@@ -397,13 +376,32 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
     # airy_decay, a ZeroDivisionError
     ("conserve", ["data.amplitude=1e-300"]),
     ("airy_decay", ["data.amplitude=1e-300", "grid.n=64"]),
-    # the convergence study's data: identically zero, or underflowing
-    ("conserve", ["analysis.conv_length=1.0"]),
-    ("conserve", ["analysis.conv_amplitude=1e-300"])])
+    # data the pair experiments build in their bodies, identically zero: the
+    # perturbation v0 below the grid's first mode, and the duality fields of
+    # band 2.0 on a domain whose first mode is 2*pi/3
+    ("linearized_l2", ["data.bandlimit=0.001", "data.profile=two_mode"]),
+    ("linearized_l2", ["grid.length=3", "grid.n=64", "data.profile=two_mode",
+                       "data.bandlimit=100"])])
 def test_data_no_run_can_use_is_a_config_error(name, assignments, tmp_path, capsys):
     args = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "out")]
     assert main(args + [arg for a in assignments for arg in ("--set", a)]) == 3
     assert assignments[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, assignments, message", [
+    ("strichartz", ["grid.n=1024"], "band 10 outside resolved range"),
+    ("normalform_scaling", ["grid.n=128"], "band 2 outside resolved range"),
+    ("decay_profile", ["solver.t_end=0.5"], "ends before t = 1, where the decay report"),
+    # the grid's largest wavenumber is finite, twice it is not
+    ("scaling", ["grid.length=2e-305", "data.profile=random_bandlimited", "data.bandlimit=1e308"],
+     "the run rescaled by 2: domain length 1e-305 is too short")])
+def test_a_fixed_setting_the_config_cannot_serve_is_a_config_error(name, assignments, message,
+                                                                   tmp_path, capsys):
+    args = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "out")]
+    assert main(args + [arg for a in assignments for arg in ("--set", a)]) == 3
+    err = capsys.readouterr().err
+    assert assignments[0] in err and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -430,18 +428,6 @@ def test_a_plot_with_no_point_ends_the_run_with_a_manifest(name, assignment, cod
     assert svg in json.loads((out / "manifest.json").read_text())["outputs"]
     assert "no finite points" in (out / svg).read_text()
     ElementTree.parse(out / svg)
-
-
-@pytest.mark.parametrize("factor", ["1e20", "1e100"])
-def test_extreme_rescaling_ends_in_a_verdict_with_a_manifest(factor, tmp_path, capsys):
-    # the mean-free test compares |mean| with the RMS of the values, which the
-    # rescaling leaves alone; at 1e20 the rescaled run used to stop with a
-    # MeanError after the output directory existed
-    code = main(["run", str(CONFIG_DIR / "scaling.json"), "--set", "grid.n=64",
-                 "--set", "solver.t_end=0.01", "--set", f"analysis.scale_factor={factor}",
-                 "--out", str(tmp_path / "out")])
-    assert code in (0, 1, 2)
-    assert (tmp_path / "out" / "scaling" / "manifest.json").is_file()
 
 
 def test_data_is_checked_only_where_the_experiment_reads_it(tmp_path, capsys):
@@ -554,16 +540,13 @@ def test_bands_are_checked_only_by_the_experiment_that_reads_them():
     apply_override(cfg, "grid.n=256")  # xi_max = 4 resolves its bands 1 and 2
     validate_config(cfg)
     apply_override(cfg, "grid.n=128")  # xi_max = 2 resolves band 1 alone
-    with pytest.raises(ConfigError, match="analysis.bands: band 2 outside"):
+    with pytest.raises(ConfigError, match="grid.n=128, .*: band 2 outside"):
         validate_config(cfg)
 
 
 # Fields with a lower bound, for the boundary values 0, -1 and 1.
 BOUNDED_PATHS = ["seed", "solver.t_end", "solver.dt", "solver.snapshot_stride",
-                 "analysis.time_samples", "analysis.fit_points", "analysis.vf_points",
-                 "analysis.residual_dt", "analysis.conv_t_end", "analysis.scale_factor",
-                 "analysis.window_factor", "analysis.vf_t_hi", "analysis.report_t_lo",
-                 "analysis.amplitudes"]
+                 "analysis.conv_t_end", "analysis.t_probe"]
 SHIPPED = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
 FILE_VALUES = st.one_of(st.sampled_from([0, -1, 1, 0.0, -1.0, 1.0, 0.5]), st.none(),
                         st.booleans(), st.text(max_size=3),

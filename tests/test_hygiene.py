@@ -1,10 +1,14 @@
 """Static checks that stand in for a linter: public names exist, imports are used."""
 
 import ast
+import dataclasses
 import importlib
+import typing
 from pathlib import Path
 
 import pytest
+
+from bo3.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).parent.parent
 MODULES = sorted(p.stem for p in (ROOT / "src" / "bo3").glob("*.py") if p.stem != "__init__")
@@ -16,6 +20,17 @@ def test_every_public_name_exists(name):
     module = importlib.import_module(f"bo3.{name}")
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert not missing, f"bo3.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_config_field_is_a_plain_scalar():
+    # validate_config checks an int, a float or a str; a field of any other
+    # type would have no check and no message
+    odd = [f"{name}: {key}.{fld.name}: {typing.get_type_hints(cls)[fld.name]}"
+           for name, exp in EXPERIMENTS.items()
+           for key, cls in exp.sections().items() if cls is not None
+           for fld in dataclasses.fields(cls)
+           if typing.get_type_hints(cls)[fld.name] not in (int, float, str)]
+    assert not odd, "config fields of another type:\n" + "\n".join(odd)
 
 
 def _unused_imports(path: Path) -> list:

@@ -129,6 +129,19 @@ def test_mean_free_check_is_scale_invariant():
                 require_mean_free(RealField(grid, scale * (wave + 1e-9)))
 
 
+def test_mean_free_check_takes_data_whose_squares_underflow():
+    # the squares of 1e-300 underflow: the RMS, and with it the tolerance,
+    # once read 0, and a march of such data stopped on its own mean
+    grid = make_grid(64, 2.0 * np.pi)
+    wave = 1e-300 * np.sin(grid.x)
+    traj = stepper.integrate(flows.FlowKind("third_order_bo"), RealField(grid, wave),
+                             stepper.SolverConfig(dt=1e-3, t_end=1e-2))
+    assert np.all(np.isfinite(traj.final().values))
+    with pytest.raises(MeanError):
+        require_mean_free(RealField(grid, wave + 1e-309))
+    require_mean_free(RealField(grid, np.zeros(grid.n)))
+
+
 def test_fields_are_immutable():
     grid = make_grid(32, 2.0 * np.pi)
     f = RealField(grid, np.sin(grid.x))
