@@ -430,6 +430,24 @@ def test_a_plot_with_no_point_ends_the_run_with_a_manifest(name, assignment, cod
     ElementTree.parse(out / svg)
 
 
+@pytest.mark.parametrize("factor", ["1e20", "1e100"])
+def test_extreme_rescaling_ends_in_a_verdict_with_a_manifest(factor, tmp_path, capsys):
+    # the shipped run rescaled by lam = factor: the domain and width shrink by
+    # lam, the bandlimit and amplitude grow by lam, the times shrink by lam**3.
+    # The mean-free test compares |mean| with the RMS of the values, which the
+    # rescaling leaves alone; at 1e20 the rescaled run used to stop with a
+    # MeanError after the output directory existed
+    lam = float(factor)
+    assignments = [f"grid.length={804.247719318987 / lam!r}", f"data.width={4.0 / lam!r}",
+                   f"data.bandlimit={lam!r}", f"data.amplitude={0.05 * lam!r}",
+                   f"solver.dt={2e-4 / lam**3!r}", f"solver.t_end={1e-2 / lam**3!r}"]
+    args = ["run", str(CONFIG_DIR / "scaling.json"), "--set", "grid.n=64",
+            "--out", str(tmp_path / "out")]
+    code = main(args + [arg for a in assignments for arg in ("--set", a)])
+    assert code in (0, 1, 2)
+    assert (tmp_path / "out" / "scaling" / "manifest.json").is_file()
+
+
 def test_data_is_checked_only_where_the_experiment_reads_it(tmp_path, capsys):
     # strichartz reads only data.bandlimit: setting a data field it never
     # builds is an error that names both, before any output is made
