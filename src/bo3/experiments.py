@@ -27,7 +27,7 @@ from . import dispersion, invariants, normalform, plotting, profiles, snapshots
 from .flows import (FlowKind, adjoint_linearized_rhs, airy_propagate, linearized_tbo_rhs,
                     tbo_rhs)
 from .invariants import l2_norm
-from .spectral import RealField, check_band, make_grid, sobolev_norm
+from .spectral import RealField, make_grid, project_band, sobolev_norm
 from .spectral import envelope as spectral_envelope
 from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, integrate,
                       integrate_linearized_pair, convergence_order)
@@ -103,6 +103,23 @@ class PairData(ProfileData):
 
 
 @dataclass
+class DualityData(PairData):
+    """The pair's data (phi0, v0), then the fields v_0 .. v_19, w_0 .. w_19 of the
+    duality test: random, of the data's amplitude, band 2.0."""
+
+    def build(self, grid, seed) -> tuple:
+        pair = super().build(grid, seed)
+        try:
+            fields = tuple(profiles.make_profile("random_bandlimited", grid,
+                                                 amplitude=self.amplitude, bandlimit=2.0,
+                                                 seed=seed + offset + trial)
+                           for offset in (100, 200) for trial in range(20))
+        except ValueError as exc:
+            raise ValueError(f"the duality fields (bandlimit 2.0): {exc}") from None
+        return (*pair, *fields)
+
+
+@dataclass
 class WindowedData:
     """Two mean-free random fields under a centred Gaussian window."""
     bandlimit: float = 1.0
@@ -153,9 +170,6 @@ class ExperimentConfig:
     solver: SolverConfig | None
     analysis: object
     seed: int = field(default=0, metadata={"range": "nonnegative"})
-
-    def initial_data(self):
-        return self.data.build(make_grid(self.grid.n, self.grid.length), self.seed)
 
 
 # One judged verdict: ``margin`` is the signed distance of the metric's ``value``
@@ -355,29 +369,34 @@ def _check_fields(prefix: str, obj, names=None) -> None:
             raise ConfigError(f"{prefix}{name} must be {rule}, got {value!r}")
 
 
-def _check_data(shown: str, build) -> None:
-    """Raise ConfigError, led by ``shown``, unless ``build()`` makes its data: a
-    field or a tuple of fields, none of them with a nonzero sample while the
-    sum of its squares is below the smallest normal float.  Every quadratic
-    quantity of such data, the RMS of the mean-free test too, underflows."""
+def _check_data(cfg: ExperimentConfig, grid, shown: str):
+    """The run's data ``cfg.data.build(grid, cfg.seed)``, a field or a tuple of
+    fields.  Raise ConfigError, led by ``shown`` and the data section, unless it
+    builds and each field has a sum of squares of at least the smallest normal
+    float: every quadratic quantity of other data, the RMS of the mean-free
+    test too, is zero or underflows, so no verdict would measure anything."""
     try:
-        data = build()
+        data = cfg.data.build(grid, cfg.seed)
+        for f in data if isinstance(data, tuple) else (data,):
+            if np.sum(f.values ** 2) < np.finfo(float).tiny:
+                raise ValueError("the data's sum of squares underflows" if np.any(f.values)
+                                 else "the data are all zero")
     except (KeyError, ValueError, OverflowError) as exc:  # KeyError: an unknown profile
+        shown += "".join(f", data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
         raise ConfigError(f"{shown}: {exc}") from None
-    for f in data if isinstance(data, tuple) else (data,):
-        if np.any(f.values) and np.sum(f.values ** 2) < np.finfo(float).tiny:
-            raise ConfigError(f"{shown}: the data's sum of squares underflows")
+    return data
 
 
-def _check_fixed(cfg: ExperimentConfig, grid, shown: str) -> None:
-    """Raise ConfigError, led by ``shown``, unless the fixed settings fit the grid and
-    solver: the bands are resolved, the rescaled run builds, the decay report
-    judges a frame, and the duality fields are data by ``_check_data``'s rules."""
+def _check_fixed(cfg: ExperimentConfig, grid, data, shown: str) -> None:
+    """Raise ConfigError, led by ``shown``, unless the fixed settings fit the grid,
+    data and solver: the bands are resolved and hold some of the strichartz
+    data, the rescaled run builds, and the decay report judges a frame."""
     name = cfg.experiment
     try:
-        if name == "strichartz":
+        if name == "strichartz":  # project_band raises a BandError for an unresolved band
             for k in (STRICHARTZ_J, *STRICHARTZ_K):
-                check_band(grid, k)
+                if any(l2_norm(project_band(f, k)) == 0.0 for f in data):
+                    raise ValueError(f"the data have nothing in band {k}, so its ratio is 0")
         elif name == "normalform_scaling":
             for k in NormalformAnalysis.bands:
                 normalform._check_band(grid, k)
@@ -389,9 +408,6 @@ def _check_fixed(cfg: ExperimentConfig, grid, shown: str) -> None:
                              "where the decay report starts to judge")
     except ValueError as exc:  # a BandError, a GridError or a step the solver refuses
         raise ConfigError(f"{shown}: {exc}") from None
-    if name == "linearized_l2":
-        _check_data(f"{shown}: the duality fields (bandlimit 2.0)",
-                    lambda: _duality_fields(grid, cfg.data.amplitude, cfg.seed))
 
 
 # The most memory a run may ask for, in bytes as ``_run_bytes`` estimates them.
@@ -426,11 +442,12 @@ def _run_bytes(cfg: ExperimentConfig) -> float:
     return total
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig):
     """Check every precondition knowable before any compute starts: the common fields,
     the field types of every section, the run's memory, the grid, the data and the
     fixed settings against the settable ones.  config_from_dict checked the
-    experiment and the solver's values."""
+    experiment and the solver's values.  Returns the data it built and checked,
+    which ``run_experiment`` hands to the body."""
     _check_fields("", cfg, ["seed"])
     for key, cls in EXPERIMENTS[cfg.experiment].sections().items():
         if cls is not None:
@@ -444,9 +461,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         grid = make_grid(cfg.grid.n, cfg.grid.length)
     except ValueError as exc:  # a GridError, or NumPy refusing an array of n points
         raise ConfigError(f"{shown}: {exc}") from None
-    _check_data(", ".join(f"data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items()),
-                cfg.initial_data)
-    _check_fixed(cfg, grid, shown)
+    data = _check_data(cfg, grid, shown)
+    _check_fixed(cfg, grid, data, shown)
+    return data
 
 
 @functools.cache
@@ -467,13 +484,12 @@ def build_version() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies.  Each writes its tables into out_dir and returns
-# (metrics, outputs); run_experiment judges the metrics against TOLERANCES and
-# handles warning capture and the manifest.
+# Experiment bodies.  Each measures the data validate_config built, writes its
+# tables into out_dir and returns (metrics, outputs); run_experiment judges the
+# metrics against TOLERANCES and handles warning capture and the manifest.
 
 
-def _exp_conserve(cfg, out_dir):
-    data = cfg.initial_data()
+def _exp_conserve(cfg, data, out_dir):
     # the energies are taken block by block as the march goes, so the run
     # never holds more than one block of frames
     blocks = integrate(FlowKind("third_order_bo"), data, cfg.solver,
@@ -509,9 +525,8 @@ def _rescaled(grid, solver):
             dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
 
 
-def _exp_scaling(cfg, out_dir):
+def _exp_scaling(cfg, data, out_dir):
     lam = SCALE_FACTOR
-    data = cfg.initial_data()
     base = integrate(FlowKind("third_order_bo"), data, cfg.solver)
 
     grid2, sol2 = _rescaled(data.grid, cfg.solver)
@@ -527,8 +542,7 @@ def _exp_scaling(cfg, out_dir):
     return {"scaling_agreement": max(devs)}, [csv]
 
 
-def _exp_airy_decay(cfg, out_dir):
-    data = cfg.initial_data()
+def _exp_airy_decay(cfg, data, out_dir):
     slope, ts, sups = dispersion.airy_decay_fit(data, np.geomspace(*AIRY_FIT))
     csv = out_dir / "airy_decay.csv"
     snapshots.write_csv(csv, [["t", "sup_abs"]] + [[t, s] for t, s in zip(ts, sups)])
@@ -541,7 +555,7 @@ def _exp_airy_decay(cfg, out_dir):
 
     # conservation of the vector-field norm while the support stays interior
     ref = l2_norm(invariants.l_vector_field(data, 0.0))
-    scale = ref if ref != 0.0 else 1.0  # zero data: the deviation is absolute
+    scale = ref if ref != 0.0 else 1.0  # x phi underflows on a tiny domain: absolute deviation
     vf_dev = 0.0
     vf_rows = [["t", "l_vf_norm"]]
     for t in np.linspace(0.0, *AIRY_VF):
@@ -555,8 +569,8 @@ def _exp_airy_decay(cfg, out_dir):
     return {"airy_decay_slope": slope, "l_vf_deviation": vf_dev}, [csv, vf_csv, svg]
 
 
-def _exp_strichartz(cfg, out_dir):
-    f, g = cfg.initial_data()
+def _exp_strichartz(cfg, data, out_dir):
+    f, g = data
     j, ks = STRICHARTZ_J, STRICHARTZ_K
     k_eq = ks[len(ks) // 2]
     rows = [["j", "k", "halves", "t_end", "ratio"]]
@@ -573,8 +587,7 @@ def _exp_strichartz(cfg, out_dir):
             "ratio_min": min(ratios), "ratio_max": max(ratios)}, [csv]
 
 
-def _exp_normalform(cfg, out_dir):
-    profile = cfg.initial_data()
+def _exp_normalform(cfg, profile, out_dir):
     ana = cfg.analysis
     rows = [["epsilon", "k", "t", "residual_raw", "residual_gauged"]]
     metrics = {}
@@ -631,27 +644,13 @@ def _pairing(a: RealField, b: RealField) -> float:
     return float(a.grid.spacing * np.sum(a.values * b.values))
 
 
-def _linearized_run(cfg):
-    """The data (phi0, v0) and the trajectories of the pair (phi, v) marched from them."""
-    phi0, v0 = cfg.initial_data()
-    return (phi0, v0, *integrate_linearized_pair(phi0, v0, cfg.solver))
-
-
-def _duality_fields(grid, eps, seed) -> tuple:
-    """The fields v_0 .. v_19, w_0 .. w_19 of the duality test: random, size eps, band 2.0."""
-    return tuple(profiles.make_profile("random_bandlimited", grid, amplitude=eps, bandlimit=2.0,
-                                       seed=seed + offset + trial)
-                 for offset in (100, 200) for trial in range(20))
-
-
-def _exp_linearized(cfg, out_dir):
-    phi0, v0, phi_traj, v_traj = _linearized_run(cfg)
+def _exp_linearized(cfg, data, out_dir):
+    phi0, v0, *fields = data
+    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver)
     grid = phi0.grid
-    eps = cfg.data.amplitude
 
     # instantaneous duality of the linearized and adjoint right-hand sides
     duality = 0.0
-    fields = _duality_fields(grid, eps, cfg.seed)
     for v, w in zip(fields[:20], fields[20:]):
         lv = linearized_tbo_rhs(v, phi0)
         aw = adjoint_linearized_rhs(w, phi0)
@@ -671,8 +670,7 @@ def _exp_linearized(cfg, out_dir):
     growth = series.channels["v_l2"] / series.channels["v_l2"][0]
     c_max = float(np.max(growth))
     # growth starts at 1, so a rate <= K means c_max <= exp(K t_end)
-    t_end = cfg.solver.t_end
-    k_rate = math.log(max(c_max, 1.0)) / t_end if t_end > 0 else 0.0
+    k_rate = math.log(max(c_max, 1.0)) / cfg.solver.t_end
     rows = [["t", "v_l2", "growth"]]
     for t, v, gr in zip(series.times, series.channels["v_l2"], growth):
         rows.append([t, v, gr])
@@ -683,9 +681,11 @@ def _exp_linearized(cfg, out_dir):
             "growth_max": c_max, "growth_rate": k_rate}, [csv]
 
 
-def _exp_lnl_conservation(cfg, out_dir):
-    _, _, phi_traj, v_traj = _linearized_run(cfg)
-    eps = cfg.data.amplitude
+def _exp_lnl_conservation(cfg, data, out_dir):
+    phi_traj, v_traj = integrate_linearized_pair(*data, cfg.solver)
+    # eps is the size of the data: phi -> -phi is no symmetry of the flow, so a
+    # negative amplitude is other data of the same size
+    eps = abs(cfg.data.amplitude)
     series = invariants.track_pair(
         phi_traj, v_traj,
         ["y_l2", "modified_energy", "modified_energy_cubic"],
@@ -711,9 +711,10 @@ def _exp_lnl_conservation(cfg, out_dir):
     return {"y_drift_over_eps": c_y, "cubic_energy_bound": cubic_bound}, [csv]
 
 
-def _exp_decay_profile(cfg, out_dir):
-    data = cfg.initial_data()
-    eps = cfg.data.amplitude
+def _exp_decay_profile(cfg, data, out_dir):
+    # eps is the size of the data: phi -> -phi is no symmetry of the flow, so a
+    # negative amplitude is other data of the same size
+    eps = abs(cfg.data.amplitude)
     traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
     frames = list(traj.frames)  # built once, read by both passes below
     report = dispersion.decay_weights(frames, delta=DECAY_DELTA, c_region=DECAY_C_REGION)
@@ -767,11 +768,11 @@ def _exp_decay_profile(cfg, out_dir):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its body, the classes of the ``data`` and ``analysis`` sections
-    it reads (None: no analysis; every measurement setting is fixed), ``marches``,
-    the half-spectrum rows its trajectories hold at once (0: it does not march,
-    that is, reads no ``solver``), and ``streams``: its march hands the frames to
-    a reducer block by block."""
+    """One experiment: its ``body(cfg, data, out_dir)``, the classes of the ``data``
+    and ``analysis`` sections it reads (None: no analysis; every measurement
+    setting is fixed), ``marches``, the half-spectrum rows its trajectories hold
+    at once (0: it does not march, that is, reads no ``solver``), and
+    ``streams``: its march hands the frames to a reducer block by block."""
     body: typing.Callable
     data: type
     analysis: type | None = None
@@ -791,7 +792,7 @@ EXPERIMENTS = {
     "strichartz": Experiment(_exp_strichartz, WindowedData, marches=0),
     "normalform_scaling": Experiment(_exp_normalform, ShapeData, NormalformAnalysis,
                                      marches=0),
-    "linearized_l2": Experiment(_exp_linearized, PairData, marches=2),
+    "linearized_l2": Experiment(_exp_linearized, DualityData, marches=2),
     "lnl_conservation": Experiment(_exp_lnl_conservation, PairData, marches=2),
     "decay_profile": Experiment(_exp_decay_profile, ProfileData),
 }
@@ -812,7 +813,7 @@ def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
     judged by ``judge``; a run that stops early (blow-up, wrap-around) ends
     with one failed check from ``_STOPS``.
     """
-    validate_config(cfg)
+    data = validate_config(cfg)
     out_dir = Path(base_dir) / cfg.experiment
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -822,7 +823,7 @@ def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         try:
-            metrics, outputs = EXPERIMENTS[cfg.experiment].body(cfg, out_dir)
+            metrics, outputs = EXPERIMENTS[cfg.experiment].body(cfg, data, out_dir)
             checks = judge(metrics)
         except tuple(_STOPS) as exc:
             name, metric = _STOPS[type(exc)]

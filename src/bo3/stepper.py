@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,9 @@ class ResolutionWarning(UserWarning):
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 1e-4
-    t_end: float = 1.0
+    # a march may end where it starts; a run must take a step, which
+    # experiments.validate_config checks by this range
+    t_end: float = field(default=1.0, metadata={"range": "positive"})
     snapshot_stride: int = 100
 
     def __post_init__(self):

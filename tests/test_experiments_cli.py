@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bo3 import experiments, stepper
@@ -22,6 +22,7 @@ from bo3.experiments import (
     run_experiment,
     validate_config,
 )
+from bo3.profiles import PROFILES
 
 from conftest import CONFIG_DIR, shipped_config
 
@@ -190,16 +191,6 @@ def test_build_version_asks_git_once_per_process(monkeypatch):
     experiments.build_version.cache_clear()
     versions = {experiments.build_version() for _ in range(3)}
     assert len(versions) == 1 and len(calls) == 1
-
-
-def test_zero_amplitude_conserve_drifts_are_exactly_zero(tmp_path):
-    cfg = fast_config("conserve")
-    apply_override(cfg, "data.amplitude=0.0")
-    res = run_experiment(cfg, base_dir=tmp_path)
-    assert res.passed
-    assert res.metrics["e0_drift"] == 0.0
-    assert res.metrics["e1_drift"] == 0.0
-    assert res.metrics["e2_drift"] == 0.0
 
 
 def test_experiments_emit_svg(tmp_path):
@@ -415,19 +406,29 @@ def test_a_grid_with_no_finite_wavenumber_is_a_config_error(capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("name, assignment, code, svg", [
-    # one frame at t = 0: no drift to draw
-    ("conserve", "solver.t_end=0", 0, "energies.svg"),
-    # every sup is 0, so no point on log axes, and the NaN slope fails
-    ("airy_decay", "data.amplitude=0", 1, "airy_decay.svg")])
-def test_a_plot_with_no_point_ends_the_run_with_a_manifest(name, assignment, code, svg,
-                                                           tmp_path, capsys):
-    path = write_fast_config(tmp_path, name)
-    assert main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")]) == code
-    out = tmp_path / "out" / name
-    assert svg in json.loads((out / "manifest.json").read_text())["outputs"]
-    assert "no finite points" in (out / svg).read_text()
-    ElementTree.parse(out / svg)
+@pytest.mark.parametrize("name", ["conserve", "scaling", "airy_decay", "linearized_l2",
+                                  "lnl_conservation", "decay_profile"])
+def test_all_zero_data_are_a_config_error(name, tmp_path, capsys):
+    # zero data once stopped lnl_conservation and decay_profile on a
+    # ZeroDivisionError after the output directory existed, failed airy_decay
+    # on a NaN slope, and passed the others' verdicts on nothing
+    args = ["run", str(CONFIG_DIR / f"{name}.json"), "--set", "data.amplitude=0",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert "data.amplitude=0: the data are all zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(EXPERIMENTS) if EXPERIMENTS[name].marches])
+def test_a_march_of_no_step_is_a_config_error(name, tmp_path, capsys):
+    # at solver.t_end=0 conserve's drifts and scaling's deviation were exactly
+    # 0, lnl_conservation's constants 0 and linearized_l2's growth rate set to
+    # 0: each run passed its verdicts on no step
+    args = ["run", str(CONFIG_DIR / f"{name}.json"), "--set", "solver.t_end=0",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert "solver.t_end must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("factor", ["1e20", "1e100"])
@@ -618,6 +619,89 @@ def test_fuzzed_config_files_exit_0_or_3(raw, edits):
         assert code == (0 if _accepts(raw) else 3)
         if code == 3:
             assert main(["run", str(path), "--out", str(out)]) == 3
+            assert not out.exists()
+
+
+def small_run(name, n=64):
+    """The shipped config of ``name`` on n points at its own spacing, marching
+    to t = 1 (decay_profile's first judged time) in steps of 5e-3, with
+    conserve's study and the normal-form probe at 0.02."""
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["grid"] = {"n": n, "length": raw["grid"]["length"] * n / raw["grid"]["n"]}
+    if "solver" in raw:
+        raw["solver"] = {"dt": 5e-3, "t_end": 1.0, "snapshot_stride": 50}
+    if "analysis" in raw:
+        raw["analysis"] = dict.fromkeys(raw["analysis"], 0.02)
+    return raw
+
+
+# Type-correct values for every field but grid.n, with the edge values: zero,
+# tiny and negative amplitudes, a zero horizon, tiny and huge domains.
+RUN_FIELDS = {
+    "seed": st.integers(0, 2**32),
+    "grid.length": st.one_of(st.floats(0.05, 1e3), st.sampled_from([1e-300, 1e-6, 1e6, 1e300])),
+    "data.profile": st.sampled_from(sorted(PROFILES) + ["no_such_profile"]),
+    "data.center": st.floats(-1e3, 1e3),
+    "data.width": st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e-300, 1e300])),
+    "data.bandlimit": st.one_of(st.floats(0.0, 1e4), st.just(1e308)),
+    "data.amplitude": st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 1e-300, -1e-300])),
+    "solver.dt": st.floats(1e-4, 1.0),
+    "solver.t_end": st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1e-300])),
+    "solver.snapshot_stride": st.integers(1, 10**9),
+    "analysis.conv_t_end": st.floats(0.0, 0.05),
+    "analysis.t_probe": st.floats(0.0, 0.05),
+}
+
+
+def run_configs():
+    """A small run of one experiment with up to three of its fields set."""
+    def edits(name):
+        paths = [path for path in override_paths(name) if path != "grid.n"]
+        return st.lists(st.sampled_from(paths).flatmap(
+            lambda path: st.tuples(st.just("set"), st.just(path), RUN_FIELDS[path])), max_size=3)
+
+    return st.tuples(st.sampled_from(sorted(EXPERIMENTS)), st.sampled_from([32, 64])).flatmap(
+        lambda base: edits(base[0]).map(lambda e: _edited(small_run(*base), e)))
+
+
+def planned_steps(raw) -> int:
+    """RK4 steps a run of the config plans, a coupled step counted as two: its
+    marches, conserve's convergence study and the normal-form probes."""
+    def plan(t_end, dt):
+        return stepper._snapshot_plan(t_end, dt)[0]
+
+    cfg = config_from_dict(raw)
+    steps = 0
+    if cfg.solver is not None:
+        steps += EXPERIMENTS[cfg.experiment].marches * plan(cfg.solver.t_end, cfg.solver.dt)
+    ana = cfg.analysis
+    if isinstance(ana, experiments.ConserveAnalysis):
+        dts = sorted(ana.conv_dts)
+        steps += sum(plan(ana.conv_t_end, dt) for dt in dts + [dts[0] / 8.0])
+    if isinstance(ana, experiments.NormalformAnalysis):
+        steps += len(ana.bands) * len(ana.amplitudes) * plan(ana.t_probe, ana.residual_dt)
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_configs())
+# each of these once ended in a ZeroDivisionError (exit 4) after the output
+# directory existed, or passed its verdicts on no step; strichartz on 64
+# points has no grid mode in band 2, so its ratio there was 0
+@example(small_run("strichartz"))
+@example(_edited(small_run("lnl_conservation"), [("set", "data.amplitude", 0)]))
+@example(_edited(small_run("decay_profile"), [("set", "data.amplitude", 0)]))
+@example(_edited(small_run("conserve"), [("set", "solver.t_end", 0)]))
+def test_fuzzed_runs_end_in_a_verdict_or_a_config_error(raw):
+    assume(planned_steps(raw) <= 2000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if out.exists():
+            assert (out / raw["experiment"] / "manifest.json").is_file()
+        if code == 3:
             assert not out.exists()
 
 

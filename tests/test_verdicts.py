@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bo3 import experiments, profiles
 from bo3.experiments import (
     EXPERIMENTS,
     TOLERANCES,
@@ -104,14 +105,14 @@ def test_each_experiment_gives_its_pinned_verdicts(experiment, tmp_path):
         assert check.value == res.metrics[check.metric]
 
 
-def _recording(key, section, seen):
+def _recording(key, section, seen, paused):
     """A copy of a config section that adds ``<key>.<field>`` to ``seen`` at
-    every read of one of its fields."""
+    every read of one of its fields, unless ``paused`` is non-empty."""
     names = [f.name for f in dataclasses.fields(section)]
 
     class Recording(type(section)):
         def __getattribute__(self, name):
-            if name in names:
+            if name in names and not paused:
                 seen.add(f"{key}.{name}")
             return super().__getattribute__(name)
 
@@ -120,18 +121,64 @@ def _recording(key, section, seen):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # run_experiment would record them
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path):
+def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path, monkeypatch):
+    # the reads that count are those of validation's build of the grid and the
+    # data, and the body's; the checkers read every field, so theirs do not
     cfg = shipped_config(experiment)
     for ov in TINY[experiment]:
         apply_override(cfg, ov)
-    validate_config(cfg)  # reads every field; only the body's reads count below
+    paused = []
+
+    def quiet(check):
+        def wrapped(*args, **kwargs):
+            paused.append(check)
+            try:
+                return check(*args, **kwargs)
+            finally:
+                paused.pop()
+        return wrapped
+
+    for name in ("_check_fields", "_run_bytes", "_check_fixed"):
+        monkeypatch.setattr(experiments, name, quiet(getattr(experiments, name)))
     declared, seen = set(), set()
     for key, cls in EXPERIMENTS[experiment].sections().items():
         if cls is not None:
             declared |= {f"{key}.{f.name}" for f in dataclasses.fields(cls)}
-            setattr(cfg, key, _recording(key, getattr(cfg, key), seen))
-    EXPERIMENTS[experiment].body(cfg, tmp_path)
+            setattr(cfg, key, _recording(key, getattr(cfg, key), seen, paused))
+    data = validate_config(cfg)
+    EXPERIMENTS[experiment].body(cfg, data, tmp_path)
     assert seen == declared
+
+
+@pytest.mark.parametrize("experiment, builds", [("linearized_l2", 42), ("conserve", 2)])
+def test_a_run_builds_each_field_of_its_data_once(experiment, builds, tmp_path, monkeypatch):
+    # linearized_l2: phi0, v0 and the 40 duality fields; conserve: phi0 and
+    # the convergence study's fixed data
+    calls = []
+
+    def counted(*args, _make=profiles.make_profile, **kwargs):
+        calls.append(args[0])
+        return _make(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "make_profile", counted)
+    cfg = shipped_config(experiment)
+    for ov in TINY[experiment]:
+        apply_override(cfg, ov)
+    run_experiment(cfg, base_dir=tmp_path)
+    assert len(calls) == builds
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("experiment", ["decay_profile", "lnl_conservation"])
+def test_the_over_eps_constants_divide_by_the_size_of_the_data(experiment, tmp_path):
+    # phi -> -phi is no symmetry of the flow: a negative amplitude is data of
+    # size |amplitude|, and its constants are positive like any other
+    cfg = shipped_config(experiment)
+    for ov in TINY[experiment] + ["data.amplitude=-0.05"]:
+        apply_override(cfg, ov)
+    res = run_experiment(cfg, base_dir=tmp_path)
+    over_eps = {k: v for k, v in res.metrics.items() if k.endswith("_over_eps")}
+    assert over_eps and all(v > 0 for v in over_eps.values()), over_eps
 
 
 # The "near" edges sit where |v - target| is exact for the neighbouring floats.
