@@ -19,6 +19,7 @@ import traceback
 from pathlib import Path
 
 from .experiments import (
+    EXPERIMENTS,
     ConfigError,
     apply_override,
     config_from_dict,
@@ -29,16 +30,6 @@ from .plotting import plot_csv
 
 USAGE_ERROR = 3
 CRASH = 4
-
-
-def _load_config(path: str):
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"no such config file: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}")
-    return config_from_dict(raw)
 
 
 _BOUND_FORMATS = {"in": "[{:.6g}, {:.6g}]", "near": "{:.6g} +- {:.6g}"}
@@ -55,7 +46,12 @@ def _shown(check) -> str:
 
 def _load_overridden(args):
     """The config of ``args.config`` with every ``--set`` override applied."""
-    cfg = _load_config(args.config)
+    try:
+        cfg = config_from_dict(json.loads(Path(args.config).read_text()))
+    except FileNotFoundError:
+        raise ConfigError(f"no such config file: {args.config}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config} is not valid JSON: {exc}")
     for assignment in args.set or []:
         apply_override(cfg, assignment)
     return cfg
@@ -73,7 +69,12 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = _load_overridden(args)
     validate_config(cfg)
-    print(f"ok: {args.config} ({cfg.experiment})")
+    marches = EXPERIMENTS[cfg.experiment].plan(cfg)
+    plan = f"marches: {len(marches)}, steps: {sum(m.steps for m in marches)}"
+    if marches:
+        big = max(marches, key=lambda m: m.work)
+        plan += f"; the largest: {big.steps} steps at n = {big.n}, dt = {big.dt:g}"
+    print(f"ok: {args.config} ({cfg.experiment}): {plan}")
     return 0
 
 

@@ -29,19 +29,21 @@ from .flows import (FlowKind, adjoint_linearized_rhs, airy_propagate, linearized
 from .invariants import l2_norm
 from .spectral import RealField, make_grid, project_band, sobolev_norm
 from .spectral import envelope as spectral_envelope
-from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, integrate,
-                      integrate_linearized_pair, convergence_order)
+from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, _snapshot_plan, final_only,
+                      integrate, integrate_linearized_pair, convergence_order, study_solvers)
 
 __all__ = [
     "ConfigError",
     "GridParams",
     "Experiment",
+    "March",
     "ExperimentConfig",
     "ExperimentResult",
     "Check",
     "EXPERIMENTS",
     "TOLERANCES",
     "MEMORY_BUDGET",
+    "WORK_BUDGET",
     "judge",
     "config_from_dict",
     "config_to_dict",
@@ -162,8 +164,8 @@ class NormalformAnalysis:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment's settings.  ``data`` and ``analysis`` have the classes of
-    the experiment's record in ``EXPERIMENTS``; a section it does not read is None."""
+    """One experiment's settings.  ``data``, ``solver`` and ``analysis`` have the classes
+    of the experiment's record in ``EXPERIMENTS``; a section it does not read is None."""
     experiment: str
     grid: GridParams
     data: object
@@ -402,7 +404,7 @@ def _check_fixed(cfg: ExperimentConfig, grid, data, shown: str) -> None:
                 normalform._check_band(grid, k)
         elif name == "scaling":
             shown += f": the run rescaled by {SCALE_FACTOR:g}"
-            _rescaled(grid, cfg.solver)
+            make_grid(*_rescaled(grid, cfg.solver)[0])
         elif name == "decay_profile" and cfg.solver.t_end < DECAY_T_LO:
             raise ValueError(f"solver.t_end={cfg.solver.t_end!r} ends before t = {DECAY_T_LO:g}, "
                              "where the decay report starts to judge")
@@ -410,52 +412,72 @@ def _check_fixed(cfg: ExperimentConfig, grid, data, shown: str) -> None:
         raise ConfigError(f"{shown}: {exc}") from None
 
 
-# The most memory a run may ask for, in bytes as ``_run_bytes`` estimates them.
+# The most memory a run may ask for, in bytes as ``_run_bytes`` estimates them,
+# and the most work, in point-steps: steps x stacked rows x n, summed over the
+# run's marches.  The canonical runs plan at most 10 864 000 (conserve's).
 MEMORY_BUDGET = 2**30
+WORK_BUDGET = 10**10
 
 
-def _run_bytes(cfg: ExperimentConfig) -> float:
-    """Estimated bytes of a run's largest arrays: x, xi and sign(xi) of each grid
-    it builds (``grid.n`` and, for conserve, the study's fixed
-    ``ConserveAnalysis.conv_n``), 24 B a point, and the half
-    spectra its trajectories hold, frames x (n/2+1) x 16 B per stacked row.  The
-    frames (t = 0, every stride-th step and the last) are counted in floats, at
-    most one over the stepper's plan, so an absurd step count cannot overflow.
-    A run that streams its march holds one block of ``stepper.FRAME_BLOCK``
-    frames of half spectra, the energy tracker's working set on that block
-    (``invariants.track_bytes``: one chunk of frames, whatever the block), and
-    48 B a frame of reduced values: the time and five channels.  The other
-    experiments' analysis temporaries are not counted.
-    """
-    n = cfg.grid.n
-    total = 24.0 * (n + getattr(cfg.analysis, "conv_n", 0))
-    exp = EXPERIMENTS[cfg.experiment]
-    if exp.marches:
-        sol = cfg.solver
-        frames = 2.0 + sol.t_end / sol.dt / sol.snapshot_stride
-        frame = exp.marches * (n // 2 + 1) * 16.0
-        if exp.streams:
-            rows = min(frames, FRAME_BLOCK)
-            total += rows * frame + invariants.track_bytes(n, rows) + 48.0 * frames
-        else:
-            total += frames * frame
+class March(collections.namedtuple("March", "n dt steps h rows frames streams")):
+    """One march of a run: ``steps`` steps of width ``h`` (``stepper._snapshot_plan``)
+    for the step dt on n points, of ``rows`` stacked half spectra, keeping ``frames``
+    frames, all held at once unless it ``streams`` them to a reducer block by block."""
+
+    @classmethod
+    def of(cls, n, sol, rows=1, streams=False) -> "March":
+        steps, h = _snapshot_plan(sol.t_end, sol.dt)
+        return cls(n, sol.dt, steps, h, rows, 1 + math.ceil(steps / sol.snapshot_stride), streams)
+
+    held = property(lambda m: min(m.frames, FRAME_BLOCK) if m.streams else m.frames)
+    work = property(lambda m: float(m.steps) * m.rows * m.n)  # point-steps
+
+
+def _plan(cfg: ExperimentConfig) -> list:
+    """The run's marches; ConfigError for one it cannot count or take."""
+    try:
+        return EXPERIMENTS[cfg.experiment].plan(cfg)
+    except OverflowError:  # t_end / dt beyond the floats
+        raise ConfigError(f"{cfg.experiment} plans more steps than a float can count") from None
+    except ValueError as exc:  # a step the solver refuses
+        raise ConfigError(f"{cfg.experiment} cannot plan its marches: {exc}") from None
+
+
+def _run_bytes(cfg: ExperimentConfig, marches) -> float:
+    """Estimated bytes of a run's largest arrays, in floats: 24 B a point of each
+    grid size (``grid.n`` and the marches'), 16 B a mode of each half spectrum a
+    march holds at once, and for a march that streams, the energy tracker's
+    working set on one block (``invariants.track_bytes``) and 48 B a frame of
+    reduced values: the time and five channels."""
+    total = 24.0 * sum({cfg.grid.n, *(m.n for m in marches)})
+    for m in marches:
+        total += float(m.held) * m.rows * (m.n // 2 + 1) * 16.0
+        if m.streams:
+            total += invariants.track_bytes(m.n, m.held) + 48.0 * m.frames
     return total
 
 
 def validate_config(cfg: ExperimentConfig):
     """Check every precondition knowable before any compute starts: the common fields,
-    the field types of every section, the run's memory, the grid, the data and the
-    fixed settings against the settable ones.  config_from_dict checked the
-    experiment and the solver's values.  Returns the data it built and checked,
-    which ``run_experiment`` hands to the body."""
+    the field types of every section, the plan against the memory and work budgets,
+    the grid, the data and the fixed settings against the settable ones.
+    config_from_dict checked the experiment and the solver's values.  Returns the
+    data it built and checked, which ``run_experiment`` hands to the body."""
     _check_fields("", cfg, ["seed"])
     for key, cls in EXPERIMENTS[cfg.experiment].sections().items():
         if cls is not None:
             _check_fields(f"{key}.", getattr(cfg, key))
-    need = _run_bytes(cfg)
+    marches = _plan(cfg)
+    need = _run_bytes(cfg, marches)
     if need > MEMORY_BUDGET:
         raise ConfigError(f"the run needs about {need / 2**30:.3g} GiB, over the "
                           f"{MEMORY_BUDGET / 2**30:g} GiB of experiments.MEMORY_BUDGET")
+    work = sum(m.work for m in marches)
+    if work > WORK_BUDGET:
+        big = max(marches, key=lambda m: m.work)
+        raise ConfigError(f"the run plans {work:.3g} point-steps (steps x rows x n), over the "
+                          f"{WORK_BUDGET:.3g} of experiments.WORK_BUDGET; its largest march "
+                          f"takes {float(big.steps):.3g} steps at n = {big.n}, dt = {big.dt:.3g}")
     shown = f"grid.n={cfg.grid.n!r}, grid.length={cfg.grid.length!r}"
     try:
         grid = make_grid(cfg.grid.n, cfg.grid.length)
@@ -518,10 +540,10 @@ def _exp_conserve(cfg, data, out_dir):
 
 
 def _rescaled(grid, solver):
-    """The grid and solver settings of the run rescaled by ``SCALE_FACTOR``: the
-    domain shrinks by lam and the times by lam**3."""
+    """The grid's (n, length) and the solver settings of the run rescaled by
+    ``SCALE_FACTOR``: the domain shrinks by lam and the times by lam**3."""
     lam = SCALE_FACTOR
-    return (make_grid(grid.n, grid.length / lam),
+    return ((grid.n, grid.length / lam),
             dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
 
 
@@ -530,7 +552,8 @@ def _exp_scaling(cfg, data, out_dir):
     base = integrate(FlowKind("third_order_bo"), data, cfg.solver)
 
     grid2, sol2 = _rescaled(data.grid, cfg.solver)
-    scaled = integrate(FlowKind("third_order_bo"), RealField(grid2, lam * data.values), sol2)
+    scaled = integrate(FlowKind("third_order_bo"), RealField(make_grid(*grid2), lam * data.values),
+                       sol2)
 
     devs = []
     for (t1, f1), (t2, f2) in zip(base.frames, scaled.frames):
@@ -768,33 +791,49 @@ def _exp_decay_profile(cfg, data, out_dir):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its ``body(cfg, data, out_dir)``, the classes of the ``data``
-    and ``analysis`` sections it reads (None: no analysis; every measurement
-    setting is fixed), ``marches``, the half-spectrum rows its trajectories hold
-    at once (0: it does not march, that is, reads no ``solver``), and
-    ``streams``: its march hands the frames to a reducer block by block."""
+    """One experiment: its ``body(cfg, data, out_dir)``, its ``plan(cfg)``: the ``March``
+    of each march the body takes, in order, and the classes of the ``data``,
+    ``analysis`` and ``solver`` sections it reads (None: it reads no such section)."""
     body: typing.Callable
     data: type
+    plan: typing.Callable
     analysis: type | None = None
-    marches: int = 1
-    streams: bool = False
+    solver: type | None = SolverConfig
 
     def sections(self) -> dict:
         """The class of each section, None for a section the experiment does not read."""
-        return {"grid": GridParams, "data": self.data,
-                "solver": SolverConfig if self.marches else None, "analysis": self.analysis}
+        return {"grid": GridParams, "data": self.data, "solver": self.solver,
+                "analysis": self.analysis}
+
+
+def _plan_conserve(cfg):
+    ana = cfg.analysis
+    return [March.of(cfg.grid.n, cfg.solver, streams=True),
+            *(March.of(ana.conv_n, s) for s in study_solvers(ana.conv_t_end, ana.conv_dts))]
+
+
+def _one_march(rows=1):
+    return lambda cfg: [March.of(cfg.grid.n, cfg.solver, rows=rows)]
+
+
+def _plan_probes(cfg):
+    """One march to t_probe per band and amplitude; none at t_probe = 0."""
+    ana = cfg.analysis
+    probes = len(ana.bands) * len(ana.amplitudes) if ana.t_probe > 0.0 else 0
+    return [March.of(cfg.grid.n, final_only(ana.residual_dt, ana.t_probe))] * probes
 
 
 EXPERIMENTS = {
-    "conserve": Experiment(_exp_conserve, ProfileData, ConserveAnalysis, streams=True),
-    "scaling": Experiment(_exp_scaling, ProfileData, marches=2),
-    "airy_decay": Experiment(_exp_airy_decay, ProfileData, marches=0),
-    "strichartz": Experiment(_exp_strichartz, WindowedData, marches=0),
-    "normalform_scaling": Experiment(_exp_normalform, ShapeData, NormalformAnalysis,
-                                     marches=0),
-    "linearized_l2": Experiment(_exp_linearized, DualityData, marches=2),
-    "lnl_conservation": Experiment(_exp_lnl_conservation, PairData, marches=2),
-    "decay_profile": Experiment(_exp_decay_profile, ProfileData),
+    "conserve": Experiment(_exp_conserve, ProfileData, _plan_conserve, ConserveAnalysis),
+    "scaling": Experiment(_exp_scaling, ProfileData, lambda cfg: [
+        March.of(cfg.grid.n, s) for s in (cfg.solver, _rescaled(cfg.grid, cfg.solver)[1])]),
+    "airy_decay": Experiment(_exp_airy_decay, ProfileData, lambda cfg: [], solver=None),
+    "strichartz": Experiment(_exp_strichartz, WindowedData, lambda cfg: [], solver=None),
+    "normalform_scaling": Experiment(_exp_normalform, ShapeData, _plan_probes,
+                                     NormalformAnalysis, solver=None),
+    "linearized_l2": Experiment(_exp_linearized, DualityData, _one_march(rows=2)),
+    "lnl_conservation": Experiment(_exp_lnl_conservation, PairData, _one_march(rows=2)),
+    "decay_profile": Experiment(_exp_decay_profile, ProfileData, _one_march()),
 }
 
 

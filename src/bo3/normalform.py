@@ -208,12 +208,10 @@ def cubic_scaling_test(profile: RealField, amplitudes, k: int, t_probe: float,
         raise ValueError("amplitudes must increase")
     raws, gauges = [], []
     for e in eps:
-        data = RealField(profile.grid, e * profile.values)
+        state = RealField(profile.grid, e * profile.values)
         if t_probe > 0.0:
-            cfg = stepper.SolverConfig(dt=dt, t_end=t_probe, snapshot_stride=10**9)
-            state = stepper.integrate(FlowKind("third_order_bo"), data, cfg).final()
-        else:
-            state = data
+            state = stepper.integrate(FlowKind("third_order_bo"), state,
+                                      stepper.final_only(dt, t_probe)).final()
         raws.append(band_residual_raw(state, k))
         gauges.append(band_residual_gauged(state, k))
     scale = max(l2_norm(profile), 1.0)

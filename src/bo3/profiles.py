@@ -65,6 +65,8 @@ def sech_bump(grid, center=0.0, width=4.0, bandlimit=1.0, seed=None):
 def two_mode(grid, center=0.0, width=4.0, bandlimit=1.0, seed=None):
     """Two exact grid modes at roughly bandlimit/2 and bandlimit."""
     base = 2.0 * np.pi / grid.length
+    if not np.isfinite(bandlimit / base):
+        raise ValueError(f"bandlimit {bandlimit:g} is no finite number of grid modes")
     m2 = max(2, int(round(bandlimit / base)))
     m1 = max(1, m2 // 2)
     y = grid.x - center

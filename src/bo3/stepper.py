@@ -89,6 +89,11 @@ class SolverConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
 
+def final_only(dt: float, t_end: float) -> SolverConfig:
+    """The settings of a march that keeps no frame between its first and last."""
+    return SolverConfig(dt=dt, t_end=t_end, snapshot_stride=10**9)
+
+
 class _Frames(Sequence):
     """The ``(t, RealField)`` frames of a trajectory, each built when read."""
 
@@ -328,26 +333,25 @@ class ConvergenceResult:
     errors: tuple
 
 
-def convergence_order(f0: RealField, t_end: float, dt_list) -> ConvergenceResult:
-    """Self-convergence study of the third-order flow against a run at the
-    finest dt / 8."""
+def study_solvers(t_end: float, dt_list) -> list:
+    """A convergence study's marches to t_end: the reference at the finest dt / 8, then each dt."""
     dts = sorted(float(d) for d in dt_list)
     if len(dts) < 3:
         raise ValueError("need at least three dt values")
+    return [final_only(dt, t_end) for dt in (dts[0] / 8.0, *dts)]
 
-    def final_state(dt):
-        cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_stride=10**9)
-        return integrate(flows.FlowKind("third_order_bo"), f0, cfg).final()
 
-    ref = final_state(dts[0] / 8.0)
+def convergence_order(f0: RealField, t_end: float, dt_list) -> ConvergenceResult:
+    """Self-convergence study of the third-order flow against a run at the
+    finest dt / 8 (``study_solvers``)."""
+    study = study_solvers(t_end, dt_list)
+    ref, *finals = (integrate(flows.FlowKind("third_order_bo"), f0, cfg).final() for cfg in study)
     scale = np.max(np.abs(ref.values)) + 1e-300
-    errors = []
-    for dt in dts:
-        fin = final_state(dt)
-        errors.append(float(np.max(np.abs(fin.values - ref.values))))
+    dts = tuple(cfg.dt for cfg in study[1:])
+    errors = tuple(float(np.max(np.abs(fin.values - ref.values))) for fin in finals)
     errors_arr = np.asarray(errors)
     if np.all(errors_arr < 1e-12 * scale):
-        return ConvergenceResult(math.inf, tuple(dts), tuple(errors))
+        return ConvergenceResult(math.inf, dts, errors)
     if np.any(np.diff(errors_arr) <= 0.0):
-        return ConvergenceResult(math.nan, tuple(dts), tuple(errors))
-    return ConvergenceResult(loglog_slope(dts, errors_arr), tuple(dts), tuple(errors))
+        return ConvergenceResult(math.nan, dts, errors)
+    return ConvergenceResult(loglog_slope(dts, errors_arr), dts, errors)

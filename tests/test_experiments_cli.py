@@ -372,11 +372,15 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
     # band 2.0 on a domain whose first mode is 2*pi/3
     ("linearized_l2", ["data.bandlimit=0.001", "data.profile=two_mode"]),
     ("linearized_l2", ["grid.length=3", "grid.n=64", "data.profile=two_mode",
-                       "data.bandlimit=100"])])
+                       "data.bandlimit=100"]),
+    # two grid modes at a bandlimit of no finite number of modes, once refused
+    # in Python's words "cannot convert float infinity to integer"
+    ("conserve", ["data.bandlimit=1e+308", "data.profile=two_mode"])])
 def test_data_no_run_can_use_is_a_config_error(name, assignments, tmp_path, capsys):
     args = ["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "out")]
     assert main(args + [arg for a in assignments for arg in ("--set", a)]) == 3
-    assert assignments[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert assignments[0] in err and "cannot convert" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -419,7 +423,7 @@ def test_all_zero_data_are_a_config_error(name, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", [name for name in sorted(EXPERIMENTS) if EXPERIMENTS[name].marches])
+@pytest.mark.parametrize("name", [name for name in sorted(EXPERIMENTS) if EXPERIMENTS[name].solver])
 def test_a_march_of_no_step_is_a_config_error(name, tmp_path, capsys):
     # at solver.t_end=0 conserve's drifts and scaling's deviation were exactly
     # 0, lnl_conservation's constants 0 and linearized_l2's growth rate set to
@@ -486,12 +490,12 @@ def test_unread_fields_are_config_errors(name, path, tmp_path, capsys):
 
 
 def test_run_bytes_counts_grids_and_trajectory_rows():
-    # 24 B a grid point; 16 B a half-spectrum mode per frame and stacked row,
-    # at most one frame over the stepper's plan.  conserve streams its march
+    # 24 B a point of each grid size; 16 B a half-spectrum mode per frame and
+    # stacked row, the frames of the stepper's plan.  conserve streams its march
     # into the energies: it holds at most one block of frames, the tracker's
     # working set on that block (40 B a frame of the block, 24 B a mode and
     # 64 B a point of one chunk of max(1, 2**14 // n) rows), and 48 B a frame
-    # of reduced values
+    # of reduced values.  Its study's four marches at n = 128 keep two frames each
     block = stepper.FRAME_BLOCK
 
     def streamed(frames, n, m):
@@ -506,18 +510,18 @@ def test_run_bytes_counts_grids_and_trajectory_rows():
         for assignment in overrides:
             apply_override(cfg, assignment)
         n, m = cfg.grid.n, cfg.grid.n // 2 + 1
-        grids = 24 * (n + getattr(cfg.analysis, "conv_n", 0))
         n_steps = stepper._snapshot_plan(cfg.solver.t_end, cfg.solver.dt)[0]
         frames = 1 + math.ceil(n_steps / cfg.solver.snapshot_stride)
-        traj = experiments._run_bytes(cfg) - grids
-        if EXPERIMENTS[name].streams:
-            lo, hi = streamed(frames, n, m), streamed(frames + 1, n, m)
+        if name == "conserve":
+            expected = 24 * (n + 128) + streamed(frames, n, m) + 4 * 2 * 65 * 16
         else:
-            lo, hi = rows * frames * m * 16, rows * (frames + 1) * m * 16
-        assert lo <= traj <= hi, (name, overrides)
-    assert [name for name, exp in EXPERIMENTS.items() if exp.streams] == ["conserve"]
+            expected = 24 * n + rows * frames * m * 16
+        assert experiments._run_bytes(cfg, experiments._plan(cfg)) == expected, (name, overrides)
+    streams = [name for name in EXPERIMENTS
+               if any(m.streams for m in experiments._plan(shipped_config(name)))]
+    assert streams == ["conserve"]
     cfg = shipped_config("strichartz")  # no march: the grid alone
-    assert experiments._run_bytes(cfg) == 24 * cfg.grid.n
+    assert experiments._run_bytes(cfg, experiments._plan(cfg)) == 24 * cfg.grid.n
 
 
 def test_oversized_runs_are_config_errors_before_any_grid(tmp_path, capsys, monkeypatch):
@@ -665,22 +669,9 @@ def run_configs():
 
 
 def planned_steps(raw) -> int:
-    """RK4 steps a run of the config plans, a coupled step counted as two: its
-    marches, conserve's convergence study and the normal-form probes."""
-    def plan(t_end, dt):
-        return stepper._snapshot_plan(t_end, dt)[0]
-
+    """RK4 steps the plan of a run of the config takes, a coupled step counted as two."""
     cfg = config_from_dict(raw)
-    steps = 0
-    if cfg.solver is not None:
-        steps += EXPERIMENTS[cfg.experiment].marches * plan(cfg.solver.t_end, cfg.solver.dt)
-    ana = cfg.analysis
-    if isinstance(ana, experiments.ConserveAnalysis):
-        dts = sorted(ana.conv_dts)
-        steps += sum(plan(ana.conv_t_end, dt) for dt in dts + [dts[0] / 8.0])
-    if isinstance(ana, experiments.NormalformAnalysis):
-        steps += len(ana.bands) * len(ana.amplitudes) * plan(ana.t_probe, ana.residual_dt)
-    return steps
+    return sum(m.steps * m.rows for m in EXPERIMENTS[cfg.experiment].plan(cfg))
 
 
 @settings(max_examples=40, deadline=None)

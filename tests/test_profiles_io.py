@@ -59,6 +59,11 @@ def test_unknown_profile(grid):
         make_profile("soliton", grid)
 
 
+def test_two_modes_need_a_finite_number_of_grid_modes(grid):
+    with pytest.raises(ValueError, match="bandlimit 1e\\+308 is no finite number of grid modes"):
+        make_profile("two_mode", grid, bandlimit=1e308)
+
+
 # ---------------------------------------------------------------------------
 # CSV tables
 

@@ -138,7 +138,7 @@ def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path, mon
                 paused.pop()
         return wrapped
 
-    for name in ("_check_fields", "_run_bytes", "_check_fixed"):
+    for name in ("_check_fields", "_plan", "_run_bytes", "_check_fixed"):
         monkeypatch.setattr(experiments, name, quiet(getattr(experiments, name)))
     declared, seen = set(), set()
     for key, cls in EXPERIMENTS[experiment].sections().items():
