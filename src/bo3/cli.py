@@ -6,8 +6,9 @@
 
 ``bo3 run`` writes its artifacts into ``DIR/<experiment>/`` (DIR defaults to
 ``out``).  Exit codes: 0 pass, 1 fail, 2 degraded (pass with warnings), 3
-usage or configuration error, 4 crash (any other exception; its traceback
-goes to stderr).
+usage or configuration error, refused before any output directory exists, 4
+crash (any other exception; its traceback goes to stderr, and the manifest of a
+started run names it).
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def _cmd_run(args) -> int:
         print(f"{'PASS' if check.passed else 'FAIL'}  {result.name}.{name}  ({_shown(check)})")
     for w in result.warnings:
         print(f"WARN  {w}")
+    if result.error is not None:
+        traceback.print_exception(result.error)
     return result.exit_code
 
 
@@ -113,6 +116,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    # A started run's exit code is its record's; these map only the errors
+    # raised before a run starts and those of ``bo3 plot``.
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -4,8 +4,8 @@ Each experiment maps one verifiable claim about the flows to a concrete
 measurement: its body writes CSV tables and returns ``(metrics, outputs)``.
 ``run_experiment`` judges the metrics against the specs in ``TOLERANCES`` and
 writes a JSON manifest (config echo, build version, warnings, verdicts,
-metrics and the check behind each verdict).  Given the same config and seed
-the CSV outputs are byte-identical.
+metrics and the check behind each verdict, or the error that ended the body).
+Given the same config and seed the CSV outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -181,11 +181,14 @@ Check = collections.namedtuple("Check", "passed value bound margin metric test")
 
 @dataclass
 class ExperimentResult:
+    """The record of one started run: its ``exit_code`` and ``manifest`` say how it ended."""
     name: str
+    config: dict  # config_to_dict echo
     checks: dict  # verdict name -> Check
     metrics: dict
     warnings: list
-    outputs: list
+    outputs: list  # the files the body wrote as its results
+    error: Exception | None = None  # what ended the body; then no checks and no outputs
 
     @property
     def verdicts(self) -> dict:
@@ -197,9 +200,31 @@ class ExperimentResult:
 
     @property
     def exit_code(self) -> int:
+        if self.error is not None:
+            return 4
         if not self.passed:
             return 1
         return 2 if self.warnings else 0
+
+    def manifest(self) -> dict:
+        def number(v):  # JSON has no NaN or infinity
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        manifest = {
+            "experiment": self.name,
+            "config": self.config,
+            "version": build_version(),
+            "verdicts": self.verdicts,
+            "metrics": {k: number(v) for k, v in self.metrics.items()},
+            "checks": {name: {"metric": c.metric, "test": c.test, "bound": c.bound,
+                              "value": number(c.value), "margin": number(c.margin)}
+                       for name, c in self.checks.items()},
+            "warnings": self.warnings,
+            "outputs": [Path(p).name for p in self.outputs],
+        }
+        if self.error is not None:
+            manifest["error"] = {"type": type(self.error).__name__, "message": str(self.error)}
+        return manifest
 
 
 # Every machine-checked verdict as (metric, test, bound).  A test is "<=" or
@@ -848,9 +873,10 @@ _STOPS = {BlowUpError: ("finite", "blowup_time"),
 def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
     """Validate, run, and persist one experiment.
 
-    Artifacts land in ``<base_dir>/<experiment>/``.  The body's metrics are
-    judged by ``judge``; a run that stops early (blow-up, wrap-around) ends
-    with one failed check from ``_STOPS``.
+    A config error raises before ``<base_dir>/<experiment>/`` exists.  Every
+    way out of a started run writes its record's manifest there: the metrics
+    judged by ``judge``, one failed check from ``_STOPS`` for a run that stops
+    early (blow-up, wrap-around), or the ``error`` of any other exception.
     """
     data = validate_config(cfg)
     out_dir = Path(base_dir) / cfg.experiment
@@ -863,29 +889,16 @@ def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
         _warnings.simplefilter("always")
         try:
             metrics, outputs = EXPERIMENTS[cfg.experiment].body(cfg, data, out_dir)
-            checks = judge(metrics)
+            checks, error = judge(metrics), None
         except tuple(_STOPS) as exc:
             name, metric = _STOPS[type(exc)]
-            metrics, outputs = {metric: exc.time}, []
+            metrics, outputs, error = {metric: exc.time}, [], None
             checks = {name: Check(False, exc.time, None, math.nan, metric, name)}
+        except Exception as exc:  # not BaseException: Ctrl-C still stops at once
+            metrics, outputs, checks, error = {}, [], {}, exc
         collected = [f"{w.category.__name__}: {w.message}" for w in caught]
 
-    def number(v):  # JSON has no NaN or infinity
-        return None if isinstance(v, float) and not math.isfinite(v) else v
-
-    result = ExperimentResult(cfg.experiment, checks, metrics, collected,
-                              [str(p) for p in outputs] + [str(out_dir / "manifest.json")])
-    manifest = {
-        "experiment": cfg.experiment,
-        "config": config_to_dict(cfg),
-        "version": build_version(),
-        "verdicts": result.verdicts,
-        "metrics": {k: number(v) for k, v in metrics.items()},
-        "checks": {name: {"metric": c.metric, "test": c.test, "bound": c.bound,
-                          "value": number(c.value), "margin": number(c.margin)}
-                   for name, c in checks.items()},
-        "warnings": collected,
-        "outputs": [str(Path(p).name) for p in outputs],
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    result = ExperimentResult(cfg.experiment, config_to_dict(cfg), checks, metrics, collected,
+                              [str(p) for p in outputs], error)
+    (out_dir / "manifest.json").write_text(json.dumps(result.manifest(), indent=2) + "\n")
     return result
