@@ -61,10 +61,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config sections.  ``grid`` and ``solver`` (``stepper.SolverConfig``) are
 # shared; each experiment reads its initial data through one of the ``data``
-# classes.  conserve and normalform_scaling read the one measurement setting
-# they leave open through an ``analysis`` class; their other settings are
-# class constants there, and those of the other experiments are module
-# constants next to TOLERANCES.
+# classes, whose profile is a class constant.  conserve and normalform_scaling
+# read the one measurement setting they leave open through an ``analysis``
+# class; their other settings are class constants there, and those of the
+# other experiments are module constants next to TOLERANCES.
 
 
 @dataclass
@@ -75,23 +75,35 @@ class GridParams:
 
 @dataclass
 class ShapeData:
-    """A profile of ``profiles.PROFILES`` at amplitude 1 (normalform_scaling sweeps it)."""
-    profile: str = "gaussian_bump"
-    center: float = 0.0
-    width: float = 4.0
+    """Seeded random data of ``bandlimit`` at amplitude 1 (normalform_scaling sweeps it)."""
     bandlimit: float = 1.0
-    amplitude = 1.0  # a class constant, not a field
+    # class constants, not fields
+    profile = "random_bandlimited"
+    amplitude = 1.0
 
     def build(self, grid, seed) -> RealField:
         return profiles.make_profile(self.profile, grid, amplitude=self.amplitude,
-                                     center=self.center, width=self.width,
                                      bandlimit=self.bandlimit, seed=seed)
 
 
 @dataclass
-class ProfileData(ShapeData):
-    """A profile of ``profiles.PROFILES`` at ``amplitude``."""
+class ProfileData:
+    """A Gaussian bump of ``width`` and ``bandlimit`` at ``amplitude``, centred at
+    x = 0, the origin of every x-weighted measurement."""
+    width: float = 4.0
+    bandlimit: float = 1.0
     amplitude: float = 0.05
+    profile = "gaussian_bump"  # a class constant, not a field
+
+    def build(self, grid, seed) -> RealField:
+        return profiles.make_profile(self.profile, grid, amplitude=self.amplitude,
+                                     width=self.width, bandlimit=self.bandlimit, seed=seed)
+
+
+@dataclass
+class AiryData(ProfileData):
+    """The wave packet of linear decay (``profiles.airy_packet``) at ``amplitude``."""
+    profile = "airy_packet"
 
 
 @dataclass
@@ -122,16 +134,15 @@ class DualityData(PairData):
 
 
 @dataclass
-class WindowedData:
-    """Two mean-free random fields under a centred Gaussian window."""
-    bandlimit: float = 1.0
+class WindowedData(ShapeData):
+    """Two fields of the random data (seeds seed, seed + 1) under a centred
+    Gaussian window, made mean-free."""
 
     def build(self, grid, seed) -> tuple:
         envelope = np.exp(-((grid.x / (grid.length / 16.0)) ** 2))
 
         def windowed(seed):
-            base = profiles.make_profile("random_bandlimited", grid,
-                                         bandlimit=self.bandlimit, seed=seed).values
+            base = ShapeData.build(self, grid, seed).values
             return RealField(grid, envelope * base - np.mean(envelope * base))
 
         return windowed(seed), windowed(seed + 1)
@@ -408,7 +419,7 @@ def _check_data(cfg: ExperimentConfig, grid, shown: str):
             if np.sum(f.values ** 2) < np.finfo(float).tiny:
                 raise ValueError("the data's sum of squares underflows" if np.any(f.values)
                                  else "the data are all zero")
-    except (KeyError, ValueError, OverflowError) as exc:  # KeyError: an unknown profile
+    except (ValueError, OverflowError) as exc:
         shown += "".join(f", data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
         raise ConfigError(f"{shown}: {exc}") from None
     return data
@@ -852,7 +863,7 @@ EXPERIMENTS = {
     "conserve": Experiment(_exp_conserve, ProfileData, _plan_conserve, ConserveAnalysis),
     "scaling": Experiment(_exp_scaling, ProfileData, lambda cfg: [
         March.of(cfg.grid.n, s) for s in (cfg.solver, _rescaled(cfg.grid, cfg.solver)[1])]),
-    "airy_decay": Experiment(_exp_airy_decay, ProfileData, lambda cfg: [], solver=None),
+    "airy_decay": Experiment(_exp_airy_decay, AiryData, lambda cfg: [], solver=None),
     "strichartz": Experiment(_exp_strichartz, WindowedData, lambda cfg: [], solver=None),
     "normalform_scaling": Experiment(_exp_normalform, ShapeData, _plan_probes,
                                      NormalformAnalysis, solver=None),

@@ -1,12 +1,11 @@
 """Named initial-data profiles.
 
 Every profile is mean-free, bandlimited with the same smooth spectral cutoff
-used by the dyadic projections, normalized to unit sup, and centered unless
-asked otherwise.  Formulas:
+used by the dyadic projections, normalized to unit sup, and centered at
+x = 0 unless asked otherwise.  The experiments' data sections pin the first
+three; odd_packet serves the tests of x-weighted functionals.  Formulas:
 
 * gaussian_bump:     exp(-((x - c)/w)^2), zero mode removed, cutoff at Xi
-* sech_bump:         sech((x - c)/w), same treatment
-* two_mode:          sin(xi1 (x - c)) + sin(xi2 (x - c)) on exact grid modes
 * random_bandlimited: seeded Hermitian coefficients with a smooth taper on
                       (0, Xi], zero mode empty
 * airy_packet:       spectral envelope exp(-(w xi)^2 / 4) under the cutoff
@@ -57,23 +56,6 @@ def gaussian_bump(grid, center=0.0, width=4.0, bandlimit=1.0, seed=None):
     return _normalize(grid, _bandlimit(grid, vals, bandlimit))
 
 
-def sech_bump(grid, center=0.0, width=4.0, bandlimit=1.0, seed=None):
-    vals = 1.0 / np.cosh((grid.x - center) / width)
-    return _normalize(grid, _bandlimit(grid, vals, bandlimit))
-
-
-def two_mode(grid, center=0.0, width=4.0, bandlimit=1.0, seed=None):
-    """Two exact grid modes at roughly bandlimit/2 and bandlimit."""
-    base = 2.0 * np.pi / grid.length
-    if not np.isfinite(bandlimit / base):
-        raise ValueError(f"bandlimit {bandlimit:g} is no finite number of grid modes")
-    m2 = max(2, int(round(bandlimit / base)))
-    m1 = max(1, m2 // 2)
-    y = grid.x - center
-    vals = np.sin(m1 * base * y) + np.sin(m2 * base * y)
-    return _normalize(grid, vals)
-
-
 def random_bandlimited(grid, center=0.0, width=4.0, bandlimit=1.0, seed=0):
     rng = np.random.default_rng(seed)
     half = grid.n // 2
@@ -112,8 +94,6 @@ def odd_packet(grid, center=0.0, width=6.0, bandlimit=1.0, seed=None):
 
 PROFILES = {
     "gaussian_bump": gaussian_bump,
-    "sech_bump": sech_bump,
-    "two_mode": two_mode,
     "random_bandlimited": random_bandlimited,
     "airy_packet": airy_packet,
     "odd_packet": odd_packet,

@@ -183,8 +183,12 @@ class RealField(_Field):
 
     @classmethod
     def from_spectrum(cls, grid: SpectralGrid, half) -> "RealField":
-        """The real field with the half spectrum ``half`` (n/2+1 modes)."""
-        h = np.array(half, dtype=complex)
+        """The real field with the half spectrum ``half`` (n/2+1 modes).  The field
+        keeps a complex array as it is, read-only from then on; a writable view
+        is copied, since its base could still change it."""
+        h = np.asarray(half, dtype=complex)
+        if h.flags.writeable and h.base is not None:
+            h = h.copy()
         if h.shape != (grid.n // 2 + 1,):
             raise ValueError(f"expected a half spectrum of {grid.n // 2 + 1} modes, "
                              f"got shape {h.shape}")

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import json
 import typing
 from pathlib import Path
 
@@ -31,6 +32,17 @@ def test_every_config_field_is_a_plain_scalar():
            for fld in dataclasses.fields(cls)
            if typing.get_type_hints(cls)[fld.name] not in (int, float, str)]
     assert not odd, "config fields of another type:\n" + "\n".join(odd)
+
+
+def test_each_shipped_config_states_every_field_its_experiment_reads():
+    # a field the file leaves out would silently take its dataclass default;
+    # the sections and their fields stand in the order of the records
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        raw = json.loads(path.read_text())
+        read = {key: [f.name for f in dataclasses.fields(cls)]
+                for key, cls in EXPERIMENTS[raw["experiment"]].sections().items() if cls}
+        assert {key: list(raw.get(key, {})) for key in read} == read, path.name
+        assert set(raw) == set(read) | {"experiment", "seed"}, path.name
 
 
 def _unused_imports(path: Path) -> list:

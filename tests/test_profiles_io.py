@@ -25,7 +25,7 @@ def test_profiles_are_mean_free_and_normalized(name, grid):
     assert np.max(np.abs(f.values)) == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["gaussian_bump", "sech_bump", "airy_packet"])
+@pytest.mark.parametrize("name", ["gaussian_bump", "airy_packet"])
 def test_profiles_respect_bandlimit(name, grid):
     f = make_profile(name, grid, amplitude=1.0, bandlimit=1.5, seed=0)
     power = np.abs(f.spectrum) ** 2
@@ -58,10 +58,6 @@ def test_unknown_profile(grid):
     with pytest.raises(KeyError):
         make_profile("soliton", grid)
 
-
-def test_two_modes_need_a_finite_number_of_grid_modes(grid):
-    with pytest.raises(ValueError, match="bandlimit 1e\\+308 is no finite number of grid modes"):
-        make_profile("two_mode", grid, bandlimit=1e308)
 
 
 # ---------------------------------------------------------------------------

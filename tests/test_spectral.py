@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bo3.spectral import (
@@ -61,10 +61,12 @@ def test_make_grid_rejects_bad_n():
 
 @given(n=st.integers(min_value=-4, max_value=2000),
        length=st.floats(allow_nan=True, allow_infinity=True))
+@example(n=8, length=2.225073858507203e-309)  # pi n / L overflows
 @settings(max_examples=60, deadline=None)
 def test_make_grid_validation(n, length):
     valid_n = n >= 8 and (n & (n - 1)) == 0
-    valid_len = np.isfinite(length) and length > 0
+    # the largest wavenumber pi n / L must be finite too
+    valid_len = np.isfinite(length) and length > 0 and np.isfinite(np.pi * n / length)
     if valid_n and valid_len:
         grid = make_grid(n, length)
         assert grid.n == n
@@ -115,6 +117,23 @@ def test_half_spectrum_operators_match_the_full_spectrum_oracles(n):
     assert np.array_equal(s[n // 2 + 1:], np.conj(s[1: n // 2])[::-1])
     with pytest.raises(ValueError, match="half spectrum"):
         RealField.from_spectrum(grid, s)
+
+
+def test_a_field_built_from_a_spectrum_cannot_change():
+    # from_spectrum keeps the array it is handed: neither the field's modes
+    # nor that array can be written after the field is built, and a writable
+    # view is copied, so writing its base leaves the field alone
+    grid = make_grid(16, 2.0 * np.pi)
+    modes = np.arange(grid.n // 2 + 1, dtype=complex)
+    half, base = modes.copy(), np.stack([modes, modes])
+    fields = [RealField.from_spectrum(grid, handed) for handed in (half, base[1])]
+    values = fields[0].values.copy()
+    for array in (half, *(a for f in fields for a in (f.modes, f.values))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 7.0
+    base[1] = 7.0
+    for f in fields:
+        assert np.array_equal(f.modes, modes) and np.array_equal(f.values, values)
 
 
 def test_mean_free_check_is_scale_invariant():

@@ -150,6 +150,24 @@ def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path, mon
     assert seen == declared
 
 
+def _bits(data) -> list:
+    return [f.values.tobytes() for f in (data if isinstance(data, tuple) else (data,))]
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_each_data_field_changes_the_data(experiment):
+    # a data field whose value the built data ignore is a knob that turns
+    # nothing: each field, moved on the shipped config, must move the bits
+    shipped = _bits(validate_config(shipped_config(experiment)))
+    dead = []
+    for fld in dataclasses.fields(EXPERIMENTS[experiment].data):
+        cfg = shipped_config(experiment)
+        apply_override(cfg, f"data.{fld.name}={0.75 * getattr(cfg.data, fld.name) + 0.1!r}")
+        if _bits(validate_config(cfg)) == shipped:
+            dead.append(fld.name)
+    assert not dead, f"{experiment}: data fields that change nothing: {dead}"
+
+
 @pytest.mark.parametrize("experiment, builds", [("linearized_l2", 42), ("conserve", 2)])
 def test_a_run_builds_each_field_of_its_data_once(experiment, builds, tmp_path, monkeypatch):
     # linearized_l2: phi0, v0 and the 40 duality fields; conserve: phi0 and
