@@ -29,8 +29,9 @@ from .flows import (FlowKind, adjoint_linearized_rhs, airy_propagate, linearized
 from .invariants import l2_norm
 from .spectral import RealField, make_grid, project_band, sobolev_norm
 from .spectral import envelope as spectral_envelope
-from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, _snapshot_plan, final_only,
-                      integrate, integrate_linearized_pair, convergence_order, study_solvers)
+from .stepper import (FRAME_BLOCK, BlowUpError, SolverConfig, _check_fields, _snapshot_plan,
+                      final_only, integrate, integrate_linearized_pair, convergence_order,
+                      study_solvers)
 
 __all__ = [
     "ConfigError",
@@ -64,7 +65,9 @@ class ConfigError(ValueError):
 # classes, whose profile is a class constant.  conserve and normalform_scaling
 # read the one measurement setting they leave open through an ``analysis``
 # class; their other settings are class constants there, and those of the
-# other experiments are module constants next to TOLERANCES.
+# other experiments are module constants next to TOLERANCES.  A field declares
+# its range in its metadata, and ``stepper._check_fields`` checks it with the
+# field's type.
 
 
 @dataclass
@@ -146,10 +149,6 @@ class WindowedData(ShapeData):
             return RealField(grid, envelope * base - np.mean(envelope * base))
 
         return windowed(seed), windowed(seed + 1)
-
-
-# The ranges a field can declare; validate_config checks them with the types.
-_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
 @dataclass
@@ -344,8 +343,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} reads no {', '.join(unread)}")
         try:
             return cls(**sub) if cls else None
-        except (TypeError, ValueError, OverflowError) as exc:  # SolverConfig's own checks
-            raise ConfigError(f"bad {key!r} section: {exc}") from None
+        except ValueError as exc:  # SolverConfig checks its fields as it is built
+            raise ConfigError(f"{key}.{exc}") from None
 
     sections = {key: build(key, cls) for key, cls in EXPERIMENTS[name].sections().items()}
     extra = set(d) - {"seed"}
@@ -374,78 +373,16 @@ def apply_override(cfg: ExperimentConfig, assignment: str) -> None:
     vars(cfg).update(vars(config_from_dict(d)))
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _fits(x, kind) -> bool:
-    """True for a string, an integer or a finite number as kind asks.
-
-    Bools are not numbers, and neither is an integer beyond the float range.
-    """
-    if kind is str:
-        return isinstance(x, str)
-    if isinstance(x, bool) or not isinstance(x, (int, float) if kind is float else int):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def _check_fields(prefix: str, obj, names=None) -> None:
-    """Raise ConfigError unless each named field of a dataclass fits its annotation
-    and its declared range."""
-    hints = typing.get_type_hints(type(obj))
-    for fld in dataclasses.fields(obj):
-        if names and fld.name not in names:
-            continue
-        name, rule = fld.name, fld.metadata.get("range")
-        hint, value = hints[name], getattr(obj, name)
-        if not _fits(value, hint):
-            raise ConfigError(f"{prefix}{name} must be {_KINDS[hint]}, got {value!r}")
-        if rule and not _RANGES[rule](value):
-            raise ConfigError(f"{prefix}{name} must be {rule}, got {value!r}")
-
-
-def _check_data(cfg: ExperimentConfig, grid, shown: str):
-    """The run's data ``cfg.data.build(grid, cfg.seed)``, a field or a tuple of
-    fields.  Raise ConfigError, led by ``shown`` and the data section, unless it
-    builds and each field has a sum of squares of at least the smallest normal
-    float: every quadratic quantity of other data, the RMS of the mean-free
-    test too, is zero or underflows, so no verdict would measure anything."""
-    try:
-        data = cfg.data.build(grid, cfg.seed)
-        for f in data if isinstance(data, tuple) else (data,):
-            if np.sum(f.values ** 2) < np.finfo(float).tiny:
-                raise ValueError("the data's sum of squares underflows" if np.any(f.values)
-                                 else "the data are all zero")
-    except (ValueError, OverflowError) as exc:
-        shown += "".join(f", data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
-        raise ConfigError(f"{shown}: {exc}") from None
-    return data
-
-
-def _check_fixed(cfg: ExperimentConfig, grid, data, shown: str) -> None:
-    """Raise ConfigError, led by ``shown``, unless the fixed settings fit the grid,
-    data and solver: the bands are resolved and hold some of the strichartz
-    data, the rescaled run builds, and the decay report judges a frame."""
-    name = cfg.experiment
-    try:
-        if name == "strichartz":  # project_band raises a BandError for an unresolved band
-            for k in (STRICHARTZ_J, *STRICHARTZ_K):
-                if any(l2_norm(project_band(f, k)) == 0.0 for f in data):
-                    raise ValueError(f"the data have nothing in band {k}, so its ratio is 0")
-        elif name == "normalform_scaling":
-            for k in NormalformAnalysis.bands:
-                normalform._check_band(grid, k)
-        elif name == "scaling":
-            shown += f": the run rescaled by {SCALE_FACTOR:g}"
-            make_grid(*_rescaled(grid, cfg.solver)[0])
-        elif name == "decay_profile" and cfg.solver.t_end < DECAY_T_LO:
-            raise ValueError(f"solver.t_end={cfg.solver.t_end!r} ends before t = {DECAY_T_LO:g}, "
-                             "where the decay report starts to judge")
-    except ValueError as exc:  # a BandError, a GridError or a step the solver refuses
-        raise ConfigError(f"{shown}: {exc}") from None
+def _check_data(data) -> None:
+    """Raise ValueError unless each field of the data (one or a tuple) has a sum of
+    squares, taken over its peak, of at least the smallest normal float: every quadratic
+    quantity of other data is zero or underflows, so no verdict would measure anything."""
+    for f in data if isinstance(data, tuple) else (data,):
+        peak = float(np.max(np.abs(f.values)))
+        if peak == 0.0:
+            raise ValueError("the data are all zero")
+        if np.sum((f.values / peak) ** 2) < np.finfo(float).tiny / peak / peak:
+            raise ValueError("the data's sum of squares underflows")
 
 
 # The most memory a run may ask for, in bytes as ``_run_bytes`` estimates them,
@@ -470,13 +407,20 @@ class March(collections.namedtuple("March", "n dt steps h rows frames streams"))
 
 
 def _plan(cfg: ExperimentConfig) -> list:
-    """The run's marches; ConfigError for one it cannot count or take."""
+    """The run's marches; ConfigError for one it cannot count or take, or of no step."""
     try:
-        return EXPERIMENTS[cfg.experiment].plan(cfg)
+        marches = EXPERIMENTS[cfg.experiment].plan(cfg)
     except OverflowError:  # t_end / dt beyond the floats
         raise ConfigError(f"{cfg.experiment} plans more steps than a float can count") from None
     except ValueError as exc:  # a step the solver refuses
         raise ConfigError(f"{cfg.experiment} cannot plan its marches: {exc}") from None
+    for i, m in enumerate(marches):
+        # on a march of no step the verdicts would judge the initial data alone; its
+        # horizon is 0, and solver.t_end sets each horizon that can be 0
+        if m.steps == 0:
+            raise ConfigError(f"{cfg.experiment} plans a march of no step (march {i + 1} of "
+                              f"{len(marches)}, n = {m.n}) at solver.t_end={cfg.solver.t_end!r}")
+    return marches
 
 
 def _run_bytes(cfg: ExperimentConfig, marches) -> float:
@@ -494,15 +438,15 @@ def _run_bytes(cfg: ExperimentConfig, marches) -> float:
 
 
 def validate_config(cfg: ExperimentConfig):
-    """Check every precondition knowable before any compute starts: the common fields,
-    the field types of every section, the plan against the memory and work budgets,
-    the grid, the data and the fixed settings against the settable ones.
-    config_from_dict checked the experiment and the solver's values.  Returns the
-    data it built and checked, which ``run_experiment`` hands to the body."""
-    _check_fields("", cfg, ["seed"])
-    for key, cls in EXPERIMENTS[cfg.experiment].sections().items():
+    """Check every precondition knowable before any compute starts, by the same steps
+    for every experiment: each section's field types and ranges, the plan (each march
+    takes a step; the run fits the memory and work budgets), the grid, the data and
+    the record's ``check``.  Returns the data it built, which the body measures."""
+    record = EXPERIMENTS[cfg.experiment]
+    _check_fields("", cfg, ["seed"], ConfigError)
+    for key, cls in record.sections().items():
         if cls is not None:
-            _check_fields(f"{key}.", getattr(cfg, key))
+            _check_fields(f"{key}.", getattr(cfg, key), error=ConfigError)
     marches = _plan(cfg)
     need = _run_bytes(cfg, marches)
     if need > MEMORY_BUDGET:
@@ -519,8 +463,13 @@ def validate_config(cfg: ExperimentConfig):
         grid = make_grid(cfg.grid.n, cfg.grid.length)
     except ValueError as exc:  # a GridError, or NumPy refusing an array of n points
         raise ConfigError(f"{shown}: {exc}") from None
-    data = _check_data(cfg, grid, shown)
-    _check_fixed(cfg, grid, data, shown)
+    try:
+        data = cfg.data.build(grid, cfg.seed)
+        _check_data(data)
+        record.check(cfg, grid, data)
+    except (ValueError, OverflowError) as exc:  # also a BandError or a GridError
+        shown += "".join(f", data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
+        raise ConfigError(f"{shown}: {exc}") from None
     return data
 
 
@@ -827,14 +776,16 @@ def _exp_decay_profile(cfg, data, out_dir):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its ``body(cfg, data, out_dir)``, its ``plan(cfg)``: the ``March``
-    of each march the body takes, in order, and the classes of the ``data``,
-    ``analysis`` and ``solver`` sections it reads (None: it reads no such section)."""
+    """One experiment: its ``body(cfg, data, out_dir)``; its ``plan(cfg)``, the ``March``
+    of each march the body takes, in order; the classes of the ``data``, ``analysis``
+    and ``solver`` sections it reads (None: it reads no such section); and its
+    ``check(cfg, grid, data)``, a ValueError unless its fixed settings fit the rest."""
     body: typing.Callable
     data: type
     plan: typing.Callable
     analysis: type | None = None
     solver: type | None = SolverConfig
+    check: typing.Callable = lambda cfg, grid, data: None
 
     def sections(self) -> dict:
         """The class of each section, None for a section the experiment does not read."""
@@ -859,17 +810,45 @@ def _plan_probes(cfg):
     return [March.of(cfg.grid.n, final_only(ana.residual_dt, ana.t_probe))] * probes
 
 
+def _check_rescaled(cfg, grid, data):
+    try:
+        make_grid(*_rescaled(grid, cfg.solver)[0])
+    except ValueError as exc:  # a GridError
+        raise ValueError(f"the run rescaled by {SCALE_FACTOR:g}: {exc}") from None
+
+
+def _check_strichartz_bands(cfg, grid, data):
+    """Each band holds some of each field (a BandError for a band the grid does not resolve)."""
+    for k in (STRICHARTZ_J, *STRICHARTZ_K):
+        if any(l2_norm(project_band(f, k)) == 0.0 for f in data):
+            raise ValueError(f"the data have nothing in band {k}, so its ratio is 0")
+
+
+def _check_probe_bands(cfg, grid, data):
+    for k in NormalformAnalysis.bands:
+        normalform._check_band(grid, k)
+
+
+def _check_decay_horizon(cfg, grid, data):
+    if cfg.solver.t_end < DECAY_T_LO:
+        raise ValueError(f"solver.t_end={cfg.solver.t_end!r} ends before t = {DECAY_T_LO:g}, "
+                         "where the decay report starts to judge")
+
+
 EXPERIMENTS = {
     "conserve": Experiment(_exp_conserve, ProfileData, _plan_conserve, ConserveAnalysis),
     "scaling": Experiment(_exp_scaling, ProfileData, lambda cfg: [
-        March.of(cfg.grid.n, s) for s in (cfg.solver, _rescaled(cfg.grid, cfg.solver)[1])]),
+        March.of(cfg.grid.n, s) for s in (cfg.solver, _rescaled(cfg.grid, cfg.solver)[1])],
+        check=_check_rescaled),
     "airy_decay": Experiment(_exp_airy_decay, AiryData, lambda cfg: [], solver=None),
-    "strichartz": Experiment(_exp_strichartz, WindowedData, lambda cfg: [], solver=None),
+    "strichartz": Experiment(_exp_strichartz, WindowedData, lambda cfg: [], solver=None,
+                             check=_check_strichartz_bands),
     "normalform_scaling": Experiment(_exp_normalform, ShapeData, _plan_probes,
-                                     NormalformAnalysis, solver=None),
+                                     NormalformAnalysis, solver=None, check=_check_probe_bands),
     "linearized_l2": Experiment(_exp_linearized, DualityData, _one_march(rows=2)),
     "lnl_conservation": Experiment(_exp_lnl_conservation, PairData, _one_march(rows=2)),
-    "decay_profile": Experiment(_exp_decay_profile, ProfileData, _one_march()),
+    "decay_profile": Experiment(_exp_decay_profile, ProfileData, _one_march(),
+                                check=_check_decay_horizon),
 }
 
 

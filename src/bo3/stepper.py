@@ -18,7 +18,11 @@ fills.  A march whose kept frames are under-resolved ends with one
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import sys
+import typing
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -70,23 +74,49 @@ class ResolutionWarning(UserWarning):
                          f"(first at t = {first:.4g})")
 
 
+# The kinds and ranges a config field can declare, and their one checker:
+# ``SolverConfig`` runs it as it is built, ``experiments.validate_config`` on
+# every section of a config.
+_KINDS = {int: "an integer", float: "a finite number"}
+_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+
+def _fits(x, kind) -> bool:
+    """True for an integer or a finite number as kind asks: a bool is neither, and
+    an integer beyond the float range is no number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float) if kind is float else int):
+        return False
+    return -sys.float_info.max <= x <= sys.float_info.max  # exact for an int; False for NaN
+
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_fields(prefix: str, obj, names=None, error=ValueError) -> None:
+    """Raise ``error`` unless each named field of a dataclass fits its annotation
+    and its declared range; the message names the field after ``prefix``."""
+    hints = _hints(type(obj))
+    for fld in dataclasses.fields(obj):
+        if names and fld.name not in names:
+            continue
+        name, rule = fld.name, fld.metadata.get("range")
+        hint, value = hints[name], getattr(obj, name)
+        if not _fits(value, hint):
+            raise error(f"{prefix}{name} must be {_KINDS[hint]}, got {value!r}")
+        if rule and not _RANGES[rule](value):
+            raise error(f"{prefix}{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    dt: float = 1e-4
-    # a march may end where it starts; a run must take a step, which
-    # experiments.validate_config checks by this range
-    t_end: float = field(default=1.0, metadata={"range": "positive"})
-    snapshot_stride: int = 100
+    dt: float = field(default=1e-4, metadata={"range": "positive"})
+    # a march may end where it starts; experiments.validate_config refuses a
+    # run whose plan holds a march of no step
+    t_end: float = field(default=1.0, metadata={"range": "nonnegative"})
+    snapshot_stride: int = field(default=100, metadata={"range": "positive"})
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
-            raise ValueError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        _check_fields("", self)
 
 
 def final_only(dt: float, t_end: float) -> SolverConfig:

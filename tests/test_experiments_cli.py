@@ -146,6 +146,31 @@ def test_fuzzed_overrides_validate_or_raise_config_error(case):
         pass
 
 
+SOLVER_FIELDS = [f.name for f in dataclasses.fields(stepper.SolverConfig)]
+CONSERVE = json.loads((CONFIG_DIR / "conserve.json").read_text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({name: st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+                              for name in SOLVER_FIELDS}))
+def test_solver_config_refuses_exactly_what_validation_refuses(values):
+    # one checker: the constructor refuses a solver section exactly when
+    # validation refuses it, for the same field
+    assume(values["t_end"] != 0)  # a march of no step, which the plan refuses
+    try:
+        stepper.SolverConfig(**values)
+        refused = None
+    except ValueError as exc:
+        refused = f"solver.{exc}".split(" must be ")[0]
+    try:
+        validate_config(config_from_dict({**CONSERVE, "solver": values}))
+        named = None
+    except ConfigError as exc:
+        named = re.match(r"(solver\.\w+) must be ", str(exc))
+        named = named and named[1]
+    assert named == refused
+
+
 def test_override_paths():
     cfg = shipped_config("conserve")
     apply_override(cfg, "solver.dt=0.5")
@@ -297,7 +322,8 @@ def test_cli_non_finite_solver_input_is_a_config_error(tmp_path, capsys):
     for assignment in ("solver.t_end=Infinity", "solver.dt=NaN"):
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "must be finite" in capsys.readouterr().err
+        field = assignment.split("=")[0]
+        assert f"config error: {field} must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_blowup_is_a_failed_verdict(tmp_path, capsys):
@@ -331,7 +357,12 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
                              ("conserve", "seed=abc"),
                              ("conserve", "seed=1.5"), ("conserve", "seed=true"),
                              ("normalform_scaling", "analysis.t_probe=abc"),
-                             ("conserve", "analysis.conv_t_end=Infinity")):
+                             ("conserve", "analysis.conv_t_end=Infinity"),
+                             # once refused by SolverConfig's own checks, which named
+                             # no field, or passed by them
+                             ("conserve", 'solver.snapshot_stride="x"'),
+                             ("conserve", "solver.dt=abc"), ("conserve", "solver.t_end=null"),
+                             ("conserve", "solver.snapshot_stride=[1]")):
         path = write_fast_config(tmp_path, name)
         code = main(["run", str(path), "--set", assignment, "--out", str(tmp_path / "out")])
         assert code == 3
@@ -356,6 +387,16 @@ def test_cli_bad_analysis_types_are_config_errors(tmp_path, capsys):
         assert code == 3, assignment
         assert assignment.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_data_of_any_finite_size_are_checked_without_overflow(capsys):
+    # the underflow test once squared the values, which overflowed above an
+    # amplitude of about 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["validate", str(CONFIG_DIR / "conserve.json"),
+                     "--set", "data.amplitude=1e300"])
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, assignments", [
@@ -416,15 +457,23 @@ def test_all_zero_data_are_a_config_error(name, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# at solver.t_end=1e-323 the rescaled run's horizon t_end / 8 underflows to 0:
+# scaling compared the two runs at t = 0 alone and passed
+NO_STEP_HORIZONS = {"scaling": ["0", "1e-323"]}
+
+
 @pytest.mark.parametrize("name", [name for name in sorted(EXPERIMENTS) if EXPERIMENTS[name].solver])
 def test_a_march_of_no_step_is_a_config_error(name, tmp_path, capsys):
     # at solver.t_end=0 conserve's drifts and scaling's deviation were exactly
     # 0, lnl_conservation's constants 0 and linearized_l2's growth rate set to
     # 0: each run passed its verdicts on no step
-    args = ["run", str(CONFIG_DIR / f"{name}.json"), "--set", "solver.t_end=0",
-            "--out", str(tmp_path / "out")]
-    assert main(args) == 3
-    assert "solver.t_end must be positive, got 0" in capsys.readouterr().err
+    path, out = str(CONFIG_DIR / f"{name}.json"), str(tmp_path / "out")
+    for t_end in NO_STEP_HORIZONS.get(name, ["0"]):
+        for command in (["validate", path], ["run", path, "--out", out]):
+            assert main(command + ["--set", f"solver.t_end={t_end}"]) == 3
+            err = capsys.readouterr().err
+            assert f"{name} plans a march of no step" in err
+            assert f"at solver.t_end={t_end}" in err
     assert not (tmp_path / "out").exists()
 
 

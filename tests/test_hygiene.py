@@ -24,13 +24,13 @@ def test_every_public_name_exists(name):
 
 
 def test_every_config_field_is_a_plain_scalar():
-    # validate_config checks an int, a float or a str; a field of any other
-    # type would have no check and no message
+    # the field checker checks an int or a float; a field of any other type
+    # would have no check and no message
     odd = [f"{name}: {key}.{fld.name}: {typing.get_type_hints(cls)[fld.name]}"
            for name, exp in EXPERIMENTS.items()
            for key, cls in exp.sections().items() if cls is not None
            for fld in dataclasses.fields(cls)
-           if typing.get_type_hints(cls)[fld.name] not in (int, float, str)]
+           if typing.get_type_hints(cls)[fld.name] not in (int, float)]
     assert not odd, "config fields of another type:\n" + "\n".join(odd)
 
 
@@ -43,6 +43,19 @@ def test_each_shipped_config_states_every_field_its_experiment_reads():
                 for key, cls in EXPERIMENTS[raw["experiment"]].sections().items() if cls}
         assert {key: list(raw.get(key, {})) for key in read} == read, path.name
         assert set(raw) == set(read) | {"experiment", "seed"}, path.name
+
+
+def test_shared_validation_names_no_experiment():
+    # what one experiment alone needs checked is its record's own check, not a
+    # branch on its name in code that serves them all
+    tree = ast.parse((ROOT / "src" / "bo3" / "experiments.py").read_text())
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "EXPERIMENTS" for t in node.targets)
+            for key in node.value.keys}
+    named = sorted(f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in EXPERIMENTS
+                   and id(node) not in keys)
+    assert not named, "experiment names outside the EXPERIMENTS keys:\n" + "\n".join(named)
 
 
 def _unused_imports(path: Path) -> list:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bo3 import experiments, profiles
+from bo3 import experiments, profiles, stepper
 from bo3.experiments import (
     EXPERIMENTS,
     TOLERANCES,
@@ -138,8 +138,13 @@ def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path, mon
                 paused.pop()
         return wrapped
 
-    for name in ("_check_fields", "_plan", "_run_bytes", "_check_fixed"):
-        monkeypatch.setattr(experiments, name, quiet(getattr(experiments, name)))
+    # the field checker runs in validate_config and in SolverConfig as it is built
+    for module, name in ((experiments, "_check_fields"), (stepper, "_check_fields"),
+                         (experiments, "_plan"), (experiments, "_run_bytes")):
+        monkeypatch.setattr(module, name, quiet(getattr(module, name)))
+    record = EXPERIMENTS[experiment]
+    monkeypatch.setitem(EXPERIMENTS, experiment,
+                        dataclasses.replace(record, check=quiet(record.check)))
     declared, seen = set(), set()
     for key, cls in EXPERIMENTS[experiment].sections().items():
         if cls is not None:
