@@ -20,7 +20,6 @@ import traceback
 from pathlib import Path
 
 from .experiments import (
-    EXPERIMENTS,
     ConfigError,
     apply_override,
     config_from_dict,
@@ -71,8 +70,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_overridden(args)
-    validate_config(cfg)
-    marches = EXPERIMENTS[cfg.experiment].plan(cfg)
+    _, marches = validate_config(cfg)
     plan = f"marches: {len(marches)}, steps: {sum(m.steps for m in marches)}"
     if marches:
         big = max(marches, key=lambda m: m.work)

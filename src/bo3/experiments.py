@@ -392,16 +392,17 @@ MEMORY_BUDGET = 2**30
 WORK_BUDGET = 10**10
 
 
-class March(collections.namedtuple("March", "n dt steps h rows frames streams")):
-    """One march of a run: ``steps`` steps of width ``h`` (``stepper._snapshot_plan``)
-    for the step dt on n points, of ``rows`` stacked half spectra, keeping ``frames``
-    frames, all held at once unless it ``streams`` them to a reducer block by block."""
+class March(collections.namedtuple("March", "n length solver steps h rows streams")):
+    """One march of a run by the settings ``solver`` on n points of a domain of ``length``:
+    ``steps`` steps of width ``h`` (``stepper._snapshot_plan``) of ``rows`` stacked half
+    spectra, keeping ``frames``, all held at once unless it ``streams`` them block by block."""
 
     @classmethod
-    def of(cls, n, sol, rows=1, streams=False) -> "March":
-        steps, h = _snapshot_plan(sol.t_end, sol.dt)
-        return cls(n, sol.dt, steps, h, rows, 1 + math.ceil(steps / sol.snapshot_stride), streams)
+    def of(cls, grid, sol, rows=1, streams=False) -> "March":
+        return cls(grid.n, grid.length, sol, *_snapshot_plan(sol.t_end, sol.dt), rows, streams)
 
+    dt = property(lambda m: m.solver.dt)
+    frames = property(lambda m: 1 + math.ceil(m.steps / m.solver.snapshot_stride))
     held = property(lambda m: min(m.frames, FRAME_BLOCK) if m.streams else m.frames)
     work = property(lambda m: float(m.steps) * m.rows * m.n)  # point-steps
 
@@ -441,7 +442,7 @@ def validate_config(cfg: ExperimentConfig):
     """Check every precondition knowable before any compute starts, by the same steps
     for every experiment: each section's field types and ranges, the plan (each march
     takes a step; the run fits the memory and work budgets), the grid, the data and
-    the record's ``check``.  Returns the data it built, which the body measures."""
+    the record's ``check``.  Returns the data and the plan it checked, which the body runs."""
     record = EXPERIMENTS[cfg.experiment]
     _check_fields("", cfg, ["seed"], ConfigError)
     for key, cls in record.sections().items():
@@ -470,7 +471,7 @@ def validate_config(cfg: ExperimentConfig):
     except (ValueError, OverflowError) as exc:  # also a BandError or a GridError
         shown += "".join(f", data.{k}={v!r}" for k, v in dataclasses.asdict(cfg.data).items())
         raise ConfigError(f"{shown}: {exc}") from None
-    return data
+    return data, marches
 
 
 @functools.cache
@@ -491,25 +492,26 @@ def build_version() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies.  Each measures the data validate_config built, writes its
-# tables into out_dir and returns (metrics, outputs); run_experiment judges the
-# metrics against TOLERANCES and handles warning capture and the manifest.
+# Experiment bodies.  Each measures the data validate_config built, by the
+# marches of the plan it returned, each on its march's grid and by its solver;
+# it writes its tables into out_dir and returns (metrics, outputs).
+# run_experiment judges the metrics against TOLERANCES and handles warning
+# capture and the manifest.
 
 
-def _exp_conserve(cfg, data, out_dir):
+def _exp_conserve(cfg, data, marches, out_dir):
     # the energies are taken block by block as the march goes, so the run
     # never holds more than one block of frames
-    blocks = integrate(FlowKind("third_order_bo"), data, cfg.solver,
+    blocks = integrate(FlowKind("third_order_bo"), data, marches[0].solver,
                        reduce=lambda block: invariants.track(block, invariants.CHANNELS))
     series = invariants.EnergySeries.join(blocks)
     csv = out_dir / "energies.csv"
     snapshots.write_csv(csv, series.to_rows())
     metrics = {f"{name.lower()}_drift": series.drift(name) for name in ("E0", "E1", "E2")}
 
-    ana = cfg.analysis
-    study = profiles.make_profile("random_bandlimited", make_grid(ana.conv_n, ana.conv_length),
-                                  amplitude=ana.conv_amplitude, bandlimit=2.0, seed=cfg.seed)
-    conv = convergence_order(study, ana.conv_t_end, ana.conv_dts)
+    f0 = profiles.make_profile("random_bandlimited", make_grid(marches[1].n, marches[1].length),
+                               amplitude=cfg.analysis.conv_amplitude, bandlimit=2.0, seed=cfg.seed)
+    conv = convergence_order(f0, [m.solver for m in marches[1:]])
     snapshots.write_csv(out_dir / "convergence.csv",
                         [["dt", "error"]] + [[d, e] for d, e in zip(conv.dts, conv.errors)])
     metrics["convergence_order"] = conv.order
@@ -524,21 +526,20 @@ def _exp_conserve(cfg, data, out_dir):
     return metrics, [csv, out_dir / "convergence.csv", svg]
 
 
-def _rescaled(grid, solver):
-    """The grid's (n, length) and the solver settings of the run rescaled by
-    ``SCALE_FACTOR``: the domain shrinks by lam and the times by lam**3."""
+def _rescaled(grid, solver) -> March:
+    """The march of the run on ``grid`` by ``solver``, rescaled by ``SCALE_FACTOR``."""
+    lam = SCALE_FACTOR  # the domain shrinks by lam and the times by lam**3
+    return March.of(GridParams(grid.n, grid.length / lam),
+                    dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
+
+
+def _exp_scaling(cfg, data, marches, out_dir):
     lam = SCALE_FACTOR
-    return ((grid.n, grid.length / lam),
-            dataclasses.replace(solver, dt=solver.dt / lam**3, t_end=solver.t_end / lam**3))
-
-
-def _exp_scaling(cfg, data, out_dir):
-    lam = SCALE_FACTOR
-    base = integrate(FlowKind("third_order_bo"), data, cfg.solver)
-
-    grid2, sol2 = _rescaled(data.grid, cfg.solver)
-    scaled = integrate(FlowKind("third_order_bo"), RealField(make_grid(*grid2), lam * data.values),
-                       sol2)
+    run, rescaled = marches
+    base = integrate(FlowKind("third_order_bo"), data, run.solver)
+    scaled = integrate(FlowKind("third_order_bo"),
+                       RealField(make_grid(rescaled.n, rescaled.length), lam * data.values),
+                       rescaled.solver)
 
     devs = []
     for (t1, f1), (t2, f2) in zip(base.frames, scaled.frames):
@@ -550,7 +551,7 @@ def _exp_scaling(cfg, data, out_dir):
     return {"scaling_agreement": max(devs)}, [csv]
 
 
-def _exp_airy_decay(cfg, data, out_dir):
+def _exp_airy_decay(cfg, data, marches, out_dir):
     slope, ts, sups = dispersion.airy_decay_fit(data, np.geomspace(*AIRY_FIT))
     csv = out_dir / "airy_decay.csv"
     snapshots.write_csv(csv, [["t", "sup_abs"]] + [[t, s] for t, s in zip(ts, sups)])
@@ -577,7 +578,7 @@ def _exp_airy_decay(cfg, data, out_dir):
     return {"airy_decay_slope": slope, "l_vf_deviation": vf_dev}, [csv, vf_csv, svg]
 
 
-def _exp_strichartz(cfg, data, out_dir):
+def _exp_strichartz(cfg, data, marches, out_dir):
     f, g = data
     j, ks = STRICHARTZ_J, STRICHARTZ_K
     k_eq = ks[len(ks) // 2]
@@ -595,14 +596,13 @@ def _exp_strichartz(cfg, data, out_dir):
             "ratio_min": min(ratios), "ratio_max": max(ratios)}, [csv]
 
 
-def _exp_normalform(cfg, profile, out_dir):
+def _exp_normalform(cfg, profile, marches, out_dir):
     ana = cfg.analysis
     rows = [["epsilon", "k", "t", "residual_raw", "residual_gauged"]]
     metrics = {}
+    probe = marches[0].solver if marches else None  # every probe marches alike
     for k in ana.bands:
-        res = normalform.cubic_scaling_test(
-            profile, ana.amplitudes, k, ana.t_probe, dt=ana.residual_dt
-        )
+        res = normalform.cubic_scaling_test(profile, ana.amplitudes, k, probe)
         for e, r, gv in zip(res.amplitudes, res.raw, res.gauged):
             rows.append([e, k, ana.t_probe, r, gv])
         metrics[f"raw_slope_k{k}"] = res.slope_raw
@@ -652,9 +652,9 @@ def _pairing(a: RealField, b: RealField) -> float:
     return float(a.grid.spacing * np.sum(a.values * b.values))
 
 
-def _exp_linearized(cfg, data, out_dir):
+def _exp_linearized(cfg, data, marches, out_dir):
     phi0, v0, *fields = data
-    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, cfg.solver)
+    phi_traj, v_traj = integrate_linearized_pair(phi0, v0, marches[0].solver)
     grid = phi0.grid
 
     # instantaneous duality of the linearized and adjoint right-hand sides
@@ -689,8 +689,8 @@ def _exp_linearized(cfg, data, out_dir):
             "growth_max": c_max, "growth_rate": k_rate}, [csv]
 
 
-def _exp_lnl_conservation(cfg, data, out_dir):
-    phi_traj, v_traj = integrate_linearized_pair(*data, cfg.solver)
+def _exp_lnl_conservation(cfg, data, marches, out_dir):
+    phi_traj, v_traj = integrate_linearized_pair(*data, marches[0].solver)
     # eps is the size of the data: phi -> -phi is no symmetry of the flow, so a
     # negative amplitude is other data of the same size
     eps = abs(cfg.data.amplitude)
@@ -719,11 +719,11 @@ def _exp_lnl_conservation(cfg, data, out_dir):
     return {"y_drift_over_eps": c_y, "cubic_energy_bound": cubic_bound}, [csv]
 
 
-def _exp_decay_profile(cfg, data, out_dir):
+def _exp_decay_profile(cfg, data, marches, out_dir):
     # eps is the size of the data: phi -> -phi is no symmetry of the flow, so a
     # negative amplitude is other data of the same size
     eps = abs(cfg.data.amplitude)
-    traj = integrate(FlowKind("third_order_bo"), data, cfg.solver)
+    traj = integrate(FlowKind("third_order_bo"), data, marches[0].solver)
     frames = list(traj.frames)  # built once, read by both passes below
     report = dispersion.decay_weights(frames, delta=DECAY_DELTA, c_region=DECAY_C_REGION)
     cols = ["t", "region", "weighted_phi_sup", "weighted_phix_sup",
@@ -776,9 +776,9 @@ def _exp_decay_profile(cfg, data, out_dir):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its ``body(cfg, data, out_dir)``; its ``plan(cfg)``, the ``March``
-    of each march the body takes, in order; the classes of the ``data``, ``analysis``
-    and ``solver`` sections it reads (None: it reads no such section); and its
+    """One experiment: its ``plan(cfg)``, the ``March`` of each march it takes, in order; its
+    ``body(cfg, data, marches, out_dir)``, which runs that plan on the data; the classes of the
+    ``data``, ``analysis`` and ``solver`` sections it reads (None: no such section); and its
     ``check(cfg, grid, data)``, a ValueError unless its fixed settings fit the rest."""
     body: typing.Callable
     data: type
@@ -795,24 +795,25 @@ class Experiment:
 
 def _plan_conserve(cfg):
     ana = cfg.analysis
-    return [March.of(cfg.grid.n, cfg.solver, streams=True),
-            *(March.of(ana.conv_n, s) for s in study_solvers(ana.conv_t_end, ana.conv_dts))]
+    return [March.of(cfg.grid, cfg.solver, streams=True),
+            *(March.of(GridParams(ana.conv_n, ana.conv_length), s)
+              for s in study_solvers(ana.conv_t_end, ana.conv_dts))]
 
 
 def _one_march(rows=1):
-    return lambda cfg: [March.of(cfg.grid.n, cfg.solver, rows=rows)]
+    return lambda cfg: [March.of(cfg.grid, cfg.solver, rows=rows)]
 
 
 def _plan_probes(cfg):
     """One march to t_probe per band and amplitude; none at t_probe = 0."""
     ana = cfg.analysis
     probes = len(ana.bands) * len(ana.amplitudes) if ana.t_probe > 0.0 else 0
-    return [March.of(cfg.grid.n, final_only(ana.residual_dt, ana.t_probe))] * probes
+    return [March.of(cfg.grid, final_only(ana.residual_dt, ana.t_probe))] * probes
 
 
 def _check_rescaled(cfg, grid, data):
     try:
-        make_grid(*_rescaled(grid, cfg.solver)[0])
+        make_grid(*_rescaled(grid, cfg.solver)[:2])  # the march's n and length
     except ValueError as exc:  # a GridError
         raise ValueError(f"the run rescaled by {SCALE_FACTOR:g}: {exc}") from None
 
@@ -838,7 +839,7 @@ def _check_decay_horizon(cfg, grid, data):
 EXPERIMENTS = {
     "conserve": Experiment(_exp_conserve, ProfileData, _plan_conserve, ConserveAnalysis),
     "scaling": Experiment(_exp_scaling, ProfileData, lambda cfg: [
-        March.of(cfg.grid.n, s) for s in (cfg.solver, _rescaled(cfg.grid, cfg.solver)[1])],
+        March.of(cfg.grid, cfg.solver), _rescaled(cfg.grid, cfg.solver)],
         check=_check_rescaled),
     "airy_decay": Experiment(_exp_airy_decay, AiryData, lambda cfg: [], solver=None),
     "strichartz": Experiment(_exp_strichartz, WindowedData, lambda cfg: [], solver=None,
@@ -868,7 +869,7 @@ def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
     judged by ``judge``, one failed check from ``_STOPS`` for a run that stops
     early (blow-up, wrap-around), or the ``error`` of any other exception.
     """
-    data = validate_config(cfg)
+    data, marches = validate_config(cfg)
     out_dir = Path(base_dir) / cfg.experiment
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -878,7 +879,7 @@ def run_experiment(cfg: ExperimentConfig, base_dir="out") -> ExperimentResult:
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         try:
-            metrics, outputs = EXPERIMENTS[cfg.experiment].body(cfg, data, out_dir)
+            metrics, outputs = EXPERIMENTS[cfg.experiment].body(cfg, data, marches, out_dir)
             checks, error = judge(metrics), None
         except tuple(_STOPS) as exc:
             name, metric = _STOPS[type(exc)]

@@ -492,13 +492,15 @@ def loglog_slope(xs, ys) -> float:
 
     ``sum(dx * dy) / sum(dx * dx)`` over the logs centred on their means,
     built from elementwise operations and ``np.sum`` alone, so its bits do not
-    depend on a BLAS or LAPACK kernel.  NaN when a sample is not positive and
-    finite: such a sample has no logarithm.
+    depend on a BLAS or LAPACK kernel.  NaN, with no warning, when a sample is
+    not positive and finite (it has no logarithm) or has under two distinct x.
     """
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not (np.all(np.isfinite(x) & (x > 0.0)) and np.all(np.isfinite(y) & (y > 0.0))):
         return float("nan")
     dx = np.log(x)
+    if dx.size == 0 or dx.min() == dx.max():  # distinct x of one logarithm: no slope either
+        return float("nan")
     dx -= np.mean(dx)
     dy = np.log(y)
     dy -= np.mean(dy)

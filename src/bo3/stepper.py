@@ -40,6 +40,8 @@ __all__ = [
     "integrate",
     "integrate_linearized_pair",
     "integrate_adjoint_pair",
+    "final_only",
+    "study_solvers",
     "convergence_order",
     "ConvergenceResult",
     "FRAME_BLOCK",
@@ -366,15 +368,14 @@ class ConvergenceResult:
 def study_solvers(t_end: float, dt_list) -> list:
     """A convergence study's marches to t_end: the reference at the finest dt / 8, then each dt."""
     dts = sorted(float(d) for d in dt_list)
-    if len(dts) < 3:
-        raise ValueError("need at least three dt values")
     return [final_only(dt, t_end) for dt in (dts[0] / 8.0, *dts)]
 
 
-def convergence_order(f0: RealField, t_end: float, dt_list) -> ConvergenceResult:
-    """Self-convergence study of the third-order flow against a run at the
-    finest dt / 8 (``study_solvers``)."""
-    study = study_solvers(t_end, dt_list)
+def convergence_order(f0: RealField, study) -> ConvergenceResult:
+    """Self-convergence study of the third-order flow by the marches ``study``
+    (``study_solvers``): the reference first, then one march per dt."""
+    if len(study) < 4:  # a slope needs three errors, each against the reference
+        raise ValueError("need the reference and at least three dt values")
     ref, *finals = (integrate(flows.FlowKind("third_order_bo"), f0, cfg).final() for cfg in study)
     scale = np.max(np.abs(ref.values)) + 1e-300
     dts = tuple(cfg.dt for cfg in study[1:])

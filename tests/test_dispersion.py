@@ -290,7 +290,7 @@ def inverse_lengths(monkeypatch):
 
 def canonical_strichartz_rows():
     """The data and the (j, k, halves, t_end) rows of the canonical strichartz run."""
-    f, g = experiments.validate_config(shipped_config("strichartz"))
+    (f, g), _ = experiments.validate_config(shipped_config("strichartz"))
     ks = experiments.STRICHARTZ_K
     k_eq = ks[len(ks) // 2]
     pairs = ([(experiments.STRICHARTZ_J, k, ("both", "both")) for k in ks]

@@ -777,7 +777,7 @@ def test_a_run_that_cannot_write_a_table_leaves_its_own_manifest(after_a_passing
 
 
 def test_an_error_in_a_body_ends_in_a_manifest_that_names_it(tmp_path, capsys, monkeypatch):
-    def body(cfg, data, out_dir):
+    def body(cfg, data, marches, out_dir):
         warnings.warn("half done")
         (out_dir / "partial.csv").write_text("t\n")
         raise ValueError("injected")

@@ -58,6 +58,45 @@ def test_shared_validation_names_no_experiment():
     assert not named, "experiment names outside the EXPERIMENTS keys:\n" + "\n".join(named)
 
 
+# What derives a march's settings from the config; only the plans may call them.
+_PLAN_HELPERS = {"final_only", "study_solvers", "_rescaled"}
+
+
+def _plan_helper_calls(source: str, chosen=lambda name: True) -> list:
+    """``function: helper`` for each call to one of ``_PLAN_HELPERS``, by its bare
+    name or as an attribute, in a function whose name ``chosen`` picks."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and chosen(fn.name):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in _PLAN_HELPERS:
+                        found.append(f"{fn.name}: {name}")
+    return found
+
+
+def test_only_the_plans_derive_a_marchs_settings():
+    # a body marches the plan validate_config returns; deriving a march's
+    # settings again would let the march run apart from what was planned
+    src = ROOT / "src" / "bo3"
+    derived = [f"experiments.{c}" for c in _plan_helper_calls(
+        (src / "experiments.py").read_text(), lambda name: name.startswith("_exp_"))]
+    derived += [f"normalform.{c}" for c in _plan_helper_calls((src / "normalform.py").read_text())]
+    derived += [f"stepper.{c}" for c in _plan_helper_calls((src / "stepper.py").read_text())
+                if c != "study_solvers: final_only"]
+    assert not derived, "march settings derived outside the plans:\n" + "\n".join(derived)
+
+
+def test_the_plan_helper_check_sees_each_form():
+    source = ("def _exp_a(cfg):\n"
+              "    return stepper.final_only(1e-3, 0.1), _rescaled(cfg.grid, cfg.solver)\n"
+              "def _plan_a(cfg):\n"
+              "    return study_solvers(0.5, (1e-3, 2e-3, 4e-3))\n")
+    assert _plan_helper_calls(source, lambda name: name.startswith("_exp_")) == [
+        "_exp_a: final_only", "_exp_a: _rescaled"]
+
+
 def _unused_imports(path: Path) -> list:
     """Names an import binds in the file and nothing reads.
 

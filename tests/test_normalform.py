@@ -415,7 +415,7 @@ def test_raw_residual_is_projected_nonlinearity(grid):
 
 def test_cubic_scaling_slopes(grid):
     profile = field_with_bands(grid, seed=16)
-    res = cubic_scaling_test(profile, (0.01, 0.02, 0.04, 0.08), 2, t_probe=0.0)
+    res = cubic_scaling_test(profile, (0.01, 0.02, 0.04, 0.08), 2, solver=None)
     assert res.slope_raw == pytest.approx(2.0, abs=0.2)
     assert res.slope_gauged == pytest.approx(3.0, abs=0.3)
 
@@ -423,6 +423,6 @@ def test_cubic_scaling_slopes(grid):
 def test_cubic_scaling_validation(grid):
     profile = field_with_bands(grid, seed=18)
     with pytest.raises(ValueError):
-        cubic_scaling_test(profile, (0.01, 0.02, 0.04), 1, 0.0)
+        cubic_scaling_test(profile, (0.01, 0.02, 0.04), 1, None)
     with pytest.raises(ValueError):
-        cubic_scaling_test(profile, (0.08, 0.04, 0.02, 0.01), 1, 0.0)
+        cubic_scaling_test(profile, (0.08, 0.04, 0.02, 0.01), 1, None)

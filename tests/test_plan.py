@@ -1,5 +1,6 @@
 """Run plans: each experiment's marches, counted before any compute starts."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from bo3 import experiments, stepper
 from bo3.cli import main
-from bo3.experiments import EXPERIMENTS, apply_override
+from bo3.experiments import EXPERIMENTS, March, apply_override
 
 from conftest import CONFIG_DIR, shipped_config
 
@@ -59,45 +60,84 @@ SHORT = {
 }
 
 
+def _count_marches(monkeypatch) -> list:
+    """Count every march from now on: [n, length, dt, rows, h, steps, frames] of each,
+    as the stepper takes it."""
+    taken = []
+    march = stepper._march
+
+    def recorded(ws, s0, t0, t_span, config, nl, keep=None, **kwargs):
+        entry = [ws.grid.n, ws.grid.length, config.dt, np.size(s0) // (ws.half + 1), None, 0, 0]
+        taken.append(entry)
+
+        def kept(times, spectra):  # a streamed march's frames, block by block
+            entry[6] += len(times)
+            keep(times, spectra)
+
+        times, spectra = march(ws, s0, t0, t_span, config, nl, keep=keep and kept, **kwargs)
+        entry[6] += len(times)
+        return times, spectra
+
+    class Counted(stepper._IFRK4):
+        def __init__(self, shape, h, lam, nl):
+            taken[-1][4] = h
+            super().__init__(shape, h, lam, nl)
+
+        def step(self, s):
+            taken[-1][5] += 1
+            super().step(s)
+
+    monkeypatch.setattr(stepper, "_march", recorded)
+    monkeypatch.setattr(stepper, "_IFRK4", Counted)
+    return taken
+
+
+def _short_config(name, overrides=None):
+    cfg = shipped_config(name)
+    for assignment in SHORT[name][1] if overrides is None else overrides:
+        apply_override(cfg, assignment)
+    return cfg
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name, marches, overrides", [
     *((name, *short) for name, short in SHORT.items()),
     ("normalform_scaling", 0, ["analysis.t_probe=0"])])  # the body marches nothing
 def test_a_run_takes_exactly_the_marches_of_its_plan(name, marches, overrides, tmp_path,
                                                      monkeypatch):
-    cfg = shipped_config(name)
-    for assignment in overrides:
-        apply_override(cfg, assignment)
-    taken = []  # [n, dt, rows, h, steps, frames] of each march, as the stepper takes it
-    march = stepper._march
-
-    def recorded(ws, s0, t0, t_span, config, nl, keep=None, **kwargs):
-        entry = [ws.grid.n, config.dt, np.size(s0) // (ws.half + 1), None, 0, 0]
-        taken.append(entry)
-
-        def kept(times, spectra):  # a streamed march's frames, block by block
-            entry[5] += len(times)
-            keep(times, spectra)
-
-        times, spectra = march(ws, s0, t0, t_span, config, nl, keep=keep and kept, **kwargs)
-        entry[5] += len(times)
-        return times, spectra
-
-    class Counted(stepper._IFRK4):
-        def __init__(self, shape, h, lam, nl):
-            taken[-1][3] = h
-            super().__init__(shape, h, lam, nl)
-
-        def step(self, s):
-            taken[-1][4] += 1
-            super().step(s)
-
-    monkeypatch.setattr(stepper, "_march", recorded)
-    monkeypatch.setattr(stepper, "_IFRK4", Counted)
+    cfg = _short_config(name, overrides)
+    taken = _count_marches(monkeypatch)
     plan = EXPERIMENTS[name].plan(cfg)
     experiments.run_experiment(cfg, base_dir=tmp_path)
-    assert [[m.n, m.dt, m.rows, m.h, m.steps, m.frames] for m in plan] == taken
+    assert [[m.n, m.length, m.dt, m.rows, m.h, m.steps, m.frames] for m in plan] == taken
     assert len(taken) == marches
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name, halved", [
+    ("scaling", slice(1, 2)),  # the rescaled run
+    ("conserve", slice(1, 2)),  # the convergence study's reference
+    ("conserve", slice(3, 4)),  # one of its dts
+    ("normalform_scaling", slice(None))])  # every probe, as the probes march alike
+def test_a_body_marches_the_plan_it_is_given(name, halved, tmp_path, monkeypatch):
+    # a plan whose derived marches step at half their dt: the body must take
+    # those settings, not derive its own again
+    record = EXPERIMENTS[name]
+
+    def plan(cfg):
+        marches = record.plan(cfg)
+        # a march has the grid's n and length, so it serves as its own grid
+        marches[halved] = [March.of(m, dataclasses.replace(m.solver, dt=m.dt / 2), m.rows,
+                                    m.streams) for m in marches[halved]]
+        return marches
+
+    monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(record, plan=plan))
+    cfg = _short_config(name)
+    taken = _count_marches(monkeypatch)
+    experiments.run_experiment(cfg, base_dir=tmp_path)
+    swapped = plan(cfg)
+    assert swapped != record.plan(cfg)
+    assert [[m.n, m.length, m.dt, m.rows, m.h, m.steps, m.frames] for m in swapped] == taken
 
 
 def _workloads():

@@ -578,3 +578,12 @@ def test_loglog_slope_is_nan_without_a_logarithm(bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(loglog_slope(xs, ys))
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([2.0], [3.0]), ([], []),
+    ([1e300, np.nextafter(1e300, np.inf)], [1.0, 2.0])])  # two x, one logarithm
+def test_loglog_slope_is_nan_with_fewer_than_two_distinct_x(xs, ys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(loglog_slope(xs, ys))

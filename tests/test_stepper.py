@@ -17,6 +17,7 @@ from bo3.stepper import (
     integrate,
     integrate_adjoint_pair,
     integrate_linearized_pair,
+    study_solvers,
 )
 
 import oracles
@@ -295,7 +296,7 @@ def test_self_convergence_fourth_order():
     # active mode, so the data is kept at low bandwidth
     grid = make_grid(128, 16.0 * np.pi)
     data = small_state(grid, seed=3, eps=0.5, bandlimit=2.0)
-    res = convergence_order(data, 0.5, (4e-3, 2e-3, 1e-3))
+    res = convergence_order(data, study_solvers(0.5, (4e-3, 2e-3, 1e-3)))
     assert res.order == pytest.approx(4.0, abs=0.2)
 
 
@@ -303,7 +304,7 @@ def test_convergence_exact_sentinel(grid):
     # zero data stay zero at every dt: errors at round-off read as an
     # infinite order
     zero = RealField(grid, np.zeros(grid.n))
-    res = convergence_order(zero, 0.5, (4e-2, 2e-2, 1e-2))
+    res = convergence_order(zero, study_solvers(0.5, (4e-2, 2e-2, 1e-2)))
     assert math.isinf(res.order)
     assert res.errors == (0.0, 0.0, 0.0)
 
@@ -311,7 +312,7 @@ def test_convergence_exact_sentinel(grid):
 def test_convergence_needs_three_dts(grid):
     f = small_state(grid)
     with pytest.raises(ValueError):
-        convergence_order(f, 0.1, (1e-3, 2e-3))
+        convergence_order(f, study_solvers(0.1, (1e-3, 2e-3)))
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,10 @@ def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path, mon
                 paused.pop()
         return wrapped
 
-    # the field checker runs in validate_config and in SolverConfig as it is built
+    # the field checker runs in validate_config and in SolverConfig as it is built;
+    # the plan's reads count, as the body marches the plan
     for module, name in ((experiments, "_check_fields"), (stepper, "_check_fields"),
-                         (experiments, "_plan"), (experiments, "_run_bytes")):
+                         (experiments, "_run_bytes")):
         monkeypatch.setattr(module, name, quiet(getattr(module, name)))
     record = EXPERIMENTS[experiment]
     monkeypatch.setitem(EXPERIMENTS, experiment,
@@ -150,8 +151,8 @@ def test_each_experiment_reads_every_field_it_declares(experiment, tmp_path, mon
         if cls is not None:
             declared |= {f"{key}.{f.name}" for f in dataclasses.fields(cls)}
             setattr(cfg, key, _recording(key, getattr(cfg, key), seen, paused))
-    data = validate_config(cfg)
-    EXPERIMENTS[experiment].body(cfg, data, tmp_path)
+    data, marches = validate_config(cfg)
+    EXPERIMENTS[experiment].body(cfg, data, marches, tmp_path)
     assert seen == declared
 
 
@@ -163,12 +164,12 @@ def _bits(data) -> list:
 def test_each_data_field_changes_the_data(experiment):
     # a data field whose value the built data ignore is a knob that turns
     # nothing: each field, moved on the shipped config, must move the bits
-    shipped = _bits(validate_config(shipped_config(experiment)))
+    shipped = _bits(validate_config(shipped_config(experiment))[0])
     dead = []
     for fld in dataclasses.fields(EXPERIMENTS[experiment].data):
         cfg = shipped_config(experiment)
         apply_override(cfg, f"data.{fld.name}={0.75 * getattr(cfg.data, fld.name) + 0.1!r}")
-        if _bits(validate_config(cfg)) == shipped:
+        if _bits(validate_config(cfg)[0]) == shipped:
             dead.append(fld.name)
     assert not dead, f"{experiment}: data fields that change nothing: {dead}"
 
