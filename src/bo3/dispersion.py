@@ -178,6 +178,19 @@ def airy_decay_fit(f0: RealField, times):
     return spectral.loglog_slope(times, sups), np.asarray(times), np.asarray(sups)
 
 
+# A band coefficient at or below this share of the band's largest is round-off
+# to bilinear_strichartz_ratio, which drops it.
+LIVE_RTOL = 1e-13
+
+
+def _live(spec, nyquist: int) -> np.ndarray:
+    """Mask of the coefficients of ``spec`` above ``LIVE_RTOL`` times the
+    largest, the Nyquist mode left out."""
+    mag = np.abs(spec)
+    mag[nyquist] = 0.0
+    return mag > LIVE_RTOL * mag.max()
+
+
 def bilinear_strichartz_ratio(
     j: int,
     k: int,
@@ -198,8 +211,13 @@ def bilinear_strichartz_ratio(
     with m above the frequency span of ``u_j u_k`` (its largest integer mode
     minus its smallest).  So each time sample is summed on the smallest power
     of two above that span and the two supports' joint range, at most n; at
-    n it is the grid's own sum, aliases included.  Two real bands are transformed from their nonnegative modes
-    with ``irfft``, any other pair with ``ifft``.
+    n it is the grid's own sum, aliases included.  A band's support is its
+    live coefficients: those above ``LIVE_RTOL`` = 1e-13 times the band's
+    largest, the Nyquist mode left out; the rest are dropped.  (A field built
+    from samples carries round-off of about 1e-16 relative in every mode,
+    which would otherwise stretch each support to its multiplier's edge.)
+    Two real bands are transformed from their nonnegative modes with
+    ``irfft``, any other pair with ``ifft``.
     """
     grid = same_grid(f, g)
     if abs(j - k) <= 2 and not (j == k and set(halves) == {"plus", "minus"}):
@@ -218,10 +236,10 @@ def bilinear_strichartz_ratio(
     modes = np.arange(n)
     modes[n // 2:] -= n
     spec_j, spec_k = pj.spectrum, pk.spectrum  # a real field derives it on every read
-    live_j, live_k = spec_j != 0.0, spec_k != 0.0
-    live_j[grid.nyquist_index] = live_k[grid.nyquist_index] = False
+    live_j, live_k = _live(spec_j, grid.nyquist_index), _live(spec_k, grid.nyquist_index)
     if nj == 0.0 or nk == 0.0 or not (live_j.any() and live_k.any()):
         return 0.0
+    spec_j, spec_k = np.where(live_j, spec_j, 0.0), np.where(live_k, spec_k, 0.0)
     qj, qk = modes[live_j], modes[live_k]
     span = int(qj.max() + qk.max() - qj.min() - qk.min())
     # both bands are scattered at the union's slots, so m must also exceed

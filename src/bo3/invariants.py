@@ -193,6 +193,10 @@ def modified_energy(y: RealField, phi: RealField, t: float) -> ModifiedEnergy:
 # Channel tracking
 
 
+# Frames of an ``EnergySeries`` turned into Python floats at a time by ``to_rows``.
+_TABLE_ROWS = 64
+
+
 @dataclass
 class EnergySeries:
     """Named diagnostic channels sampled along a trajectory."""
@@ -219,10 +223,15 @@ class EnergySeries:
         return dev / abs(float(vals[0])) if vals[0] != 0.0 else dev
 
     def to_rows(self):
+        """The header ``t`` and the channel names in order, then one row of
+        Python floats a frame, taken from each channel ``_TABLE_ROWS`` frames
+        at a time: a table writer that consumes the rows as they come holds
+        no more than that many as Python objects."""
         names = sorted(self.channels)
         yield ["t"] + names
-        for i, t in enumerate(self.times):
-            yield [t] + [self.channels[n][i] for n in names]
+        cols = [np.asarray(self.times)] + [np.asarray(self.channels[n]) for n in names]
+        for i in range(0, len(self.times), _TABLE_ROWS):
+            yield from zip(*(c[i:i + _TABLE_ROWS].tolist() for c in cols))
 
 
 CHANNELS = ("E0", "E1", "E2", "L2", "H1")

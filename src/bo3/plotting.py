@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .snapshots import read_csv
+import numpy as np
+
+from .snapshots import read_csv, write_text
 
 __all__ = ["line_plot_svg", "plot_csv"]
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _COLORS = ("#1f6fb2", "#c23b22", "#2e8540", "#8e44ad", "#b8860b", "#444444")
+_CHUNK = 1024  # points of a path formatted per piece written
 
 
 def _escape(text: str) -> str:
@@ -38,26 +40,65 @@ def _ticks(lo: float, hi: float, loglog: bool):
     return [i * step for i in range(first, last + 1)]
 
 
-def _axes_and_lines(clean, loglog, pw, ph):
-    """The SVG elements of the ticks and the paths of the ``(label, pairs)``
-    series, scaled to fit every point into the ``pw`` x ``ph`` plot area."""
-    def tx(v):
-        return math.log10(v) if loglog else v
+def _chunks(a):
+    """The values of the float array ``a`` as lists of Python floats, at most
+    ``_CHUNK`` at a time."""
+    return (a[i:i + _CHUNK].tolist() for i in range(0, a.size, _CHUNK))
 
-    xs = [tx(x) for _, pairs in clean for x, _ in pairs]
-    ys = [tx(y) for _, pairs in clean for _, y in pairs]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+
+def _drawable(xs, ys, loglog):
+    """The points of one series that can be drawn, as two float64 arrays:
+    finite, and positive on ``loglog``.  Points past the shorter of xs and ys
+    are dropped, as ``zip`` drops them."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    k = min(x.size, y.size)
+    x, y = x[:k], y[:k]
+    keep = np.isfinite(x) & np.isfinite(y)
+    if loglog:
+        keep &= (x > 0.0) & (y > 0.0)
+    return (x, y) if keep.all() else (x[keep], y[keep])
+
+
+def _extent(arrays, loglog):
+    """The smallest and the largest of the values (on ``loglog`` of their
+    log10, each taken by ``math.log10``, whose bits ``np.log10`` may not
+    match) over nonempty arrays."""
+    if not loglog:
+        return min(float(np.min(a)) for a in arrays), max(float(np.max(a)) for a in arrays)
+    lo, hi = math.inf, -math.inf
+    for a in arrays:
+        for chunk in _chunks(a):
+            logs = list(map(math.log10, chunk))
+            lo, hi = min(lo, min(logs)), max(hi, max(logs))
+    return lo, hi
+
+
+def _layout(drawn, loglog, pw, ph):
+    """The SVG elements of the ticks and the maps ``px``, ``py`` from data to
+    the ``pw`` x ``ph`` plot area, scaled to fit every point of the
+    ``(label, x, y)`` series.  A value range or tick outside the float range,
+    or a range that adding 1 cannot widen, is an ``ArithmeticError`` here,
+    before any point is mapped."""
+    x0, x1 = _extent([x for _, x, _ in drawn], loglog)
+    y0, y1 = _extent([y for _, _, y in drawn], loglog)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
+    dx, dy = x1 - x0, y1 - y0
 
-    def px(v):
-        return _ML + (tx(v) - x0) / (x1 - x0) * pw
+    if loglog:
+        def px(v):
+            return _ML + (math.log10(v) - x0) / dx * pw
 
-    def py(v):
-        return _MT + ph - (tx(v) - y0) / (y1 - y0) * ph
+        def py(v):
+            return _MT + ph - (math.log10(v) - y0) / dy * ph
+    else:
+        def px(v):
+            return _ML + (v - x0) / dx * pw
+
+        def py(v):
+            return _MT + ph - (v - y0) / dy * ph
 
     out = []
     inv = (lambda v: 10.0**v) if loglog else (lambda v: v)
@@ -71,17 +112,17 @@ def _axes_and_lines(clean, loglog, pw, ph):
             Y = py(t)
             out.append(f'<line x1="{_ML - 5}" y1="{Y:.1f}" x2="{_ML}" y2="{Y:.1f}" stroke="#333"/>')
             out.append(f'<text x="{_ML - 8}" y="{Y + 4:.1f}" text-anchor="end">{t:g}</text>')
-    for i, (label, pairs) in enumerate(clean):
-        color = _COLORS[i % len(_COLORS)]
-        d = " ".join(
-            f"{'M' if j == 0 else 'L'}{px(x):.2f},{py(y):.2f}"
-            for j, (x, y) in enumerate(pairs)
-        )
-        out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        out.append(
-            f'<text x="{_ML + 10}" y="{_MT + 16 + 14 * i}" fill="{color}">{label}</text>'
-        )
-    return out
+    if dx == 0.0 or dy == 0.0:  # what px and py would raise at the first point
+        raise ZeroDivisionError("float division by zero")
+    return out, px, py
+
+
+def _path(x, y, px, py):
+    """The ``d`` attribute of one series' path, ``_CHUNK`` points a piece."""
+    move = "M"
+    for xc, yc in zip(_chunks(x), _chunks(y)):
+        yield move + " L".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xc, yc))
+        move = " L"
 
 
 def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
@@ -91,40 +132,53 @@ def line_plot_svg(series, path, xlabel="x", ylabel="y", loglog=False,
     ``series`` is a list of (label, xs, ys).  With ``loglog`` both axes are
     logarithmic and nonpositive points are dropped.  A plot left with no
     point to draw is the empty frame with a "no finite points" note.
+
+    Each series is held as two float64 arrays of its drawable points, and the
+    whole layout is done before the file is begun; the paths are then written
+    a piece at a time, so the writer holds ``_CHUNK`` points as Python objects
+    however long the series.
     """
     xlabel, ylabel, title, annotate = map(_escape, (xlabel, ylabel, title, annotate))
-    clean = []
+    drawn = []
     for label, xs, ys in series:
-        pairs = [
-            (float(x), float(y))
-            for x, y in zip(xs, ys)
-            if (not loglog or (x > 0 and y > 0)) and math.isfinite(x) and math.isfinite(y)
-        ]
-        if pairs:
-            clean.append((_escape(label), pairs))
+        x, y = _drawable(xs, ys, loglog)
+        if x.size:
+            drawn.append((_escape(label), x, y))
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
-    out = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
-    if clean:
-        out.extend(_axes_and_lines(clean, loglog, pw, ph))
+    if drawn:
+        ticks, px, py = _layout(drawn, loglog, pw, ph)
+        head.extend(ticks)
     else:
-        out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_MT + ph / 2:.0f}" '
-                   'text-anchor="middle">no finite points</text>')
-    out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
-    out.append(
+        head.append(f'<text x="{_ML + pw / 2:.0f}" y="{_MT + ph / 2:.0f}" '
+                    'text-anchor="middle">no finite points</text>')
+    tail = [
+        f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>',
         f'<text x="16" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>'
-    )
+        f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>',
+    ]
     if title:
-        out.append(f'<text x="{_W / 2:.0f}" y="18" text-anchor="middle">{title}</text>')
+        tail.append(f'<text x="{_W / 2:.0f}" y="18" text-anchor="middle">{title}</text>')
     if annotate:
-        out.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16}" text-anchor="end">{annotate}</text>')
-    out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+        tail.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16}" text-anchor="end">{annotate}</text>')
+    tail.append("</svg>")
+
+    def pieces():
+        yield "".join(f"{e}\n" for e in head)
+        for i, (label, x, y) in enumerate(drawn):
+            color = _COLORS[i % len(_COLORS)]
+            yield '<path d="'
+            yield from _path(x, y, px, py)
+            yield (f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+                   f'<text x="{_ML + 10}" y="{_MT + 16 + 14 * i}" fill="{color}">{label}</text>\n')
+        yield "".join(f"{e}\n" for e in tail)
+
+    write_text(path, pieces())
 
 
 def plot_csv(csv_path, out_path, x: str, y, loglog=False, annotate=""):

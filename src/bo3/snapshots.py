@@ -1,33 +1,61 @@
-"""File format of the experiment tables: CSV in full double precision."""
+"""File format of the experiment tables: CSV in full double precision.
+
+Tables and plots reach their files through ``write_text``, piece by piece,
+so neither is ever held whole as text.
+"""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 __all__ = [
     "write_csv",
+    "write_text",
     "read_csv",
 ]
 
 _FMT = "%.17g"
 
 
-def _fmt(v) -> str:
-    return _FMT % v
+def write_text(path, pieces) -> None:
+    """Write the strings ``pieces`` one after another as the file ``path``.
+
+    They go into a sibling temporary file that replaces ``path`` once the last
+    one is written and the file closed, so a piece that fails to form leaves
+    any earlier file under that name as it was, and no partial one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    out = open(tmp, "w")  # if this fails, nothing was made
+    try:
+        with out:
+            out.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _lines(rows):
+    """The lines of the table, one a row."""
+    rows = iter(rows)
+    header = next(rows, None)
+    if header is None:  # no row: the file is one empty line
+        yield "\n"
+        return
+    yield ",".join(str(c) for c in header) + "\n"
+    for row in rows:
+        yield ",".join(c if isinstance(c, str) else _FMT % c for c in row) + "\n"
 
 
 def write_csv(path, rows) -> None:
-    """Write rows (first row is the header) with full double precision."""
-    path = Path(path)
-    out = []
-    for i, row in enumerate(rows):
-        if i == 0:
-            out.append(",".join(str(c) for c in row))
-        else:
-            out.append(",".join(
-                c if isinstance(c, str) else _fmt(c) for c in row
-            ))
-    path.write_text("\n".join(out) + "\n")
+    """Write rows (first row is the header) with full double precision.
+
+    Each row is formatted and written on its own, so ``rows`` may be a
+    generator of any length; the file is complete when this returns.
+    """
+    write_text(path, _lines(rows))
 
 
 def read_csv(path):

@@ -373,3 +373,18 @@ def test_bilinear_ratio_matches_the_full_grid_oracle(inverse_lengths, n, length,
     name = "irfft" if halves == ("both", "both") else "ifft"
     projections = [("irfft" if half == "both" else "ifft", n) for half in halves]
     assert inverse_lengths == projections + [(name, m)] * 32
+
+
+def test_bilinear_ratio_sizes_sampled_fields_by_their_content(inverse_lengths):
+    # fields built from samples carry round-off in every mode; counted as
+    # live, it would stretch band 4 to mode 31 and the span to 68, so m = 128.
+    # Their content, band 1 (modes 2, 3) against band 4 up to mode 28, spans 62
+    grid = make_grid(256, 2.0 * np.pi)
+    f = random_bandlimited_field(grid, 1, bandlimit=28)
+    g = random_bandlimited_field(grid, 2, bandlimit=28)
+    t_end = 2.0 * np.pi * 4.0**-4 / 8.0
+    want = bilinear_strichartz_ratio_oracle(1, 4, f, g, t_end, samples=16)
+    inverse_lengths.clear()
+    got = bilinear_strichartz_ratio(1, 4, f, g, t_end, samples=16)
+    assert inverse_lengths == [("irfft", 256)] * 2 + [("irfft", 64)] * 32
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -894,6 +894,8 @@ def test_fuzzed_plot_exits_0_or_3(table, kind, extra_row, loglog, other, no_dir)
         assert code in (0, 3)
         if code == 0:
             ElementTree.parse(svg)
+        else:  # the layout fails before the file is begun
+            assert not svg.exists()
 
 
 def test_cli_usage_error():
